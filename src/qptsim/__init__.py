@@ -16,7 +16,6 @@ from .algebra import (
     dagger,
     det,
     double_ket,
-    eigen_hermitian,
     from_double_ket,
     inverse,
     mat_close,
@@ -28,11 +27,9 @@ from .algebra import (
 from .channels import (
     QuantumChannel,
     amplitude_damping,
-    apply_channel,
     choi_from_kraus,
     depolarizing,
     identity_channel,
-    kraus_from_choi,
     propagate,
     unitary_channel,
 )
@@ -41,7 +38,6 @@ from .errors import (
     DataError,
     DegenerateReferenceError,
     IncompleteQuorumError,
-    NotCompletelyPositiveError,
     NullEventError,
     QptError,
     UnfaithfulInputError,
@@ -64,11 +60,8 @@ from .experiment import (
 )
 from .optics import (
     DeviceSpec,
-    PauliDetector,
     WavePlate,
     compile_device,
-    detector_for,
-    outcome_probabilities,
     waveplate_bloch,
     waveplate_jones,
 )

@@ -61,6 +61,42 @@ def pauli(i: int) -> np.ndarray:
     return _PAULI[i]
 
 
+# _PAULI_STACK[i, r, c] is element (r, c) of sigma_i.
+_PAULI_STACK = np.stack(_PAULI)
+_PAULI_STACK.setflags(write=False)
+
+
+def pauli_expand(coeffs: np.ndarray) -> np.ndarray:
+    """Operator sum_{i..l} c[i, .., l] sigma_i x .. x sigma_l on k qubits.
+
+    ``coeffs`` has shape (4,)*k; the result is 2^k x 2^k with the first
+    index acting on the first tensor factor.
+    """
+    t = np.asarray(coeffs)
+    k = t.ndim
+    if t.shape != (4,) * k:
+        raise ValueError(f"Pauli coefficients must have shape (4,)*k, got {t.shape}")
+    for _ in range(k):
+        # contract the leading Pauli index; its (row, col) pair moves to the end
+        t = np.tensordot(t, _PAULI_STACK, axes=([0], [0]))
+    axes = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
+    return t.transpose(axes).reshape(2**k, 2**k)
+
+
+def pauli_coefficients(op: np.ndarray) -> np.ndarray:
+    """Re Tr[op sigma_i x .. x sigma_l] for every index tuple, shape (4,)*k."""
+    op = np.asarray(op)
+    k = op.shape[0].bit_length() - 1 if op.ndim == 2 else 0
+    if k < 1 or op.shape != (2**k, 2**k):
+        raise ValueError(f"expected a 2^k x 2^k operator, got shape {op.shape}")
+    axes = [a for q in range(k) for a in (q, k + q)]
+    t = op.reshape([2] * (2 * k)).transpose(axes)
+    for _ in range(k):
+        # Tr picks op[r, c] sigma[c, r] for the leading qubit's (r, c) pair
+        t = np.tensordot(t, _PAULI_STACK, axes=([0, 1], [2, 1]))
+    return t.real
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.conjugate(np.asarray(m)).T
@@ -105,15 +141,6 @@ def inverse(m: np.ndarray) -> np.ndarray:
     if abs(d) < TOL.invertibility:
         raise ValueError(f"matrix is singular within tolerance (|det| = {abs(d):.3e})")
     return np.linalg.inv(np.asarray(m))
-
-
-def eigen_hermitian(m: np.ndarray):
-    """Eigenvalues and eigenvectors of a Hermitian matrix (ascending order)."""
-    m = np.asarray(m)
-    if not is_hermitian(m, tol=TOL.psd_slack):
-        dev = float(np.max(np.abs(m - dagger(m))))
-        raise ValueError(f"matrix is not Hermitian within tolerance (deviation {dev:.3e})")
-    return np.linalg.eigh(m)
 
 
 def is_hermitian(m: np.ndarray, tol: float = TOL.psd_slack) -> bool:

@@ -18,14 +18,11 @@ from .algebra import (
     BipartiteState,
     dagger,
     double_ket,
-    from_double_ket,
-    is_density_matrix,
-    is_hermitian,
     pauli,
     tensor,
     _frozen,
 )
-from .errors import NotCompletelyPositiveError, NullEventError
+from .errors import NullEventError
 
 # Outcome probabilities below this are treated as impossible events.
 NULL_EVENT_PROB = 1e-15
@@ -44,29 +41,6 @@ def choi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
         v = double_ket(k)
         c += np.outer(v, v.conj())
     return c
-
-
-def kraus_from_choi(choi: np.ndarray, eig_floor: float = 1e-10) -> list[np.ndarray]:
-    """Kraus operators via spectral decomposition of a Choi matrix.
-
-    Eigenvalues below ``eig_floor`` are discarded; a negative eigenvalue
-    beyond the PSD slack raises instead of being clipped.
-    """
-    choi = np.asarray(choi, dtype=complex)
-    d2 = choi.shape[0]
-    d = int(round(np.sqrt(d2)))
-    if choi.shape != (d2, d2) or d * d != d2:
-        raise ValueError(f"Choi matrix must be d^2 x d^2, got {choi.shape}")
-    if not is_hermitian(choi, TOL.psd_slack):
-        raise ValueError("Choi matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(choi)
-    if vals[0] < -TOL.psd_slack:
-        raise NotCompletelyPositiveError(magnitude=-float(vals[0]))
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > eig_floor:
-            ops.append(np.sqrt(lam) * from_double_ket(v))
-    return ops
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +65,6 @@ class QuantumChannel:
             )
         return cls(kraus_ops=ops, choi=_frozen(choi_from_kraus(ops)))
 
-    @classmethod
-    def from_choi(cls, choi: np.ndarray) -> "QuantumChannel":
-        ops = kraus_from_choi(choi)
-        return cls.from_kraus(ops)
-
     @property
     def occurrence_scale(self) -> float:
         """Tr[E(I/2)], the occurrence probability on a maximally mixed input."""
@@ -116,25 +85,6 @@ class QuantumChannel:
     @property
     def unitary_matrix(self) -> Optional[np.ndarray]:
         return self.kraus_ops[0] if self.is_unitary else None
-
-
-def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply E to a single-qubit density matrix.
-
-    Returns the renormalized output state and the occurrence probability
-    Tr[E(rho)].  Conditioning on a numerically impossible outcome raises
-    NullEventError.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2) or not is_density_matrix(rho):
-        raise ValueError("rho is not a valid single-qubit density matrix")
-    out = np.zeros((2, 2), dtype=complex)
-    for k in ch.kraus_ops:
-        out += k @ rho @ dagger(k)
-    prob = float(np.trace(out).real)
-    if prob < NULL_EVENT_PROB:
-        raise NullEventError(f"outcome probability {prob:.3e} is numerically zero")
-    return out / prob, prob
 
 
 def propagate(ch: QuantumChannel, psi: BipartiteState) -> BipartiteState:

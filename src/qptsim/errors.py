@@ -9,17 +9,6 @@ class NullEventError(QptError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
-class NotCompletelyPositiveError(QptError):
-    """A Choi matrix has a negative eigenvalue beyond tolerance."""
-
-    def __init__(self, magnitude: float):
-        self.magnitude = float(magnitude)
-        super().__init__(
-            f"matrix is not completely positive: negative eigenvalue of "
-            f"magnitude {self.magnitude:.3e}"
-        )
-
-
 class DegenerateReferenceError(QptError):
     """The reference matrix element is too small to normalize against."""
 

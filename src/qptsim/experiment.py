@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import BipartiteState, pauli, tensor
+from .algebra import BipartiteState, pauli_coefficients
 from .errors import DataError, IncompleteQuorumError
 
 
@@ -122,28 +122,34 @@ class CorrelationTable:
         object.__setattr__(self, "counts", counts)
 
 
-def correlation(state: BipartiteState, i: int, j: int) -> float:
-    """Expectation of sigma_i x sigma_j on the state.
-
-    For pure states this is Tr[Psi^dag sigma_i Psi sigma_j^T], the identity
-    behind the coincidence statistics.
-    """
-    if state.pure:
-        psi = state.coeffs
-        val = np.trace(psi.conj().T @ pauli(i) @ psi @ pauli(j).T)
-    else:
-        val = np.trace(state.density @ tensor(pauli(i), pauli(j)))
-    return float(val.real)
-
-
 def exact_correlations(state: BipartiteState) -> CorrelationTable:
     """Full 4x4 table of exact expectations (counts all zero)."""
-    t = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            t[i, j] = correlation(state, i, j)
+    t = pauli_coefficients(state.density)
     t[0, 0] = 1.0  # identical to 1 for any normalized state
     return CorrelationTable(entries=t)
+
+
+# Signs of the four joint outcomes, in OUTCOMES order.
+_S1 = np.array([o[0] for o in OUTCOMES])
+_S2 = np.array([o[1] for o in OUTCOMES])
+_A1 = np.array([s.axis1 for s in SETTINGS])
+_A2 = np.array([s.axis2 for s in SETTINGS])
+
+
+def _setting_probs(state: BipartiteState) -> np.ndarray:
+    """(9, 4) joint outcome probabilities, rows in SETTINGS order.
+
+    P(s1, s2) = (1 + s1 <sigma_a1> + s2 <sigma_a2> + s1 s2 <sigma_a1 sigma_a2>) / 4.
+    """
+    t = exact_correlations(state).entries
+    m1 = t[_A1, 0][:, None]
+    m2 = t[0, _A2][:, None]
+    c12 = t[_A1, _A2][:, None]
+    p = 0.25 * (1.0 + _S1 * m1 + _S2 * m2 + (_S1 * _S2) * c12)
+    if p.min() < _PROB_CLIP:
+        raise ValueError(f"outcome probability {p.min()!r} is negative beyond clipping tolerance")
+    p = np.maximum(p, 0.0)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def joint_probs(state: BipartiteState, setting: MeasurementSetting) -> dict[tuple[int, int], float]:
@@ -151,22 +157,8 @@ def joint_probs(state: BipartiteState, setting: MeasurementSetting) -> dict[tupl
     a1, a2 = setting
     if a1 not in AXES or a2 not in AXES:
         raise ValueError(f"setting axes must be in 1..3, got {setting!r}")
-    m1 = correlation(state, a1, 0)
-    m2 = correlation(state, 0, a2)
-    c12 = correlation(state, a1, a2)
-    probs = {}
-    for s1, s2 in OUTCOMES:
-        p = 0.25 * (1.0 + s1 * m1 + s2 * m2 + s1 * s2 * c12)
-        if p < _PROB_CLIP:
-            raise ValueError(f"outcome probability {p!r} is negative beyond clipping tolerance")
-        probs[(s1, s2)] = max(p, 0.0)
-    norm = sum(probs.values())
-    return {k: v / norm for k, v in probs.items()}
-
-
-def _prob_vector(state: BipartiteState, setting: MeasurementSetting) -> np.ndarray:
-    p = joint_probs(state, setting)
-    return np.array([p[o] for o in OUTCOMES])
+    row = _setting_probs(state)[SETTINGS.index((a1, a2))]
+    return {o: float(p) for o, p in zip(OUTCOMES, row)}
 
 
 def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> list[EventRecord]:
@@ -181,13 +173,14 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> list[EventRec
     if all(plan.allocation.get(s, 0) == 0 for s in SETTINGS):
         raise ValueError("plan allocates zero events to every setting")
     eta = plan.loss.eta if plan.loss is not None else 1.0
+    probs = _setting_probs(state)
     events: list[EventRecord] = []
     for idx, setting in enumerate(SETTINGS):
         n = plan.allocation.get(setting, 0)
         if n == 0:
             continue
         rng = np.random.default_rng([plan.seed, idx])
-        pvec = _prob_vector(state, setting)
+        pvec = probs[idx]
         if eta >= 1.0:
             cats = rng.choice(4, size=n, p=pvec)
         else:
@@ -233,24 +226,22 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     if missing:
         raise IncompleteQuorumError(missing)
 
-    s1 = np.array([o[0] for o in OUTCOMES])
-    s2 = np.array([o[1] for o in OUTCOMES])
     entries = np.zeros((4, 4))
     n_table = np.zeros((4, 4), dtype=np.int64)
     entries[0, 0] = 1.0
     n_table[0, 0] = int(per_setting.sum())
     for k, (a1, a2) in enumerate(SETTINGS):
-        entries[a1, a2] = float((counts[k] * s1 * s2).sum()) / per_setting[k]
+        entries[a1, a2] = float((counts[k] * _S1 * _S2).sum()) / per_setting[k]
         n_table[a1, a2] = per_setting[k]
     for a1 in AXES:
         rows = [k for k, s in enumerate(SETTINGS) if s.axis1 == a1]
         n = per_setting[rows].sum()
-        entries[a1, 0] = float((counts[rows] * s1).sum()) / n
+        entries[a1, 0] = float((counts[rows] * _S1).sum()) / n
         n_table[a1, 0] = n
     for a2 in AXES:
         rows = [k for k, s in enumerate(SETTINGS) if s.axis2 == a2]
         n = per_setting[rows].sum()
-        entries[0, a2] = float((counts[rows] * s2).sum()) / n
+        entries[0, a2] = float((counts[rows] * _S2).sum()) / n
         n_table[0, a2] = n
     return CorrelationTable(entries=entries, counts=n_table)
 

@@ -1,4 +1,4 @@
-"""Wave-plate Jones calculus and the Pauli measurement optics.
+"""Wave-plate Jones calculus and device compilation.
 
 A wave-plate with retardation phase phi and orientation angle theta acts on
 the (h, v) mode amplitudes with the Jones matrix
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import TOL, dagger, pauli
+from .algebra import dagger, pauli
 from .channels import QuantumChannel
 
 TWO_PI = 2.0 * np.pi
@@ -107,71 +107,3 @@ def compile_device(d: DeviceSpec) -> QuantumChannel:
     for p in d.plates:
         u = waveplate_jones(p) @ u
     return QuantumChannel.from_kraus([u])
-
-
-# Pre-plates that turn the h/v analyzer into a sigma_x or sigma_y detector:
-# a half-wave plate at pi/8 and a quarter-wave plate at pi/4.
-_PRE_PLATES = {
-    1: WavePlate(phi=np.pi, theta=np.pi / 8.0),
-    2: WavePlate(phi=np.pi / 2.0, theta=np.pi / 4.0),
-    3: None,
-}
-
-
-@dataclass(frozen=True, eq=False)
-class PauliDetector:
-    """A polarizing beam splitter, optionally preceded by one wave-plate.
-
-    The raw outcome is +1 when the horizontal-arm detector fires and -1 for
-    the vertical arm; ``sign`` corrects the raw outcome so that reported
-    outcomes always estimate +sigma_axis.
-    """
-
-    axis: int
-    pre_plate: Optional[WavePlate]
-    sign: int
-
-    @property
-    def observable(self) -> np.ndarray:
-        """Heisenberg transform of the analyzer: W^dag sigma_z W times sign."""
-        if self.pre_plate is None:
-            obs = pauli(3)
-        else:
-            w = waveplate_jones(self.pre_plate)
-            obs = dagger(w) @ pauli(3) @ w
-        return self.sign * obs
-
-
-def detector_for(axis: int) -> PauliDetector:
-    """Detector measuring +sigma_axis for axis in {1, 2, 3}.
-
-    The sign correction is computed from the pre-plate's adjoint action, not
-    assumed; with this package's Pauli convention it comes out +1 for all
-    three axes.
-    """
-    if axis not in (1, 2, 3):
-        raise ValueError(f"detector axis must be 1, 2 or 3, got {axis!r}")
-    plate = _PRE_PLATES[axis]
-    if plate is None:
-        raw = pauli(3)
-    else:
-        w = waveplate_jones(plate)
-        raw = dagger(w) @ pauli(3) @ w
-    overlap = 0.5 * np.trace(pauli(axis) @ raw).real
-    sign = int(round(overlap))
-    if abs(overlap - sign) > TOL.psd_slack or sign not in (-1, 1):
-        raise RuntimeError(f"pre-plate for axis {axis} does not realize a Pauli measurement")
-    return PauliDetector(axis=axis, pre_plate=plate, sign=sign)
-
-
-def outcome_probabilities(det: PauliDetector, rho: np.ndarray) -> dict[int, float]:
-    """Probabilities of the corrected outcomes +1 / -1 on a one-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if det.pre_plate is not None:
-        w = waveplate_jones(det.pre_plate)
-        rho = w @ rho @ dagger(w)
-    p_h = float(rho[0, 0].real)
-    p_v = float(rho[1, 1].real)
-    if det.sign == 1:
-        return {1: p_h, -1: p_v}
-    return {1: p_v, -1: p_h}

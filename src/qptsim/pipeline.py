@@ -47,6 +47,7 @@ from .experiment import (
 from .optics import DeviceSpec, compile_device
 from .tomography import (
     CNOT,
+    MIN_RESAMPLES,
     SWAP,
     bootstrap_errors,
     choi_of_unitary,
@@ -62,6 +63,16 @@ from .tomography import (
 ESTIMATORS = ("unitary", "choi", "state_only")
 TWO_QUBIT_DEVICES = {"cnot": CNOT, "swap": SWAP}
 PRESETS = ("fig3", "fig4", "cnot", "depol")
+
+# Accepted keys of the config root and of each of its sections.
+_CONFIG_KEYS = (
+    "label", "input_state", "input_state_b", "device", "estimator", "plan", "bootstrap", "outputs",
+)
+_SECTION_KEYS = {
+    "plan": ("total", "seed", "eta", "exact", "allocation"),
+    "bootstrap": ("resamples", "seed"),
+    "outputs": ("events", "result", "plotdata"),
+}
 
 
 @dataclass
@@ -151,6 +162,8 @@ def _parse_device(spec) -> tuple[Optional[QuantumChannel], Optional[np.ndarray]]
 
 
 def _parse_allocation(spec, total: int) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigError("plan.allocation: expected an object")
     alloc = {}
     for key, n in spec.items():
         if len(key) != 2 or key[0] not in LETTER_AXES or key[1] not in LETTER_AXES:
@@ -163,9 +176,36 @@ def _parse_allocation(spec, total: int) -> dict:
     return alloc
 
 
+def _check_keys(where: str, doc: dict, allowed) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"expected some of {', '.join(allowed)}"
+        )
+
+
+def _section(doc: dict, name: str) -> dict:
+    sec = doc.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name}: expected an object")
+    _check_keys(name, sec, _SECTION_KEYS[name])
+    return sec
+
+
+def _int_field(where: str, v, low: int) -> int:
+    """An integer config entry, required to be at least ``low``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    if v < low:
+        raise ConfigError(f"{where}: must be at least {low}, got {v}")
+    return v
+
+
 def parse_config(doc: dict) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys("config", doc, _CONFIG_KEYS)
     for key in ("input_state", "device", "estimator"):
         if key not in doc:
             raise ConfigError(f"missing required config field {key!r}")
@@ -181,14 +221,27 @@ def parse_config(doc: dict) -> PipelineConfig:
         else None
     )
     channel, u4 = _parse_device(doc["device"])
+    if input_state_b is not None and u4 is None:
+        raise ConfigError("input_state_b: only two-qubit devices take a second pair")
+    for field, probe in (("input_state", input_state), ("input_state_b", input_state_b)):
+        if estimator != "state_only" and probe is not None and not probe.full_rank:
+            raise ConfigError(
+                f"{field}: the {estimator} estimator needs a faithful probe "
+                f"(a full-rank coefficient matrix)"
+            )
 
-    plan = doc.get("plan", {})
-    if not isinstance(plan, dict):
-        raise ConfigError("plan: expected an object")
-    exact = bool(plan.get("exact", False))
-    total = int(plan.get("total", 0))
-    seed = int(plan.get("seed", 0))
-    eta = float(plan.get("eta", 1.0))
+    plan = _section(doc, "plan")
+    exact = plan.get("exact", False)
+    if not isinstance(exact, bool):
+        raise ConfigError(f"plan.exact: expected true or false, got {exact!r}")
+    total = _int_field("plan.total", plan.get("total", 0), 0)
+    seed = _int_field("plan.seed", plan.get("seed", 0), 0)
+    if seed >= 2**64:
+        raise ConfigError("plan.seed: must fit in 64 unsigned bits")
+    eta = plan.get("eta", 1.0)
+    if isinstance(eta, bool) or not isinstance(eta, (int, float)):
+        raise ConfigError(f"plan.eta: expected a number, got {eta!r}")
+    eta = float(eta)
     if not exact:
         if total <= 0:
             raise ConfigError("plan.total: a positive coincidence count is required")
@@ -211,8 +264,8 @@ def parse_config(doc: dict) -> PipelineConfig:
             stacklevel=2,
         )
 
-    boot = doc.get("bootstrap", {})
-    outputs = doc.get("outputs", {})
+    boot = _section(doc, "bootstrap")
+    outputs = _section(doc, "outputs")
     label = str(doc.get("label", "run"))
     return PipelineConfig(
         label=label,
@@ -226,8 +279,10 @@ def parse_config(doc: dict) -> PipelineConfig:
         seed=seed,
         eta=eta,
         allocation=allocation,
-        bootstrap_resamples=int(boot.get("resamples", 1000)),
-        bootstrap_seed=int(boot.get("seed", 0)),
+        bootstrap_resamples=_int_field(
+            "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES
+        ),
+        bootstrap_seed=_int_field("bootstrap.seed", boot.get("seed", 0), 0),
         out_events=str(outputs.get("events", f"{label}_events.csv")),
         out_result=str(outputs.get("result", f"{label}_result.txt")),
         out_plotdata=str(outputs.get("plotdata", f"{label}_plotdata.csv")),

@@ -14,14 +14,14 @@ coefficients M, and a general channel by undoing the probe state on the
 untouched arm of the reconstructed two-qubit output density matrix.
 
 Estimators report raw linear inversion: no renormalization and no
-positivity projection unless explicitly requested.
+positivity projection.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,8 +32,9 @@ from .algebra import (
     double_ket,
     inverse,
     pauli,
+    pauli_coefficients,
+    pauli_expand,
     permute_qubits,
-    tensor,
 )
 from .channels import choi_from_kraus
 from .errors import (
@@ -52,6 +53,7 @@ from .experiment import (
 
 REFERENCE_ORDER = ((0, 1), (1, 0), (1, 1), (0, 0))
 P_FLOOR = 1e-6
+MIN_RESAMPLES = 100
 
 _REF_LABEL = {(n, m): f"|{n}{m}>" for n in (0, 1) for m in (0, 1)}
 
@@ -260,27 +262,67 @@ def reconstruct_unitary(
     )
 
 
-@lru_cache(maxsize=None)
-def _pauli_pair_basis() -> np.ndarray:
-    """(4, 4, 4, 4) stack of sigma_i x sigma_j, read-only."""
-    b = np.empty((4, 4, 4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            b[i, j] = tensor(pauli(i), pauli(j))
-    b.setflags(write=False)
-    return b
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + dagger(m))
 
 
 def density_from_correlations(table: CorrelationTable) -> np.ndarray:
     """Two-qubit density matrix from the full 16-entry Pauli expansion."""
-    rho = np.einsum("ij,ijab->ab", table.entries, _pauli_pair_basis()) / 4.0
-    return 0.5 * (rho + dagger(rho))
+    return _hermitize(pauli_expand(table.entries) / 4.0)
+
+
+def _pair_grouping(n: int) -> tuple[int, ...]:
+    """Qubit order (dev 1..n, ancilla 1..n) from (dev 1, anc 1, .., dev n, anc n)."""
+    return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+
+
+def _choi_core(table: np.ndarray, probes: Sequence[BipartiteState]) -> tuple[np.ndarray, np.ndarray]:
+    """Choi matrix of an n-qubit device probed by n entangled pairs.
+
+    ``table`` holds the (4,)*2n Pauli expectations over the register order
+    (device 1, ancilla 1, .., device n, ancilla n); ``probes`` are the n
+    faithful pair states.  The output density matrix is regrouped as
+    (devices, ancillas) and the probe Psi = Psi_1 x .. x Psi_n is undone on
+    the ancillas, C = (I x (Psi^T)^{-1}) rho (I x (Psi^*)^{-1}), then
+    rescaled to trace 2^n.  Returns the Choi matrix and its ascending
+    eigenvalues.
+    """
+    n = len(probes)
+    rho = _hermitize(pauli_expand(table) / 4.0**n)
+    rho = permute_qubits(rho, _pair_grouping(n))
+    psi = reduce(np.kron, [p.coeffs for p in probes])
+    eye = np.eye(2**n)
+    choi = np.kron(eye, inverse(psi.T)) @ rho @ np.kron(eye, inverse(psi.conj()))
+    choi = _hermitize(choi)
+    tr = float(np.trace(choi).real)
+    if tr <= 0.0:
+        raise QptError(f"reconstructed Choi matrix has non-positive trace {tr!r}")
+    choi *= 2.0**n / tr
+    return choi, np.linalg.eigvalsh(choi)
+
+
+def _choi_result(choi, eigs, head: dict, truth: Optional[np.ndarray]) -> ReconstructionResult:
+    """Package a Choi estimate; ``head`` leads the diagnostics."""
+    diagnostics = {
+        **head,
+        "min_eigenvalue": float(eigs[0]),
+        "negativity": float(np.abs(eigs[eigs < 0.0]).sum()),
+        "occurrence_scale": "unrecoverable from coincidence-normalized data",
+    }
+    if truth is not None:
+        diagnostics["choi_distance"] = distance_choi(choi, truth)
+    trace = int(round(np.sqrt(choi.shape[0])))
+    return ReconstructionResult(
+        kind="device_choi",
+        matrix=choi,
+        gauge=f"Choi rescaled to trace {trace} (deterministic-channel convention)",
+        diagnostics=diagnostics,
+    )
 
 
 def reconstruct_choi(
     t_out: CorrelationTable,
     psi_in: BipartiteState,
-    project_psd: bool = False,
     truth: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Choi matrix of a general (possibly non-unitary) device.
@@ -292,35 +334,12 @@ def reconstruct_choi(
     of a trace-decreasing device, so that scale is reported as unknown.
     """
     cond = _require_faithful(psi_in)
-    rho = density_from_correlations(t_out)
-    psi = psi_in.coeffs
-    left = tensor(np.eye(2), inverse(psi.T))
-    right = tensor(np.eye(2), inverse(psi.conj()))
-    choi = left @ rho @ right
-    choi = 0.5 * (choi + dagger(choi))
-    tr = float(np.trace(choi).real)
-    if tr <= 0.0:
-        raise QptError(f"reconstructed Choi matrix has non-positive trace {tr!r}")
-    choi *= 2.0 / tr
-    eigs = np.linalg.eigvalsh(choi)
-    negativity = float(np.abs(eigs[eigs < 0.0]).sum())
-    gauge = "Choi rescaled to trace 2 (deterministic-channel convention)"
-    if project_psd:
-        vals, vecs = np.linalg.eigh(choi)
-        choi = (vecs * np.clip(vals, 0.0, None)) @ dagger(vecs)
-        gauge += "; projected onto the PSD cone (nearest in Frobenius norm)"
-    diagnostics = {
+    choi, eigs = _choi_core(t_out.entries, (psi_in,))
+    head = {
         "condition_number": cond,
         "choi_eigenvalues": ", ".join(f"{v:.12g}" for v in eigs),
-        "min_eigenvalue": float(eigs[0]),
-        "negativity": negativity,
-        "occurrence_scale": "unrecoverable from coincidence-normalized data",
     }
-    if truth is not None:
-        diagnostics["choi_distance"] = distance_choi(choi, truth)
-    return ReconstructionResult(
-        kind="device_choi", matrix=choi, gauge=gauge, diagnostics=diagnostics
-    )
+    return _choi_result(choi, eigs, head, truth)
 
 
 def fidelity_unitary(a: np.ndarray, b: np.ndarray) -> float:
@@ -359,8 +378,10 @@ def bootstrap_errors(
     parts are reported separately.  Resamples on which the estimator
     degenerates are redrawn and counted.
     """
-    if n_resamples < 100:
-        raise ValueError(f"need at least 100 resamples for stable error bars, got {n_resamples}")
+    if n_resamples < MIN_RESAMPLES:
+        raise ValueError(
+            f"need at least {MIN_RESAMPLES} resamples for stable error bars, got {n_resamples}"
+        )
     counts = events_to_counts(events)
     totals = counts.sum(axis=1)
     if np.any(totals == 0):
@@ -417,10 +438,6 @@ SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-# Move between (devA, ancA, devB, ancB) and (devA, devB, ancA, ancB): the
-# permutation swaps the middle qubits and is its own inverse.
-_GROUPING = (0, 2, 1, 3)
-
 
 def two_pair_output_state(
     u4: np.ndarray, psi_a: BipartiteState, psi_b: BipartiteState
@@ -432,20 +449,10 @@ def two_pair_output_state(
     if not (psi_a.pure and psi_b.pure):
         raise ValueError("two-pair forward model expects pure probe states")
     vec = np.kron(double_ket(psi_a.coeffs), double_ket(psi_b.coeffs))
-    op = permute_qubits(np.kron(u4, np.eye(4)), _GROUPING)
+    # the two-pair grouping swaps the middle qubits, so it is its own inverse
+    op = permute_qubits(np.kron(u4, np.eye(4)), _pair_grouping(2))
     out = op @ vec
     return np.outer(out, out.conj())
-
-
-@lru_cache(maxsize=None)
-def _pauli_quad_basis() -> np.ndarray:
-    """(256, 16, 16) stack of sigma_i x sigma_j x sigma_k x sigma_l, read-only."""
-    b = np.empty((256, 16, 16), dtype=complex)
-    for idx in range(256):
-        i, j, k, l = idx // 64, (idx // 16) % 4, (idx // 4) % 4, idx % 4
-        b[idx] = np.kron(np.kron(np.kron(pauli(i), pauli(j)), pauli(k)), pauli(l))
-    b.setflags(write=False)
-    return b
 
 
 def correlations_4party(rho: np.ndarray) -> np.ndarray:
@@ -453,8 +460,7 @@ def correlations_4party(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (16, 16):
         raise ValueError(f"expected a 16x16 density matrix, got {rho.shape}")
-    t = np.einsum("ab,nba->n", rho, _pauli_quad_basis()).real
-    return t.reshape(4, 4, 4, 4)
+    return pauli_coefficients(rho)
 
 
 def reconstruct_two_qubit_device(
@@ -476,35 +482,8 @@ def reconstruct_two_qubit_device(
     if abs(t[0, 0, 0, 0] - 1.0) > 1e-9:
         raise ValueError("entry (0,0,0,0) of the correlation table must be 1")
     conds = (_require_faithful(psi_a), _require_faithful(psi_b))
-
-    rho = np.einsum("n,nab->ab", t.reshape(-1), _pauli_quad_basis()) / 16.0
-    rho = 0.5 * (rho + dagger(rho))
-    rho = permute_qubits(rho, _GROUPING)
-
-    big_psi = np.kron(psi_a.coeffs, psi_b.coeffs)
-    left = np.kron(np.eye(4), inverse(big_psi.T))
-    right = np.kron(np.eye(4), inverse(big_psi.conj()))
-    choi = left @ rho @ right
-    choi = 0.5 * (choi + dagger(choi))
-    tr = float(np.trace(choi).real)
-    if tr <= 0.0:
-        raise QptError(f"reconstructed Choi matrix has non-positive trace {tr!r}")
-    choi *= 4.0 / tr
-    eigs = np.linalg.eigvalsh(choi)
-    diagnostics = {
-        "condition_numbers": conds,
-        "min_eigenvalue": float(eigs[0]),
-        "negativity": float(np.abs(eigs[eigs < 0.0]).sum()),
-        "occurrence_scale": "unrecoverable from coincidence-normalized data",
-    }
-    if truth is not None:
-        diagnostics["choi_distance"] = distance_choi(choi, truth)
-    return ReconstructionResult(
-        kind="device_choi",
-        matrix=choi,
-        gauge="Choi rescaled to trace 4 (deterministic-channel convention)",
-        diagnostics=diagnostics,
-    )
+    choi, eigs = _choi_core(t, (psi_a, psi_b))
+    return _choi_result(choi, eigs, {"condition_numbers": conds}, truth)
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ from qptsim import (
     dagger,
     det,
     double_ket,
-    eigen_hermitian,
     from_double_ket,
     inverse,
     mat_close,
@@ -18,6 +17,7 @@ from qptsim import (
     permute_qubits,
     tensor,
 )
+from qptsim.algebra import pauli_coefficients, pauli_expand
 
 RT2 = np.sqrt(2.0)
 
@@ -120,13 +120,6 @@ def test_inverse():
         inverse(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-def test_eigen_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eigen_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-    vals, _ = eigen_hermitian(pauli(3))
-    assert np.allclose(vals, [-1.0, 1.0])
-
-
 def test_mat_close_tolerance():
     a = np.eye(2)
     assert mat_close(a, a + 1e-13)
@@ -178,3 +171,44 @@ def test_full_rank_flag():
     assert not product.full_rank
     with pytest.raises(ValueError):
         BipartiteState.from_density(np.eye(4) / 4).full_rank
+
+
+def kron_basis_coefficients(op, k):
+    """Reference: Re Tr[op sigma_i x .. x sigma_l] by explicit Kronecker products."""
+    t = np.empty((4,) * k)
+    for idx in np.ndindex(*t.shape):
+        basis = np.eye(1)
+        for i in idx:
+            basis = np.kron(basis, pauli(i))
+        t[idx] = np.trace(op @ basis).real
+    return t
+
+
+def random_hermitian(rng, k):
+    g = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+    return g + dagger(g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pauli_transform_roundtrip(k):
+    rng = np.random.default_rng(100 + k)
+    h = random_hermitian(rng, k)
+    t = pauli_coefficients(h)
+    assert t.shape == (4,) * k
+    assert mat_close(pauli_expand(t) / 2**k, h, tol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_pauli_coefficients_match_kron_basis(k):
+    rng = np.random.default_rng(200 + k)
+    h = random_hermitian(rng, k)
+    assert np.max(np.abs(pauli_coefficients(h) - kron_basis_coefficients(h, k))) < 1e-12
+
+
+def test_pauli_transform_shape_checks():
+    with pytest.raises(ValueError):
+        pauli_expand(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        pauli_coefficients(np.eye(3))
+    with pytest.raises(ValueError):
+        pauli_coefficients(np.zeros(4))

@@ -1,22 +1,19 @@
-"""Operator-sum channels, Choi conversion and bipartite propagation."""
+"""Operator-sum channels, Choi matrices and bipartite propagation."""
 
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
 from qptsim import (
-    NotCompletelyPositiveError,
     NullEventError,
     QuantumChannel,
     amplitude_damping,
-    apply_channel,
     bell_state,
     choi_from_kraus,
     dagger,
     depolarizing,
     double_ket,
     identity_channel,
-    kraus_from_choi,
     mat_close,
     partial_trace,
     pauli,
@@ -27,46 +24,31 @@ from qptsim import (
 from qptsim.algebra import BipartiteState
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
-def random_cptp(rng, n_kraus=2):
-    """Random CPTP channel from an isometry block of a Haar unitary."""
-    u = unitary_group.rvs(2 * n_kraus, random_state=rng)
-    v = u[:, :2]
-    return QuantumChannel.from_kraus([v[2 * k : 2 * k + 2, :] for k in range(n_kraus)])
 
 
 def test_apply_unitary_flip():
-    out, prob = apply_channel(unitary_channel(pauli(1)), KET0)
-    assert mat_close(out, KET1)
-    assert prob == pytest.approx(1.0, abs=1e-14)
+    # beam 1 of |00> flipped to |1>: the output is the product |10>
+    out = propagate(unitary_channel(pauli(1)), BipartiteState.from_coeffs(KET0))
+    assert out.pure
+    assert mat_close(out.coeffs, [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_apply_projective_filter():
+    # the triplet's beam-1 marginal is I/2: the filter passes half of it and
+    # leaves the pair in |01>
     ch = QuantumChannel.from_kraus([KET0])
-    out, prob = apply_channel(ch, np.eye(2) / 2)
-    assert mat_close(out, KET0)
-    assert prob == pytest.approx(0.5, abs=1e-14)
+    out = propagate(ch, bell_state(1))
+    ket01 = np.array([0.0, 1.0, 0.0, 0.0])
+    assert mat_close(out.density, np.outer(ket01, ket01))
+    assert ch.occurrence_scale == pytest.approx(0.5, abs=1e-14)
 
 
 def test_apply_depolarizing():
     # operator-sum with the four-Kraus set evaluated directly:
-    # (1-p)|0><0| + p I/2 = diag(0.85, 0.15) at p = 0.3
-    out, prob = apply_channel(depolarizing(0.3), KET0)
-    assert mat_close(out, np.diag([0.85, 0.15]))
-    assert prob == pytest.approx(1.0, abs=1e-14)
-
-
-def test_apply_null_event():
-    ch = QuantumChannel.from_kraus([KET0])
-    with pytest.raises(NullEventError):
-        apply_channel(ch, KET1)
-
-
-def test_apply_rejects_invalid_state():
-    with pytest.raises(ValueError):
-        apply_channel(identity_channel(), np.array([[1.0, 0.5], [0.0, 0.0]]))
+    # (1-p)|0><0| + p I/2 = diag(0.85, 0.15) at p = 0.3 on beam 1 of |00>
+    out = propagate(depolarizing(0.3), BipartiteState.from_coeffs(KET0))
+    assert mat_close(partial_trace(out.density, 2), np.diag([0.85, 0.15]))
+    assert mat_close(partial_trace(out.density, 1), KET0)
 
 
 def test_propagate_identity_triplet():
@@ -142,35 +124,6 @@ def test_choi_unitary_rank_one():
 def test_choi_depolarizing_eigenvalues():
     vals = np.linalg.eigvalsh(depolarizing(0.3).choi)
     assert np.allclose(np.sort(vals), [0.15, 0.15, 0.15, 1.55], atol=1e-12)
-
-
-def test_kraus_choi_roundtrip_action():
-    # round trip preserves the channel action on random density matrices
-    rng = np.random.default_rng(29)
-    for k in range(50):
-        ch = random_cptp(rng, n_kraus=2 + k % 3)
-        back = QuantumChannel.from_choi(ch.choi)
-        for _ in range(5):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            rho = g @ dagger(g)
-            rho /= np.trace(rho).real
-            a, pa = apply_channel(ch, rho)
-            b, pb = apply_channel(back, rho)
-            assert mat_close(a, b, tol=1e-10)
-            assert abs(pa - pb) < 1e-10
-
-
-def test_kraus_from_choi_rejects_negative():
-    bad = np.diag([1.0, 1.0, 1e-3, -1e-3]).astype(complex)
-    with pytest.raises(NotCompletelyPositiveError) as err:
-        kraus_from_choi(bad)
-    assert err.value.magnitude == pytest.approx(1e-3)
-
-
-def test_kraus_from_choi_drops_tiny_eigenvalues():
-    ops = kraus_from_choi(identity_channel().choi)
-    assert len(ops) == 1
-    assert mat_close(ops[0] @ dagger(ops[0]), np.eye(2), tol=1e-10)
 
 
 def test_trace_increasing_kraus_rejected():

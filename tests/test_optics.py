@@ -1,4 +1,4 @@
-"""Jones matrices, Bloch rotations, detectors and device compilation."""
+"""Jones matrices, Bloch rotations and device compilation."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,8 @@ from qptsim import (
     WavePlate,
     compile_device,
     dagger,
-    detector_for,
     fidelity_unitary,
     mat_close,
-    outcome_probabilities,
     pauli,
     waveplate_bloch,
     waveplate_jones,
@@ -135,44 +133,6 @@ def test_bloch_homomorphism():
         lhs = bloch_of_unitary(u)
         rhs = waveplate_bloch(p2) @ waveplate_bloch(p1)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_detector_observables():
-    dz = detector_for(3)
-    assert dz.pre_plate is None
-    assert dz.sign == 1
-    assert mat_close(dz.observable, pauli(3))
-
-    dx = detector_for(1)
-    assert (dx.pre_plate.phi, dx.pre_plate.theta) == (np.pi, np.pi / 8)
-    assert dx.sign == 1
-    assert mat_close(dx.observable, pauli(1), tol=1e-12)
-
-    dy = detector_for(2)
-    assert (dy.pre_plate.phi, dy.pre_plate.theta) == (np.pi / 2, np.pi / 4)
-    # the sign is not printed anywhere; the adjoint computation fixes it to +1
-    assert dy.sign == 1
-    assert mat_close(dy.observable, pauli(2), tol=1e-12)
-
-
-def test_detector_rejects_identity_axis():
-    with pytest.raises(ValueError):
-        detector_for(0)
-    with pytest.raises(ValueError):
-        detector_for(4)
-
-
-def test_detector_outcome_probabilities():
-    rng = np.random.default_rng(59)
-    for _ in range(100):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        rho = np.outer(v, v.conj())
-        for axis in (1, 2, 3):
-            expect = np.trace(pauli(axis) @ rho).real
-            probs = outcome_probabilities(detector_for(axis), rho)
-            assert probs[1] == pytest.approx((1 + expect) / 2, abs=1e-12)
-            assert probs[-1] == pytest.approx((1 - expect) / 2, abs=1e-12)
 
 
 def test_quarter_wave_makes_circular_modes():

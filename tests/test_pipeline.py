@@ -19,6 +19,10 @@ from qptsim.pipeline import (
 )
 
 
+# coefficient matrix [[1, 0], [0, 0]]: the product state |00>, not a faithful probe
+UNFAITHFUL = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
 def base_config(**overrides):
     doc = {
         "label": "t",
@@ -69,6 +73,17 @@ def test_parse_minimal_defaults():
         {"plan": {"total": 100, "allocation": {"xq": 100}}},
         {"device": {"type": "cnot"}},
         {"device": {"type": "cnot"}, "estimator": "choi"},
+        {"plan": {"total": "abc"}},
+        {"plan": {"total": 100, "seed": -1}},
+        {"bootstrap": {"resamples": 10}},
+        {"input_state": {"coeffs": UNFAITHFUL}},
+        {"input_state": {"coeffs": UNFAITHFUL}, "estimator": "choi"},
+        {"bootstrap": {"resample": 500}},
+        {"plan": {"total": 100, "alloc": {}}},
+        {"plan": {"total": 100, "exact": "false"}},
+        {"outputs": {"event": "e.csv"}},
+        {"inputs": {"bell": 1}},
+        {"input_state_b": {"bell": 1}},
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
@@ -257,6 +272,11 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps(base_config(estimator="nope")))
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+    few = tmp_path / "few.json"
+    few.write_text(json.dumps(base_config(bootstrap={"resamples": 10})))
+    assert main(["pipeline", "--config", str(few), "--out", str(tmp_path)]) == 2
+    assert "config error: bootstrap.resamples" in capsys.readouterr().err
 
     fresh = tmp_path / "fresh"
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(fresh)]) == 3

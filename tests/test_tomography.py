@@ -39,6 +39,8 @@ from qptsim import (
     two_pair_output_state,
     unitary_channel,
 )
+from qptsim.algebra import pauli_coefficients, permute_qubits
+from qptsim.tomography import _choi_core
 
 TRIPLET = bell_state(1)
 RT2 = np.sqrt(2.0)
@@ -227,17 +229,16 @@ def test_choi_unitary_consistent_with_unitary_estimator():
         assert fidelity_unitary(dominant, res_u.matrix) >= 1.0 - 1e-8
 
 
-def test_reconstruct_choi_psd_projection_flag():
+def test_reconstruct_choi_reports_raw_negativity():
     # a unitary device has three exact zero Choi eigenvalues, so shot noise
-    # drives the raw linear inversion slightly negative
+    # drives the raw linear inversion slightly negative; it is reported, not
+    # projected away
     plan = ExperimentPlan.uniform(2000, seed=31)
     table = correlations_from_events(run_experiment(TRIPLET, plan))
     raw = reconstruct_choi(table, TRIPLET)
-    projected = reconstruct_choi(table, TRIPLET, project_psd=True)
     assert raw.diagnostics["min_eigenvalue"] < 0
     assert raw.diagnostics["negativity"] > 0
-    assert np.linalg.eigvalsh(projected.matrix)[0] >= -1e-12
-    assert "PSD" in projected.gauge
+    assert np.linalg.eigvalsh(raw.matrix)[0] == pytest.approx(raw.diagnostics["min_eigenvalue"])
 
 
 def test_bootstrap_deterministic_and_seed_sensitive():
@@ -341,3 +342,26 @@ def test_two_qubit_rejects_unfaithful_probe():
 def test_two_qubit_table_validation():
     with pytest.raises(ValueError):
         reconstruct_two_qubit_device(np.zeros((4, 4, 4, 4)), TRIPLET, TRIPLET)
+
+
+def test_choi_core_three_pairs_random_unitary():
+    # "replicate the setup n times": three pairs, one per device qubit, with
+    # the triplet and two non-maximal faithful probes
+    rng = np.random.default_rng(97)
+    u8 = unitary_group.rvs(8, random_state=rng)
+    probes = (
+        TRIPLET,
+        BipartiteState.from_coeffs(np.diag([np.cos(0.3), np.sin(0.3)])),
+        random_full_rank_state(rng),
+    )
+    vec = double_ket(probes[0].coeffs)
+    for p in probes[1:]:
+        vec = np.kron(vec, double_ket(p.coeffs))
+    # U acts on the device qubits; order (d1, d2, d3, a1, a2, a3) is moved to
+    # the register order (d1, a1, d2, a2, d3, a3) of the probe vector
+    op = permute_qubits(np.kron(u8, np.eye(8)), (0, 3, 1, 4, 2, 5))
+    out = op @ vec
+    table = pauli_coefficients(np.outer(out, out.conj()))
+    choi, eigs = _choi_core(table, probes)
+    assert distance_choi(choi, choi_of_unitary(u8)) < 1e-9
+    assert eigs[-1] == pytest.approx(8.0, abs=1e-9)
