@@ -16,7 +16,6 @@ from .algebra import (
     dagger,
     det,
     double_ket,
-    from_double_ket,
     inverse,
     mat_close,
     partial_trace,
@@ -47,7 +46,6 @@ from .experiment import (
     OUTCOMES,
     SETTINGS,
     CorrelationTable,
-    EventRecord,
     ExperimentPlan,
     LossModel,
     MeasurementSetting,

@@ -161,15 +161,6 @@ def double_ket(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def from_double_ket(v: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of a double-ket vector (inverse of double_ket)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(d, d)
-
-
 def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
     """Reorder the tensor factors of an n-qubit operator.
 

@@ -66,16 +66,6 @@ class QuantumChannel:
         return cls(kraus_ops=ops, choi=_frozen(choi_from_kraus(ops)))
 
     @property
-    def occurrence_scale(self) -> float:
-        """Tr[E(I/2)], the occurrence probability on a maximally mixed input."""
-        return float(np.trace(self.choi).real) / 2.0
-
-    @property
-    def trace_preserving(self) -> bool:
-        s = sum(dagger(k) @ k for k in self.kraus_ops)
-        return bool(np.max(np.abs(s - np.eye(2))) <= TOL.psd_slack)
-
-    @property
     def is_unitary(self) -> bool:
         if len(self.kraus_ops) != 1:
             return False

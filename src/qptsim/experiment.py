@@ -6,16 +6,22 @@ the bipartite state; coincidence events are drawn from it with a seeded,
 per-setting random substream so the output is reproducible and independent
 of how many events the other settings were allocated.
 
+Events: a run's coincidences are one 1-D ``np.uint8`` array of cell codes
+``c = 4*k + o``, where ``k`` indexes the setting in ``SETTINGS`` and ``o``
+the joint outcome in ``OUTCOMES``, so ``c`` runs over 0..35.  Samplers emit
+the codes in setting order; the (9, 4) table of per-setting outcome counts,
+their sufficient statistic, is ``bincount(codes).reshape(9, 4)``.
+
 Event log format (the ingestion boundary for offline analysis): a header
 line ``# total=<N> seed=<seed> eta=<eta>`` followed by one line per
 coincidence, ``axis1,axis2,s1,s2`` with axes as letters x|y|z and signs as
-+1|-1.
++1|-1; these 36 spellings are the only ones read back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,12 +34,6 @@ class MeasurementSetting(NamedTuple):
     axis2: int
 
 
-class EventRecord(NamedTuple):
-    setting: MeasurementSetting
-    s1: int
-    s2: int
-
-
 AXES = (1, 2, 3)
 AXIS_LETTERS = {1: "x", 2: "y", 3: "z"}
 LETTER_AXES = {v: k for k, v in AXIS_LETTERS.items()}
@@ -42,6 +42,15 @@ LETTER_AXES = {v: k for k, v in AXIS_LETTERS.items()}
 # outcomes within a setting; samplers and allocators rely on it.
 SETTINGS = tuple(MeasurementSetting(a1, a2) for a1 in AXES for a2 in AXES)
 OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_N_CELLS = len(SETTINGS) * len(OUTCOMES)
+
+# Event-log line of each cell code; the writer indexes it, the reader inverts it.
+_LINES = tuple(
+    f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n"
+    for a1, a2 in SETTINGS
+    for s1, s2 in OUTCOMES
+)
+_LINE_CODES = {line.strip(): c for c, line in enumerate(_LINES)}
 
 _PROB_CLIP = -1e-12
 _LOSS_CHUNK = 4096
@@ -134,6 +143,8 @@ _S1 = np.array([o[0] for o in OUTCOMES])
 _S2 = np.array([o[1] for o in OUTCOMES])
 _A1 = np.array([s.axis1 for s in SETTINGS])
 _A2 = np.array([s.axis2 for s in SETTINGS])
+# Columns: s1*s2, s1, s2 of each outcome.
+_SIGNS = np.stack([_S1 * _S2, _S1, _S2], axis=1)
 
 
 def _setting_probs(state: BipartiteState) -> np.ndarray:
@@ -161,8 +172,8 @@ def joint_probs(state: BipartiteState, setting: MeasurementSetting) -> dict[tupl
     return {o: float(p) for o, p in zip(OUTCOMES, row)}
 
 
-def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> list[EventRecord]:
-    """Draw coincidence events for every allocated setting.
+def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
+    """Draw coincidence events for every allocated setting, as cell codes.
 
     Each setting uses its own substream seeded by (plan.seed, setting
     index), so the draw for one setting is unaffected by the allocation of
@@ -174,7 +185,7 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> list[EventRec
         raise ValueError("plan allocates zero events to every setting")
     eta = plan.loss.eta if plan.loss is not None else 1.0
     probs = _setting_probs(state)
-    events: list[EventRecord] = []
+    codes: list[np.ndarray] = []
     for idx, setting in enumerate(SETTINGS):
         n = plan.allocation.get(setting, 0)
         if n == 0:
@@ -193,30 +204,40 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> list[EventRec
                 kept.append(keep)
                 total += keep.size
             cats = np.concatenate(kept)[:n]
-        events.extend(EventRecord(setting, *OUTCOMES[c]) for c in cats)
-    return events
+        codes.append((4 * idx + cats).astype(np.uint8))
+    return np.concatenate(codes)
 
 
-def events_to_counts(events: Iterable[EventRecord]) -> np.ndarray:
+def _cell_codes(events) -> np.ndarray:
+    """The events as a 1-D integer array, checked to hold cell codes only."""
+    codes = np.asarray(events)
+    if codes.ndim == 1 and codes.size == 0:
+        return codes.astype(np.uint8)  # an empty list arrives as float64
+    if (
+        codes.ndim != 1
+        or codes.dtype.kind not in "iu"
+        or codes.min() < 0
+        or codes.max() >= _N_CELLS
+    ):
+        raise ValueError(
+            f"events must be a 1-D integer array of cell codes 0..{_N_CELLS - 1}, "
+            f"got shape {codes.shape} dtype {codes.dtype}"
+        )
+    return codes
+
+
+def events_to_counts(events: np.ndarray) -> np.ndarray:
     """(9, 4) table of outcome counts per setting, in fixed enumeration order."""
-    counts = np.zeros((len(SETTINGS), 4), dtype=np.int64)
-    setting_index = {s: k for k, s in enumerate(SETTINGS)}
-    outcome_index = {o: k for k, o in enumerate(OUTCOMES)}
-    for ev in events:
-        try:
-            si = setting_index[ev.setting]
-            oi = outcome_index[(ev.s1, ev.s2)]
-        except KeyError:
-            raise ValueError(f"malformed event record {ev!r}") from None
-        counts[si, oi] += 1
-    return counts
+    counts = np.bincount(_cell_codes(events), minlength=_N_CELLS)
+    return counts.astype(np.int64).reshape(len(SETTINGS), len(OUTCOMES))
 
 
 def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     """Empirical correlation table from per-setting outcome counts.
 
     Marginal entries pool every event that measured the given axis on the
-    given beam, regardless of the partner axis.
+    given beam, regardless of the partner axis.  Numerators are summed as
+    integers and divided once.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.shape != (len(SETTINGS), 4):
@@ -226,44 +247,37 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     if missing:
         raise IncompleteQuorumError(missing)
 
-    entries = np.zeros((4, 4))
-    n_table = np.zeros((4, 4), dtype=np.int64)
-    entries[0, 0] = 1.0
-    n_table[0, 0] = int(per_setting.sum())
-    for k, (a1, a2) in enumerate(SETTINGS):
-        entries[a1, a2] = float((counts[k] * _S1 * _S2).sum()) / per_setting[k]
-        n_table[a1, a2] = per_setting[k]
-    for a1 in AXES:
-        rows = [k for k, s in enumerate(SETTINGS) if s.axis1 == a1]
-        n = per_setting[rows].sum()
-        entries[a1, 0] = float((counts[rows] * _S1).sum()) / n
-        n_table[a1, 0] = n
-    for a2 in AXES:
-        rows = [k for k, s in enumerate(SETTINGS) if s.axis2 == a2]
-        n = per_setting[rows].sum()
-        entries[0, a2] = float((counts[rows] * _S2).sum()) / n
-        n_table[0, a2] = n
-    return CorrelationTable(entries=entries, counts=n_table)
+    # SETTINGS is axis1-major, so (9,) -> (3, 3) puts axis1 on rows, axis2 on columns.
+    num = (counts @ _SIGNS).T.reshape(3, 3, 3)
+    n = per_setting.reshape(3, 3)
+    n_table = np.empty((4, 4), dtype=np.int64)
+    n_table[0, 0] = n.sum()
+    n_table[1:, 1:] = n
+    n_table[1:, 0] = n.sum(axis=1)
+    n_table[0, 1:] = n.sum(axis=0)
+    sums = np.empty((4, 4), dtype=np.int64)
+    sums[0, 0] = n_table[0, 0]
+    sums[1:, 1:] = num[0]
+    sums[1:, 0] = num[1].sum(axis=1)
+    sums[0, 1:] = num[2].sum(axis=0)
+    return CorrelationTable(entries=sums / n_table, counts=n_table)
 
 
-def correlations_from_events(events: Sequence[EventRecord]) -> CorrelationTable:
+def correlations_from_events(events: np.ndarray) -> CorrelationTable:
     """Empirical table of s1*s2 averages and pooled marginals."""
     return table_from_counts(events_to_counts(events))
 
 
-def write_event_log(path, events: Sequence[EventRecord], seed: int, eta: float = 1.0) -> None:
+def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> None:
+    codes = _cell_codes(events)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# total={len(events)} seed={seed} eta={eta!r}\n")
-        for ev in events:
-            fh.write(
-                f"{AXIS_LETTERS[ev.setting.axis1]},{AXIS_LETTERS[ev.setting.axis2]},"
-                f"{ev.s1:+d},{ev.s2:+d}\n"
-            )
+        fh.write(f"# total={codes.size} seed={seed} eta={eta!r}\n")
+        fh.write("".join(map(_LINES.__getitem__, codes.tolist())))
 
 
-def read_event_log(path) -> tuple[list[EventRecord], dict]:
-    """Parse an event log; malformed lines are reported with their number."""
-    events: list[EventRecord] = []
+def read_event_log(path) -> tuple[np.ndarray, dict]:
+    """Parse an event log into cell codes; malformed lines are reported with their number."""
+    codes = bytearray()
     with open(path, "r", encoding="ascii") as fh:
         header_line = fh.readline()
         if not header_line.startswith("#"):
@@ -284,19 +298,15 @@ def read_event_log(path) -> tuple[list[EventRecord], dict]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
             try:
-                if len(parts) != 4:
-                    raise ValueError("expected 4 comma-separated fields")
-                a1, a2 = LETTER_AXES[parts[0]], LETTER_AXES[parts[1]]
-                s1, s2 = int(parts[2]), int(parts[3])
-                if s1 not in (-1, 1) or s2 not in (-1, 1):
-                    raise ValueError("signs must be +1 or -1")
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}: {line!r}") from None
-            events.append(EventRecord(MeasurementSetting(a1, a2), s1, s2))
-    if header["total"] != len(events):
+                codes.append(_LINE_CODES[line])
+            except KeyError:
+                raise DataError(
+                    f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
+                    f"and signs +1|-1: {line!r}"
+                ) from None
+    if header["total"] != len(codes):
         raise DataError(
-            f"{path}: header announces {header['total']} events but {len(events)} were read"
+            f"{path}: header announces {header['total']} events but {len(codes)} were read"
         )
-    return events, header
+    return np.frombuffer(codes, dtype=np.uint8), header

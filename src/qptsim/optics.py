@@ -57,13 +57,6 @@ class DeviceSpec:
         if len(self.plates) == 0:
             raise ValueError("device needs at least one wave-plate")
 
-    def to_config(self) -> list[dict]:
-        """Serialize with angles in units of pi (exact textual form)."""
-        return [
-            {"phi_over_pi": p.phi / np.pi, "theta_over_pi": p.theta / np.pi}
-            for p in self.plates
-        ]
-
     @classmethod
     def from_config(cls, items: Sequence[dict], label: Optional[str] = None) -> "DeviceSpec":
         plates = []

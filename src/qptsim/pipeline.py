@@ -30,7 +30,7 @@ from .channels import (
     identity_channel,
     propagate,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NullEventError
 from .experiment import (
     LETTER_AXES,
     SETTINGS,
@@ -223,6 +223,11 @@ def parse_config(doc: dict) -> PipelineConfig:
     channel, u4 = _parse_device(doc["device"])
     if input_state_b is not None and u4 is None:
         raise ConfigError("input_state_b: only two-qubit devices take a second pair")
+    if channel is not None:
+        try:
+            propagate(channel, input_state)
+        except NullEventError as exc:
+            raise ConfigError(f"device: the channel annihilates the input state ({exc})") from None
     for field, probe in (("input_state", input_state), ("input_state_b", input_state_b)):
         if estimator != "state_only" and probe is not None and not probe.full_rank:
             raise ConfigError(

@@ -46,7 +46,6 @@ from .errors import (
 from .experiment import (
     SETTINGS,
     CorrelationTable,
-    EventRecord,
     events_to_counts,
     table_from_counts,
 )
@@ -364,7 +363,7 @@ def distance_choi(c1: np.ndarray, c2: np.ndarray) -> float:
 
 
 def bootstrap_errors(
-    events: Sequence[EventRecord],
+    events: np.ndarray,
     estimator: Callable[[CorrelationTable], np.ndarray],
     n_resamples: int = 1000,
     seed: int = 0,

@@ -9,7 +9,6 @@ from qptsim import (
     dagger,
     det,
     double_ket,
-    from_double_ket,
     inverse,
     mat_close,
     partial_trace,
@@ -130,9 +129,7 @@ def test_mat_close_tolerance():
 
 def test_double_ket_roundtrip():
     m = np.arange(4).reshape(2, 2).astype(complex)
-    assert np.array_equal(from_double_ket(double_ket(m)), m)
-    with pytest.raises(ValueError):
-        from_double_ket(np.ones(3))
+    assert np.array_equal(double_ket(m), m.reshape(-1))
 
 
 def test_permute_qubits_swaps_factors():

@@ -31,6 +31,9 @@ def test_apply_unitary_flip():
     out = propagate(unitary_channel(pauli(1)), BipartiteState.from_coeffs(KET0))
     assert out.pure
     assert mat_close(out.coeffs, [[0.0, 0.0], [1.0, 0.0]])
+    assert unitary_channel(pauli(2)).is_unitary
+    assert not amplitude_damping(0.3).is_unitary
+    assert amplitude_damping(0.3).unitary_matrix is None
 
 
 def test_apply_projective_filter():
@@ -40,7 +43,6 @@ def test_apply_projective_filter():
     out = propagate(ch, bell_state(1))
     ket01 = np.array([0.0, 1.0, 0.0, 0.0])
     assert mat_close(out.density, np.outer(ket01, ket01))
-    assert ch.occurrence_scale == pytest.approx(0.5, abs=1e-14)
 
 
 def test_apply_depolarizing():
@@ -138,16 +140,3 @@ def test_choi_from_kraus_validates_shapes():
         choi_from_kraus([np.eye(2), np.eye(4)])
 
 
-def test_occurrence_scale():
-    assert identity_channel().occurrence_scale == pytest.approx(1.0)
-    assert depolarizing(0.4).occurrence_scale == pytest.approx(1.0)
-    assert QuantumChannel.from_kraus([KET0]).occurrence_scale == pytest.approx(0.5)
-
-
-def test_trace_preserving_flags():
-    assert depolarizing(0.7).trace_preserving
-    assert amplitude_damping(0.3).trace_preserving
-    assert not QuantumChannel.from_kraus([KET0]).trace_preserving
-    assert unitary_channel(pauli(2)).is_unitary
-    assert not amplitude_damping(0.3).is_unitary
-    assert amplitude_damping(0.3).unitary_matrix is None

@@ -7,7 +7,6 @@ from scipy.stats import unitary_group
 from qptsim import (
     BipartiteState,
     CorrelationTable,
-    EventRecord,
     ExperimentPlan,
     IncompleteQuorumError,
     LossModel,
@@ -23,7 +22,7 @@ from qptsim import (
     write_event_log,
 )
 from qptsim.errors import DataError
-from qptsim.experiment import SETTINGS
+from qptsim.experiment import AXIS_LETTERS, OUTCOMES, SETTINGS, events_to_counts
 
 TRIPLET = bell_state(1)
 
@@ -38,11 +37,14 @@ def brute_force_table(state):
     return t
 
 
+def code(setting, s1, s2):
+    """Cell code of one event: 4 * setting index + outcome index."""
+    return 4 * SETTINGS.index(setting) + OUTCOMES.index((s1, s2))
+
+
 def minimal_events(extra=()):
-    """One (+1,+1) event per setting, plus any extra records."""
-    events = [EventRecord(s, 1, 1) for s in SETTINGS]
-    events.extend(extra)
-    return events
+    """One (+1,+1) event per setting, plus any extra cell codes."""
+    return np.array([code(s, 1, 1) for s in SETTINGS] + list(extra), dtype=np.uint8)
 
 
 def test_joint_probs_triplet_zz():
@@ -127,18 +129,19 @@ def test_run_experiment_deterministic():
     plan = ExperimentPlan.uniform(900, seed=123)
     a = run_experiment(TRIPLET, plan)
     b = run_experiment(TRIPLET, plan)
-    assert a == b
+    assert a.dtype == np.uint8 and a.ndim == 1
+    assert np.array_equal(a, b)
 
 
 def test_run_experiment_allocation_counts():
     plan = ExperimentPlan.uniform(9005, seed=1)
     events = run_experiment(TRIPLET, plan)
     assert len(events) == 9005
-    counts = {s: 0 for s in SETTINGS}
-    for ev in events:
-        counts[ev.setting] += 1
+    # events come in setting order
+    assert np.all(np.diff(events // 4) >= 0)
+    counts = np.bincount(events // 4, minlength=len(SETTINGS))
     # remainder goes to the earliest settings in enumeration order
-    assert [counts[s] for s in SETTINGS] == [1001, 1001, 1001, 1001, 1001, 1000, 1000, 1000, 1000]
+    assert counts.tolist() == [1001, 1001, 1001, 1001, 1001, 1000, 1000, 1000, 1000]
 
 
 def test_per_setting_substreams_independent_of_allocation():
@@ -147,8 +150,9 @@ def test_per_setting_substreams_independent_of_allocation():
     skewed_alloc = {s: 1 for s in SETTINGS}
     skewed_alloc[MeasurementSetting(1, 1)] = 100
     skewed = ExperimentPlan(total=108, allocation=skewed_alloc, seed=5)
-    pick = lambda evs: [e for e in evs if e.setting == MeasurementSetting(1, 1)]
-    assert pick(run_experiment(TRIPLET, uniform)) == pick(run_experiment(TRIPLET, skewed))
+    k = SETTINGS.index(MeasurementSetting(1, 1))
+    pick = lambda evs: evs[evs // 4 == k]
+    assert np.array_equal(pick(run_experiment(TRIPLET, uniform)), pick(run_experiment(TRIPLET, skewed)))
 
 
 def test_run_experiment_zero_allocation_setting_absent():
@@ -156,7 +160,8 @@ def test_run_experiment_zero_allocation_setting_absent():
     alloc[MeasurementSetting(1, 1)] = 50
     plan = ExperimentPlan(total=50, allocation=alloc, seed=7)
     events = run_experiment(TRIPLET, plan)
-    assert {ev.setting for ev in events} == {MeasurementSetting(1, 1)}
+    assert len(events) == 50
+    assert {SETTINGS[k] for k in events // 4} == {MeasurementSetting(1, 1)}
 
 
 def test_run_experiment_all_zero_rejected():
@@ -173,7 +178,7 @@ def test_triplet_zz_forbidden_outcomes_never_occur():
     alloc = {s: 0 for s in SETTINGS}
     alloc[MeasurementSetting(3, 3)] = 1000
     events = run_experiment(TRIPLET, ExperimentPlan(total=1000, allocation=alloc, seed=42))
-    assert all((ev.s1, ev.s2) in ((1, -1), (-1, 1)) for ev in events)
+    assert {OUTCOMES[o] for o in events % 4} <= {(1, -1), (-1, 1)}
 
 
 def test_sampling_within_statistical_band():
@@ -204,13 +209,13 @@ def test_loss_model_validation():
 
 
 def test_correlations_single_event_average():
-    events = minimal_events([EventRecord(MeasurementSetting(3, 3), 1, -1)] * 3)
+    events = minimal_events([code(MeasurementSetting(3, 3), 1, -1)] * 3)
     # setting (3,3) holds one (+,+) filler and three (+,-): mean s1*s2 = -0.5
     t = correlations_from_events(events)
     assert t.entries[3, 3] == pytest.approx(-0.5)
-    only = [EventRecord(s, 1, 1) for s in SETTINGS if s != MeasurementSetting(3, 3)]
-    only.append(EventRecord(MeasurementSetting(3, 3), 1, -1))
-    assert correlations_from_events(only).entries[3, 3] == pytest.approx(-1.0)
+    only = [code(s, 1, 1) for s in SETTINGS if s != MeasurementSetting(3, 3)]
+    only.append(code(MeasurementSetting(3, 3), 1, -1))
+    assert correlations_from_events(np.array(only, dtype=np.uint8)).entries[3, 3] == pytest.approx(-1.0)
 
 
 def test_marginals_pool_across_partner_axis():
@@ -223,12 +228,57 @@ def test_marginals_pool_across_partner_axis():
 
 
 def test_empty_events_incomplete_quorum():
-    with pytest.raises(IncompleteQuorumError):
-        correlations_from_events([])
+    for empty in ([], np.array([], dtype=np.uint8)):
+        assert not events_to_counts(empty).any()
+        with pytest.raises(IncompleteQuorumError):
+            correlations_from_events(empty)
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        np.array([0, 36], dtype=np.uint8),
+        np.array([-1, 0]),
+        np.zeros((2, 9), dtype=np.uint8),
+        np.array([0.0, 1.0]),
+        np.array([True, False]),
+    ],
+    ids=["code-36", "negative", "2-d", "float", "bool"],
+)
+def test_events_to_counts_rejects_non_codes(events):
+    with pytest.raises(ValueError):
+        events_to_counts(events)
+
+
+def test_counts_and_table_match_per_event_loops():
+    # reference: count event by event, then average setting by setting and
+    # pool the marginals axis by axis; the entries must agree bit for bit
+    events = run_experiment(TRIPLET, ExperimentPlan.uniform(907, seed=8))
+    expected = np.zeros((len(SETTINGS), len(OUTCOMES)), dtype=np.int64)
+    for c in events.tolist():
+        expected[c // 4, c % 4] += 1
+    counts = events_to_counts(events)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+
+    s1 = np.array([o[0] for o in OUTCOMES])
+    s2 = np.array([o[1] for o in OUTCOMES])
+    n = counts.sum(axis=1)
+    ref = np.zeros((4, 4))
+    ref[0, 0] = 1.0
+    for k, (a1, a2) in enumerate(SETTINGS):
+        ref[a1, a2] = float((counts[k] * s1 * s2).sum()) / n[k]
+    for a in (1, 2, 3):
+        rows1 = [k for k, s in enumerate(SETTINGS) if s.axis1 == a]
+        rows2 = [k for k, s in enumerate(SETTINGS) if s.axis2 == a]
+        ref[a, 0] = float((counts[rows1] * s1).sum()) / n[rows1].sum()
+        ref[0, a] = float((counts[rows2] * s2).sum()) / n[rows2].sum()
+    assert np.array_equal(correlations_from_events(events).entries, ref)
 
 
 def test_missing_setting_listed():
-    events = [ev for ev in minimal_events() if ev.setting != MeasurementSetting(2, 3)]
+    events = minimal_events()
+    events = events[events // 4 != SETTINGS.index(MeasurementSetting(2, 3))]
     with pytest.raises(IncompleteQuorumError) as err:
         correlations_from_events(events)
     assert err.value.missing == [(2, 3)]
@@ -252,18 +302,34 @@ def test_event_log_roundtrip(tmp_path):
     path = tmp_path / "events.csv"
     write_event_log(path, events, seed=9, eta=0.42)
     back, header = read_event_log(path)
-    assert back == events
+    assert back.dtype == np.uint8
+    assert np.array_equal(back, events)
     assert header == {"total": 450, "seed": 9, "eta": 0.42}
     first = path.read_text().splitlines()[0]
     assert first == "# total=450 seed=9 eta=0.42"
 
 
-def test_event_log_malformed_line(tmp_path):
+def test_event_log_matches_per_event_format(tmp_path):
+    # reference: the log body written one f-string per event
+    plan = ExperimentPlan.uniform(450, seed=12, loss=LossModel(eta=0.3))
+    events = run_experiment(TRIPLET, plan)
+    expected = "# total=450 seed=12 eta=0.3\n"
+    for c in events.tolist():
+        (a1, a2), (s1, s2) = SETTINGS[c // 4], OUTCOMES[c % 4]
+        expected += f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n"
     path = tmp_path / "events.csv"
-    path.write_text("# total=2 seed=0 eta=1.0\nx,z,+1,-1\nx,q,+1,-1\n")
-    with pytest.raises(DataError) as err:
-        read_event_log(path)
-    assert "line 3" in str(err.value)
+    write_event_log(path, events, seed=12, eta=0.3)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_event_log_malformed_line(tmp_path):
+    # only the 36 documented spellings are read; an unsigned 1 is not +1
+    path = tmp_path / "events.csv"
+    for bad in ("x,q,+1,-1", "x,z,1,-1", "x,z,+1", "x,z,+1,-1,+1"):
+        path.write_text(f"# total=2 seed=0 eta=1.0\nx,z,+1,-1\n{bad}\n")
+        with pytest.raises(DataError) as err:
+            read_event_log(path)
+        assert "line 3" in str(err.value)
 
 
 def test_event_log_bad_header(tmp_path):

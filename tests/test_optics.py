@@ -171,14 +171,3 @@ def test_two_half_waves_cancel():
 def test_empty_device_rejected():
     with pytest.raises(ValueError):
         DeviceSpec(plates=())
-
-
-def test_device_spec_config_roundtrip():
-    dev = DeviceSpec(plates=(FIG3_PLATE, SECOND_PLATE))
-    cfg = dev.to_config()
-    assert cfg[0]["phi_over_pi"] == pytest.approx(0.45, abs=1e-15)
-    assert cfg[0]["theta_over_pi"] == pytest.approx(-0.138, abs=1e-15)
-    back = DeviceSpec.from_config(cfg)
-    for a, b in zip(dev.plates, back.plates):
-        assert a.phi == pytest.approx(b.phi, abs=1e-12)
-        assert a.theta == pytest.approx(b.theta, abs=1e-12)

@@ -21,6 +21,13 @@ from qptsim.pipeline import (
 
 # coefficient matrix [[1, 0], [0, 0]]: the product state |00>, not a faithful probe
 UNFAITHFUL = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+# the probe |11> sent through the filter |0><0| on beam 1: no photon survives
+ANNIHILATED = {
+    "input_state": {"coeffs": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+    "device": {"type": "kraus", "ops": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]},
+    "estimator": "state_only",
+    "plan": {"exact": True},
+}
 
 
 def base_config(**overrides):
@@ -84,6 +91,7 @@ def test_parse_minimal_defaults():
         {"outputs": {"event": "e.csv"}},
         {"inputs": {"bell": 1}},
         {"input_state_b": {"bell": 1}},
+        ANNIHILATED,
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
@@ -277,6 +285,13 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     few.write_text(json.dumps(base_config(bootstrap={"resamples": 10})))
     assert main(["pipeline", "--config", str(few), "--out", str(tmp_path)]) == 2
     assert "config error: bootstrap.resamples" in capsys.readouterr().err
+
+    null = tmp_path / "null.json"
+    null.write_text(json.dumps(base_config(**ANNIHILATED)))
+    assert main(["pipeline", "--config", str(null), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: device:") and "annihilates" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
     fresh = tmp_path / "fresh"
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(fresh)]) == 3
