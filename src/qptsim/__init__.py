@@ -77,7 +77,6 @@ from .tomography import (
     estimate_p,
     faithfulness_check,
     fidelity_unitary,
-    q_tensor,
     reconstruct_choi,
     reconstruct_state,
     reconstruct_two_qubit_device,

@@ -104,12 +104,10 @@ class CorrelationTable:
     """4x4 table of tetra-indexed averages; entry (0,0) is 1 by convention.
 
     Rows index the beam-1 Pauli, columns the beam-2 Pauli; entries (i,0)
-    and (0,j) are the single-beam marginals.  ``counts`` holds the number
-    of events behind each empirical entry (all zero for exact tables).
+    and (0,j) are the single-beam marginals.
     """
 
     entries: np.ndarray
-    counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
@@ -119,20 +117,12 @@ class CorrelationTable:
             raise ValueError("entry (0,0) of a correlation table must be 1")
         if np.max(np.abs(entries)) > 1.0 + 1e-9:
             raise ValueError("correlation entries must lie in [-1, 1]")
-        counts = self.counts
-        if counts is None:
-            counts = np.zeros((4, 4), dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.shape != (4, 4) or np.any(counts < 0):
-            raise ValueError("counts must be a 4x4 non-negative integer table")
         entries.setflags(write=False)
-        counts.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "counts", counts)
 
 
 def exact_correlations(state: BipartiteState) -> CorrelationTable:
-    """Full 4x4 table of exact expectations (counts all zero)."""
+    """Full 4x4 table of exact expectations."""
     t = pauli_coefficients(state.density)
     t[0, 0] = 1.0  # identical to 1 for any normalized state
     return CorrelationTable(entries=t)
@@ -260,7 +250,7 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     sums[1:, 1:] = num[0]
     sums[1:, 0] = num[1].sum(axis=1)
     sums[0, 1:] = num[2].sum(axis=0)
-    return CorrelationTable(entries=sums / n_table, counts=n_table)
+    return CorrelationTable(entries=sums / n_table)
 
 
 def correlations_from_events(events: np.ndarray) -> CorrelationTable:
@@ -276,35 +266,49 @@ def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> No
 
 
 def read_event_log(path) -> tuple[np.ndarray, dict]:
-    """Parse an event log into cell codes; malformed lines are reported with their number."""
+    """Parse an event log into cell codes.
+
+    Every failure is a DataError naming the file: an unreadable path, a
+    non-ASCII byte, or a malformed line (reported with its number).
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _parse_event_log(path, fh)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read event log: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's buffer, not the file, so only the byte is named
+        raise DataError(f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log") from None
+
+
+def _parse_event_log(path, fh) -> tuple[np.ndarray, dict]:
     codes = bytearray()
-    with open(path, "r", encoding="ascii") as fh:
-        header_line = fh.readline()
-        if not header_line.startswith("#"):
-            raise DataError(f"{path}: line 1: missing '# total=... seed=... eta=...' header")
-        header = {}
+    header_line = fh.readline()
+    if not header_line.startswith("#"):
+        raise DataError(f"{path}: line 1: missing '# total=... seed=... eta=...' header")
+    header = {}
+    try:
+        for tok in header_line[1:].split():
+            key, val = tok.split("=", 1)
+            header[key] = val
+        header = {
+            "total": int(header["total"]),
+            "seed": int(header["seed"]),
+            "eta": float(header["eta"]),
+        }
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}: line 1: malformed header ({exc})") from None
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
         try:
-            for tok in header_line[1:].split():
-                key, val = tok.split("=", 1)
-                header[key] = val
-            header = {
-                "total": int(header["total"]),
-                "seed": int(header["seed"]),
-                "eta": float(header["eta"]),
-            }
-        except (KeyError, ValueError) as exc:
-            raise DataError(f"{path}: line 1: malformed header ({exc})") from None
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                codes.append(_LINE_CODES[line])
-            except KeyError:
-                raise DataError(
-                    f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
-                    f"and signs +1|-1: {line!r}"
-                ) from None
+            codes.append(_LINE_CODES[line])
+        except KeyError:
+            raise DataError(
+                f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
+                f"and signs +1|-1: {line!r}"
+            ) from None
     if header["total"] != len(codes):
         raise DataError(
             f"{path}: header announces {header['total']} events but {len(codes)} were read"

@@ -297,7 +297,7 @@ def parse_config(doc: dict) -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -318,6 +318,16 @@ def _resolve(out_dir, name: str) -> Path:
     return p if p.is_absolute() else Path(out_dir) / p
 
 
+def _write_output(path: Path, write) -> None:
+    """Create the parent directory and call ``write(path)``; an output that
+    cannot be created or written is a config error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _output_state(cfg: PipelineConfig) -> BipartiteState:
     return propagate(cfg.channel, cfg.input_state)
 
@@ -334,8 +344,7 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
         plan = ExperimentPlan(total=cfg.total, allocation=allocation, seed=cfg.seed, loss=loss)
     events = run_experiment(_output_state(cfg), plan)
     path = _resolve(out_dir, cfg.out_events)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_event_log(path, events, seed=cfg.seed, eta=cfg.eta)
+    _write_output(path, lambda p: write_event_log(p, events, seed=cfg.seed, eta=cfg.eta))
     for setting in SETTINGS:
         n = plan.allocation.get(setting, 0)
         print(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
@@ -408,8 +417,7 @@ def _write_result(path: Path, kind: str, cfg: PipelineConfig, result, truth) -> 
             else:
                 truth_s = ""
             lines.append(f"{label},{part},{_fmt(float(est))},{err_s},{truth_s}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_output(path, lambda p: p.write_text("\n".join(lines) + "\n", encoding="utf-8"))
 
 
 def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
@@ -470,7 +478,10 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
     result_path = _resolve(out_dir, cfg.out_result)
     if not result_path.exists():
         raise DataError(f"result document {result_path} does not exist; run reconstruct first")
-    lines = result_path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = result_path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{result_path}: cannot read result document: {exc}") from None
     try:
         start = lines.index("") + 1
     except ValueError:
@@ -479,8 +490,7 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
     if not table or table[0] != "element,part,estimate,error,theory":
         raise DataError(f"{result_path}: malformed element table header")
     path = _resolve(out_dir, cfg.out_plotdata)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(table) + "\n", encoding="utf-8")
+    _write_output(path, lambda p: p.write_text("\n".join(table) + "\n", encoding="utf-8"))
     print(f"wrote {len(table) - 1} plot rows to {path}")
     return path
 

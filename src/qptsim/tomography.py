@@ -1,17 +1,15 @@
 """Linear-inversion estimators for input states, unitary devices and channels.
 
 Everything here consumes correlation tables of the nine-setting Pauli
-quorum.  The state estimator inverts the tomographic expansion
-
-    Psi_nm = (1 / (4 sqrt(p))) sum_ij Q^ij_nm  <s_i s_j>,
-
-where Q^ij_nm = <n|sigma_i|n0><m|sigma_j|m0> for a reference basis pair
-(n0, m0) and p is the population of the reference pair estimated from the
-sigma_z correlations.  The global phase of the result is unmeasurable; it
-is fixed by making the reference element real non-negative.  A unitary
-device is recovered as U = M Psi_in^{-1} from the reconstructed output
-coefficients M, and a general channel by undoing the probe state on the
-untouched arm of the reconstructed two-qubit output density matrix.
+quorum.  The table T is the Pauli expansion of the two-qubit output
+density matrix, rho = sum_ij T_ij sigma_i x sigma_j / 4.  For a pure output
+|Psi>>, the column of rho at a reference basis pair r = (n0, m0) is
+Psi Psi_r^*, so the coefficient matrix is that column divided by
+sqrt(p) with p = rho[r, r] the population of the reference pair; the
+global phase, which is unmeasurable, comes out with the reference element
+real positive.  A unitary device is recovered as U = M Psi_in^{-1} from the
+reconstructed output coefficients M, and a general channel by undoing the
+probe state on the untouched arm of the full output density matrix.
 
 Estimators report raw linear inversion: no renormalization and no
 positivity projection.
@@ -21,17 +19,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import (
+    _PAULI_STACK,
+    FULL_RANK_MIN_SV,
     BipartiteState,
     dagger,
     double_ket,
     inverse,
-    pauli,
     pauli_coefficients,
     pauli_expand,
     permute_qubits,
@@ -90,26 +89,22 @@ def _check_reference(reference) -> tuple[int, int]:
     return ref
 
 
-def q_tensor(n: int, m: int, i: int, j: int, reference: tuple[int, int] = (0, 1)) -> complex:
-    """Expansion coefficient <n|sigma_i|n0><m|sigma_j|m0> for the reference pair."""
-    for idx in (n, m):
-        if idx not in (0, 1):
-            raise ValueError(f"basis index must be 0 or 1, got {idx!r}")
-    n0, m0 = _check_reference(reference)
-    return complex(pauli(i)[n, n0] * pauli(j)[m, m0])
+def _reference_column(table: CorrelationTable, ref: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """Column rho[:, ref] of the output density matrix as a 2x2 array, and
+    its diagonal element clipped to [0, 1], the population of ``ref``."""
+    n0, m0 = ref
+    col = _PAULI_STACK[:, :, n0].T @ table.entries @ _PAULI_STACK[:, :, m0] / 4.0
+    return col, min(max(float(col[ref].real), 0.0), 1.0)
 
 
-@lru_cache(maxsize=None)
-def _q_array(reference: tuple[int, int]) -> np.ndarray:
-    """Q[n, m, i, j] for a reference pair, read-only."""
-    q = np.empty((2, 2, 4, 4), dtype=complex)
-    for n in (0, 1):
-        for m in (0, 1):
-            for i in range(4):
-                for j in range(4):
-                    q[n, m, i, j] = q_tensor(n, m, i, j, reference)
-    q.setflags(write=False)
-    return q
+def _checked_column(table: CorrelationTable, ref: tuple[int, int], floor: float):
+    col, p = _reference_column(table, ref)
+    if p < floor:
+        raise DegenerateReferenceError(
+            f"reference element {_REF_LABEL[ref]} has population {p:.3e} "
+            f"below the floor {floor:.1e}; use another reference pair"
+        )
+    return col, p
 
 
 def estimate_p(
@@ -117,40 +112,22 @@ def estimate_p(
     reference: tuple[int, int] = (0, 1),
     floor: float = P_FLOOR,
 ) -> float:
-    """Population of the reference basis pair from the sigma_z correlations.
+    """Population of the reference basis pair, the diagonal element rho[r, r].
 
     For the default |01> reference this is the fraction of events with the
     beam-1 z-detector firing on h and the beam-2 one on v.  A value below
     the floor raises DegenerateReferenceError; |10>, |11> or |00> can then
     be used instead.
     """
-    n0, m0 = _check_reference(reference)
-    a = 1.0 if n0 == 0 else -1.0
-    b = 1.0 if m0 == 0 else -1.0
-    t = table.entries
-    p = 0.25 * (1.0 + a * t[3, 0] + b * t[0, 3] + a * b * t[3, 3])
-    p = min(max(p, 0.0), 1.0)
-    if p < floor:
-        raise DegenerateReferenceError(
-            f"reference element {_REF_LABEL[reference]} has population {p:.3e} "
-            f"below the floor {floor:.1e}; use another reference pair"
-        )
-    return float(p)
+    return _checked_column(table, _check_reference(reference), floor)[1]
 
 
 def select_reference(table: CorrelationTable, floor: float = P_FLOOR) -> tuple[int, int]:
     """First non-degenerate reference pair in the order |01>, |10>, |11>, |00>."""
-    last_exc: Optional[Exception] = None
     for ref in REFERENCE_ORDER:
-        try:
-            estimate_p(table, ref, floor=floor)
-        except DegenerateReferenceError as exc:
-            last_exc = exc
-            continue
-        return ref
-    raise DegenerateReferenceError(
-        "all candidate reference pairs are degenerate"
-    ) from last_exc
+        if _reference_column(table, ref)[1] >= floor:
+            return ref
+    raise DegenerateReferenceError("all candidate reference pairs are degenerate")
 
 
 def reconstruct_state(
@@ -165,16 +142,10 @@ def reconstruct_state(
     until one is non-degenerate.  The output is not renormalized; its norm
     is reported as a consistency diagnostic.
     """
-    if reference is None:
-        ref = select_reference(table, floor=p_floor)
-    else:
-        ref = _check_reference(reference)
-    p = estimate_p(table, ref, floor=p_floor)
-
-    psi = np.einsum("nmij,ij->nm", _q_array(ref), table.entries) / (4.0 * np.sqrt(p))
-    ref_val = psi[ref]
-    if abs(ref_val) > 0.0:
-        psi = psi * np.exp(-1j * np.angle(ref_val))
+    ref = select_reference(table, p_floor) if reference is None else _check_reference(reference)
+    col, p = _checked_column(table, ref, p_floor)
+    # psi[ref] = sqrt(p) > 0, since Pauli diagonals are real: the gauge needs no rotation
+    psi = col / np.sqrt(p)
     norm = float(np.sum(np.abs(psi) ** 2))
     diagnostics = {
         "p": p,
@@ -204,7 +175,7 @@ def faithfulness_check(psi: BipartiteState):
         raise ValueError("faithfulness is defined for pure states")
     sv = np.linalg.svd(psi.coeffs, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return FaithfulnessReport(full_rank=psi.full_rank, condition_number=cond)
+    return FaithfulnessReport(full_rank=bool(sv[-1] > FULL_RANK_MIN_SV), condition_number=cond)
 
 
 @dataclass(frozen=True)
@@ -214,8 +185,6 @@ class FaithfulnessReport:
 
 
 def _require_faithful(psi_in: BipartiteState) -> float:
-    if not psi_in.pure:
-        raise ValueError("probe state must be pure")
     report = faithfulness_check(psi_in)
     if not report.full_rank:
         raise UnfaithfulInputError(report.condition_number)
@@ -403,7 +372,7 @@ def bootstrap_errors(
             try:
                 estimates.append(np.asarray(estimator(table_from_counts(sample))))
                 break
-            except (IncompleteQuorumError, DegenerateReferenceError):
+            except DegenerateReferenceError:
                 redraws += 1
                 budget -= 1
                 if budget <= 0:

@@ -183,15 +183,21 @@ def test_triplet_zz_forbidden_outcomes_never_occur():
 
 def test_sampling_within_statistical_band():
     # every entry within 5 standard errors of the exact value, using the
-    # per-entry event counts the table reports
+    # per-entry event counts of the plan: a setting's own allocation for a
+    # correlation, the pooled allocations of its axis for a marginal
     plan = ExperimentPlan.uniform(1_000_000, seed=2024)
     table = correlations_from_events(run_experiment(TRIPLET, plan))
     exact = exact_correlations(TRIPLET).entries
+    n = np.array([plan.allocation[s] for s in SETTINGS]).reshape(3, 3)
+    counts = np.zeros((4, 4))
+    counts[1:, 1:] = n
+    counts[1:, 0] = n.sum(axis=1)
+    counts[0, 1:] = n.sum(axis=0)
     for i in range(4):
         for j in range(4):
             if (i, j) == (0, 0):
                 continue
-            band = 5.0 / np.sqrt(table.counts[i, j])
+            band = 5.0 / np.sqrt(counts[i, j])
             assert abs(table.entries[i, j] - exact[i, j]) <= band
 
 
@@ -221,9 +227,6 @@ def test_correlations_single_event_average():
 def test_marginals_pool_across_partner_axis():
     events = minimal_events()
     t = correlations_from_events(events)
-    assert t.counts[1, 0] == 3  # settings (x,x), (x,y), (x,z)
-    assert t.counts[0, 3] == 3
-    assert t.counts[0, 0] == 9
     assert t.entries[1, 0] == pytest.approx(1.0)
 
 
@@ -330,6 +333,38 @@ def test_event_log_malformed_line(tmp_path):
         with pytest.raises(DataError) as err:
             read_event_log(path)
         assert "line 3" in str(err.value)
+
+
+def test_event_log_reader_fuzz(tmp_path):
+    # random bodies after a valid header, non-ASCII bytes included, read back
+    # as cell codes or fail as a one-line DataError, never as anything else
+    valid = [
+        f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n".encode("ascii")
+        for a1, a2 in SETTINGS
+        for s1, s2 in OUTCOMES
+    ]
+    rng = np.random.default_rng(404)
+    path = tmp_path / "events.csv"
+    read_back = failed = 0
+    for trial in range(200):
+        codes = rng.integers(0, len(valid), size=rng.integers(0, 20))
+        body = b"".join(valid[c] for c in codes)
+        if trial % 2:
+            junk = rng.integers(0, 256, size=rng.integers(1, 12), dtype=np.uint8).tobytes()
+            at = int(rng.integers(0, len(body) + 1))
+            body = body[:at] + junk + body[at:]
+        path.write_bytes(f"# total={codes.size} seed=0 eta=1.0\n".encode("ascii") + body)
+        try:
+            back, header = read_event_log(path)
+        except DataError as exc:
+            assert "\n" not in str(exc)
+            failed += 1
+            continue
+        assert back.dtype == np.uint8 and back.shape == (header["total"],)
+        if trial % 2 == 0:
+            assert np.array_equal(back, codes)
+        read_back += 1
+    assert read_back >= 100 and failed > 0
 
 
 def test_event_log_bad_header(tmp_path):

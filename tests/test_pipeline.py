@@ -30,6 +30,13 @@ ANNIHILATED = {
 }
 
 
+def one_line_error(capsys) -> str:
+    """The captured stderr, checked to be one line and no traceback."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
 def base_config(**overrides):
     doc = {
         "label": "t",
@@ -297,6 +304,20 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(fresh)]) == 3
     assert "data error" in capsys.readouterr().err
 
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(json.dumps(base_config(label="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    assert main(["pipeline", "--config", str(latin), "--out", str(tmp_path)]) == 2
+    assert one_line_error(capsys).startswith("config error: cannot read config")
+
+    # an output under a regular file cannot be created
+    assert main(["pipeline", "--preset", "depol", "--out", str(cfg_path / "sub")]) == 2
+    assert one_line_error(capsys).startswith("config error: cannot write")
+
+    result = tmp_path / "t_result.txt"
+    result.write_bytes(result.read_bytes() + b"\xff\xfe\n")
+    assert main(["plotdata", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    assert one_line_error(capsys).startswith("data error:")
+
 
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "run.json"
@@ -316,6 +337,15 @@ def test_cli_preset_and_malformed_log(tmp_path, capsys):
     log.write_text("\n".join(lines) + "\n")
     assert main(["reconstruct", "--preset", "fig3", "--out", str(tmp_path)]) == 3
     assert "line 6" in capsys.readouterr().err
+
+    lines[5] = "x,z,+1,-1"
+    log.write_bytes(("\n".join(lines) + "\n").encode("ascii") + "x,z,\u00b11,-1\n".encode("utf-8"))
+    assert main(["reconstruct", "--preset", "fig3", "--out", str(tmp_path)]) == 3
+    assert "non-ASCII byte 0xc2" in one_line_error(capsys)
+
+    (tmp_path / "dir" / "fig3_events.csv").mkdir(parents=True)
+    assert main(["reconstruct", "--preset", "fig3", "--out", str(tmp_path / "dir")]) == 3
+    assert "cannot read event log" in one_line_error(capsys)
 
 
 def test_cli_requires_config_or_preset():

@@ -29,7 +29,6 @@ from qptsim import (
     mat_close,
     pauli,
     propagate,
-    q_tensor,
     reconstruct_choi,
     reconstruct_state,
     reconstruct_two_qubit_device,
@@ -65,23 +64,32 @@ def up_to_phase(a, b, tol=1e-10):
     return overlap >= 1.0 - tol
 
 
-def test_q_tensor_values():
-    assert q_tensor(0, 1, 0, 0) == 1.0
-    assert q_tensor(0, 1, 3, 3) == -1.0
-    # <1|sigma_y|0> = i and <0|sigma_y|1> = -i
-    assert q_tensor(1, 0, 2, 2) == pytest.approx(1.0)
-    assert q_tensor(0, 0, 1, 2, reference=(1, 1)) == pytest.approx(1.0 * (-1j))
-
-
-def test_q_tensor_range_checks():
-    with pytest.raises(ValueError):
-        q_tensor(2, 0, 0, 0)
-    with pytest.raises(ValueError):
-        q_tensor(0, 0, 5, 0)
-    with pytest.raises(ValueError):
-        q_tensor(0, 0, 0, 0, reference=(2, 0))
+def test_estimate_p_rejects_bad_reference():
     with pytest.raises(ValueError):
         estimate_p(exact_correlations(TRIPLET), reference=(0, 2))
+
+
+def test_state_estimate_is_reference_column_of_density():
+    # rho[:, r] = Psi Psi_r^* for a pure output, so the estimate is that
+    # column over sqrt(rho[r, r]) and estimate_p is the clipped diagonal
+    rng = np.random.default_rng(101)
+    states = [random_full_rank_state(rng, min_sv=0.0) for _ in range(50)]
+    for w in (0.2, 0.5, 1.0):
+        mixed = w * np.eye(4) / 4 + (1 - w) * states[0].density
+        states.append(BipartiteState.from_density(mixed))
+    for state in states:
+        table = exact_correlations(state)
+        rho = density_from_correlations(table)
+        for ref in ((0, 1), (1, 0), (1, 1), (0, 0)):
+            r = 2 * ref[0] + ref[1]
+            p = min(max(rho[r, r].real, 0.0), 1.0)
+            assert estimate_p(table, ref, floor=0.0) == pytest.approx(p, abs=1e-12)
+            if p < 1e-6:
+                continue
+            psi = reconstruct_state(table, ref).matrix
+            col = rho[:, r].reshape(2, 2) / np.sqrt(rho[r, r].real)
+            phase = np.vdot(col, psi)
+            assert mat_close(psi, col * phase / abs(phase), tol=1e-12)
 
 
 def test_estimate_p_triplet():
