@@ -19,6 +19,7 @@ from .algebra import (
     inverse,
     mat_close,
     partial_trace,
+    pairs,
     pauli,
     permute_qubits,
     tensor,
@@ -70,7 +71,6 @@ from .tomography import (
     FaithfulnessReport,
     ReconstructionResult,
     bootstrap_errors,
-    choi_of_unitary,
     correlations_4party,
     density_from_correlations,
     distance_choi,
@@ -79,7 +79,6 @@ from .tomography import (
     fidelity_unitary,
     reconstruct_choi,
     reconstruct_state,
-    reconstruct_two_qubit_device,
     reconstruct_unitary,
     select_reference,
     two_pair_output_state,

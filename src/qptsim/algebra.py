@@ -1,17 +1,18 @@
-"""Complex linear algebra core and the two-qubit state model.
+"""Complex linear algebra core and the bipartite state model.
 
-All values are small dense ``numpy`` arrays (2x2 up to 16x16, complex128).
-A pure two-photon polarization state is identified with its 2x2 coefficient
-matrix Psi via ``|Psi>> = sum_nm Psi_nm |nm>`` in the fixed product basis
-|00>, |01>, |10>, |11>; beam 1 (the arm traversing the device) is the first
-tensor factor.  Arrays handed out by this module are marked read-only, and
-every operation is a pure function, so values are safe to share across
-threads.
+All values are small dense ``numpy`` arrays (2x2 up to 64x64, complex128).
+A pure state of n photon pairs is identified with its 2^n x 2^n coefficient
+matrix Psi via ``|Psi>> = sum_nm Psi_nm |nm>``, n indexing the device arms
+(beam 1 of each pair, the first pair leading) and m the untouched arms, so
+one pair is |00>, |01>, |10>, |11> and n pairs have Psi_1 x .. x Psi_n.
+Arrays handed out by this module are marked read-only, and every operation
+is a pure function, so values are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -189,10 +190,10 @@ def is_density_matrix(rho: np.ndarray, tol: float = TOL.psd_slack) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """Two-qubit state of the photon pair source.
+    """State of n photon pairs, grouped as (device arms | untouched arms).
 
-    Pure states carry their 2x2 coefficient matrix; mixed states only the
-    4x4 density matrix.  Factor 1 is the beam traversing the device.
+    Pure states carry their d x d coefficient matrix (d = 2^n); mixed states
+    only the d^2 x d^2 density matrix.  One pair is the two-qubit case.
     """
 
     coeffs: Optional[np.ndarray]
@@ -202,8 +203,9 @@ class BipartiteState:
     @classmethod
     def from_coeffs(cls, psi: np.ndarray) -> "BipartiteState":
         psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (2, 2):
-            raise ValueError(f"coefficient matrix must be 2x2, got {psi.shape}")
+        d = psi.shape[0] if psi.ndim == 2 else 0
+        if psi.shape != (d, d) or d < 2 or d & (d - 1):
+            raise ValueError(f"coefficient matrix must be 2^n x 2^n, got {psi.shape}")
         norm = float(np.sum(np.abs(psi) ** 2))
         if abs(norm - 1.0) > TOL.equality:
             raise ValueError(f"coefficient matrix is not normalized (sum |Psi|^2 = {norm!r})")
@@ -214,19 +216,35 @@ class BipartiteState:
     @classmethod
     def from_density(cls, rho: np.ndarray) -> "BipartiteState":
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
+        d = int(np.sqrt(rho.shape[0])) if rho.ndim == 2 else 0
+        if rho.shape != (d * d, d * d) or d < 2 or d & (d - 1):
+            raise ValueError(f"density matrix must be 4^n x 4^n, got {rho.shape}")
         if not is_density_matrix(rho):
             raise ValueError("not a valid density matrix (hermiticity/trace/positivity)")
         return cls(coeffs=None, density=_frozen(rho), pure=False)
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values of the coefficient matrix, taken once."""
+        if not self.pure:
+            raise ValueError("singular values are defined for pure states only")
+        sv = np.linalg.svd(self.coeffs, compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
     @property
     def full_rank(self) -> bool:
         """Whether the coefficient matrix is invertible (faithful probe)."""
-        if not self.pure:
-            raise ValueError("full-rank flag is defined for pure states only")
-        sv = np.linalg.svd(self.coeffs, compute_uv=False)
-        return bool(sv[-1] > FULL_RANK_MIN_SV)
+        return bool(self.singular_values[-1] > FULL_RANK_MIN_SV)
+
+
+def pairs(*states: BipartiteState) -> BipartiteState:
+    """The n pairs side by side, Psi_1 x .. x Psi_n; pure states only."""
+    if not states:
+        raise ValueError("pairs needs at least one state")
+    if not all(s.pure for s in states):
+        raise ValueError("pairs combines pure states only")
+    return BipartiteState.from_coeffs(reduce(np.kron, [s.coeffs for s in states]))
 
 
 def bell_state(j: int) -> BipartiteState:

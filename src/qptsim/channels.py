@@ -1,9 +1,9 @@
-"""Quantum channels on one qubit: operator-sum and Choi representations.
+"""Quantum channels on n qubits: operator-sum and Choi representations.
 
-A channel E is stored as a set of Kraus operators together with its
-unnormalized Choi matrix C = sum_k |K_k>><<K_k| built with the channel on
-the first tensor factor, so a deterministic channel has Tr C = 2.  The
-occurrence probability of a non-deterministic channel is Tr[E(rho)].
+A channel E is stored as a set of d x d Kraus operators (d = 2^n) together
+with its unnormalized Choi matrix C = sum_k |K_k>><<K_k| built with the
+channel on the first tensor factor, so a deterministic channel has Tr C = d.
+The occurrence probability of a non-deterministic channel is Tr[E(rho)].
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def choi_from_kraus(ops: Sequence[np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """Completely positive, trace-non-increasing map on one qubit."""
+    """Completely positive, trace-non-increasing map on n qubits."""
 
     kraus_ops: Tuple[np.ndarray, ...]
     choi: np.ndarray
@@ -53,24 +53,22 @@ class QuantumChannel:
     @classmethod
     def from_kraus(cls, ops: Sequence[np.ndarray]) -> "QuantumChannel":
         ops = tuple(_frozen(k) for k in ops)
-        for k in ops:
-            if k.shape != (2, 2):
-                raise ValueError(f"Kraus operators must be 2x2, got {k.shape}")
+        choi = choi_from_kraus(ops)  # checks that all operators are d x d
         s = sum(dagger(k) @ k for k in ops)
-        excess = np.max(np.linalg.eigvalsh(s - np.eye(2)))
+        excess = np.max(np.linalg.eigvalsh(s - np.eye(len(s))))
         if excess > TOL.psd_slack:
             raise ValueError(
                 f"channel increases trace: max eigenvalue of sum K^dag K "
                 f"exceeds 1 by {float(excess):.3e}"
             )
-        return cls(kraus_ops=ops, choi=_frozen(choi_from_kraus(ops)))
+        return cls(kraus_ops=ops, choi=_frozen(choi))
 
     @property
     def is_unitary(self) -> bool:
         if len(self.kraus_ops) != 1:
             return False
         k = self.kraus_ops[0]
-        return bool(np.max(np.abs(dagger(k) @ k - np.eye(2))) <= TOL.psd_slack)
+        return bool(np.max(np.abs(dagger(k) @ k - np.eye(len(k)))) <= TOL.psd_slack)
 
     @property
     def unitary_matrix(self) -> Optional[np.ndarray]:
@@ -78,17 +76,19 @@ class QuantumChannel:
 
 
 def propagate(ch: QuantumChannel, psi: BipartiteState) -> BipartiteState:
-    """Send beam 1 of a bipartite state through the channel.
+    """Send the device arms of a bipartite state through the channel.
 
     For a unitary channel and a pure input the result stays pure with
     coefficient matrix U Psi; otherwise the renormalized output density
-    matrix (E x I)(|Psi>><<Psi|) is returned.
+    matrix (E x I)(|Psi>><<Psi|) is returned.  An n-qubit channel takes n pairs.
     """
+    rho = psi.density
+    if ch.choi.shape != rho.shape:
+        raise ValueError(f"channel (Choi {ch.choi.shape}) and state {rho.shape} differ in size")
     if ch.is_unitary and psi.pure:
         return BipartiteState.from_coeffs(ch.kraus_ops[0] @ psi.coeffs)
-    rho = psi.density
-    out = np.zeros((4, 4), dtype=complex)
-    eye = np.eye(2)
+    out = np.zeros(rho.shape, dtype=complex)
+    eye = np.eye(len(ch.kraus_ops[0]))
     for k in ch.kraus_ops:
         big = tensor(k, eye)
         out += big @ rho @ dagger(big)
@@ -103,9 +103,9 @@ def propagate(ch: QuantumChannel, psi: BipartiteState) -> BipartiteState:
 def unitary_channel(u: np.ndarray) -> QuantumChannel:
     """Deterministic channel rho -> U rho U^dag."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError(f"unitary must be 2x2, got {u.shape}")
-    if np.max(np.abs(dagger(u) @ u - np.eye(2))) > TOL.psd_slack:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"unitary must be square, got {u.shape}")
+    if np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) > TOL.psd_slack:
         raise ValueError("matrix is not unitary within tolerance")
     return QuantumChannel.from_kraus([u])
 

@@ -101,9 +101,11 @@ class ExperimentPlan:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
-    """4x4 table of tetra-indexed averages; entry (0,0) is 1 by convention.
+    """Table of tetra-indexed averages; entry (0,..,0) is 1 by convention.
 
-    Rows index the beam-1 Pauli, columns the beam-2 Pauli; entries (i,0)
+    For n pairs the shape is (4,)*2n, the n device-arm Pauli indices first
+    and the n untouched-arm ones after.  One pair gives a 4x4 table whose
+    rows index the beam-1 Pauli and columns the beam-2 Pauli; entries (i,0)
     and (0,j) are the single-beam marginals.
     """
 
@@ -111,10 +113,11 @@ class CorrelationTable:
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
-        if entries.shape != (4, 4):
-            raise ValueError(f"correlation table must be 4x4, got {entries.shape}")
-        if abs(entries[0, 0] - 1.0) > 1e-12:
-            raise ValueError("entry (0,0) of a correlation table must be 1")
+        k = entries.ndim
+        if k == 0 or k % 2 or entries.shape != (4,) * k:
+            raise ValueError(f"correlation table must have shape (4,)*2n, got {entries.shape}")
+        if abs(entries[(0,) * k] - 1.0) > 1e-12:
+            raise ValueError("entry (0,..,0) of a correlation table must be 1")
         if np.max(np.abs(entries)) > 1.0 + 1e-9:
             raise ValueError("correlation entries must lie in [-1, 1]")
         entries.setflags(write=False)
@@ -122,9 +125,9 @@ class CorrelationTable:
 
 
 def exact_correlations(state: BipartiteState) -> CorrelationTable:
-    """Full 4x4 table of exact expectations."""
+    """Full table of exact expectations, shape (4,)*2n for n pairs."""
     t = pauli_coefficients(state.density)
-    t[0, 0] = 1.0  # identical to 1 for any normalized state
+    t[(0,) * t.ndim] = 1.0  # identical to 1 for any normalized state
     return CorrelationTable(entries=t)
 
 
@@ -141,7 +144,10 @@ def _setting_probs(state: BipartiteState) -> np.ndarray:
     """(9, 4) joint outcome probabilities, rows in SETTINGS order.
 
     P(s1, s2) = (1 + s1 <sigma_a1> + s2 <sigma_a2> + s1 s2 <sigma_a1 sigma_a2>) / 4.
+    The coincidence model has one detector pair, so the state is one pair.
     """
+    if state.density.shape != (4, 4):
+        raise ValueError(f"the sampler models one pair, got a {state.density.shape} state")
     t = exact_correlations(state).entries
     m1 = t[_A1, 0][:, None]
     m2 = t[0, _A2][:, None]

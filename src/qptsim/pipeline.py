@@ -22,13 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import BipartiteState, bell_state
+from .algebra import BipartiteState, bell_state, pairs
 from .channels import (
     QuantumChannel,
     amplitude_damping,
     depolarizing,
     identity_channel,
     propagate,
+    unitary_channel,
 )
 from .errors import ConfigError, DataError, NullEventError
 from .experiment import (
@@ -50,14 +51,10 @@ from .tomography import (
     MIN_RESAMPLES,
     SWAP,
     bootstrap_errors,
-    choi_of_unitary,
-    correlations_4party,
     reconstruct_choi,
     reconstruct_state,
-    reconstruct_two_qubit_device,
     reconstruct_unitary,
     select_reference,
-    two_pair_output_state,
 )
 
 ESTIMATORS = ("unitary", "choi", "state_only")
@@ -77,11 +74,12 @@ _SECTION_KEYS = {
 
 @dataclass
 class PipelineConfig:
+    """A parsed run.  ``input_state`` is the probe: for a two-qubit device,
+    the two pairs ``pairs(input_state, input_state_b)``."""
+
     label: str
     input_state: BipartiteState
-    input_state_b: Optional[BipartiteState]
-    channel: Optional[QuantumChannel]
-    two_qubit_unitary: Optional[np.ndarray]
+    channel: QuantumChannel
     estimator: str
     exact: bool
     total: int
@@ -95,14 +93,8 @@ class PipelineConfig:
     out_plotdata: str
 
     @property
-    def two_qubit(self) -> bool:
-        return self.two_qubit_unitary is not None
-
-    @property
     def truth_unitary(self) -> Optional[np.ndarray]:
-        if self.channel is not None:
-            return self.channel.unitary_matrix
-        return None
+        return self.channel.unitary_matrix
 
 
 def _complex_entry(v) -> complex:
@@ -123,34 +115,39 @@ def _parse_state(field: str, spec) -> BipartiteState:
         rows = spec["coeffs"]
         try:
             m = np.array([[_complex_entry(v) for v in row] for row in rows])
+            if m.shape != (2, 2):
+                raise ValueError(f"coefficient matrix must be 2x2, got {m.shape}")
             return BipartiteState.from_coeffs(m)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{field}.coeffs: {exc}") from None
     raise ConfigError(f"{field}: needs either 'bell' or 'coeffs'")
 
 
-def _parse_device(spec) -> tuple[Optional[QuantumChannel], Optional[np.ndarray]]:
-    """Returns (single-qubit channel, two-qubit unitary); exactly one is set."""
+def _parse_device(spec) -> QuantumChannel:
+    """The device as a channel: one qubit, or two for cnot and swap."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("device: expected an object with a 'type' field")
     kind = spec["type"]
     try:
         if kind == "waveplates":
-            return compile_device(DeviceSpec.from_config(spec["plates"])), None
+            return compile_device(DeviceSpec.from_config(spec["plates"]))
         if kind == "identity":
-            return identity_channel(), None
+            return identity_channel()
         if kind == "depolarizing":
-            return depolarizing(float(spec["p"])), None
+            return depolarizing(float(spec["p"]))
         if kind == "amplitude_damping":
-            return amplitude_damping(float(spec["gamma"])), None
+            return amplitude_damping(float(spec["gamma"]))
         if kind == "kraus":
             ops = [
                 np.array([[_complex_entry(v) for v in row] for row in op])
                 for op in spec["ops"]
             ]
-            return QuantumChannel.from_kraus(ops), None
+            for op in ops:
+                if op.shape != (2, 2):
+                    raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
+            return QuantumChannel.from_kraus(ops)
         if kind in TWO_QUBIT_DEVICES:
-            return None, TWO_QUBIT_DEVICES[kind]
+            return unitary_channel(TWO_QUBIT_DEVICES[kind])
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
@@ -214,22 +211,22 @@ def parse_config(doc: dict) -> PipelineConfig:
     if estimator not in ESTIMATORS:
         raise ConfigError(f"estimator: expected one of {ESTIMATORS}, got {estimator!r}")
 
-    input_state = _parse_state("input_state", doc["input_state"])
-    input_state_b = (
-        _parse_state("input_state_b", doc["input_state_b"])
-        if "input_state_b" in doc
-        else None
-    )
-    channel, u4 = _parse_device(doc["device"])
-    if input_state_b is not None and u4 is None:
+    states = {"input_state": _parse_state("input_state", doc["input_state"])}
+    if "input_state_b" in doc:
+        states["input_state_b"] = _parse_state("input_state_b", doc["input_state_b"])
+    channel = _parse_device(doc["device"])
+    two_qubit = channel.choi.shape == (16, 16)
+    if not two_qubit and "input_state_b" in states:
         raise ConfigError("input_state_b: only two-qubit devices take a second pair")
-    if channel is not None:
-        try:
-            propagate(channel, input_state)
-        except NullEventError as exc:
-            raise ConfigError(f"device: the channel annihilates the input state ({exc})") from None
-    for field, probe in (("input_state", input_state), ("input_state_b", input_state_b)):
-        if estimator != "state_only" and probe is not None and not probe.full_rank:
+    # one pair per device qubit; the second pair defaults to the first's state
+    first = states["input_state"]
+    probe = pairs(first, states.get("input_state_b", first)) if two_qubit else first
+    try:
+        propagate(channel, probe)
+    except NullEventError as exc:
+        raise ConfigError(f"device: the channel annihilates the input state ({exc})") from None
+    for field, state in states.items():
+        if estimator != "state_only" and not state.full_rank:
             raise ConfigError(
                 f"{field}: the {estimator} estimator needs a faithful probe "
                 f"(a full-rank coefficient matrix)"
@@ -254,14 +251,15 @@ def parse_config(doc: dict) -> PipelineConfig:
             raise ConfigError(f"plan.eta: efficiency must be in (0, 1], got {eta}")
     allocation = _parse_allocation(plan["allocation"], total) if "allocation" in plan else None
 
-    if u4 is not None:
+    if two_qubit:
         if estimator != "choi":
             raise ConfigError("two-qubit devices require the choi estimator")
         if not exact:
-            raise ConfigError(
-                "two-qubit devices support exact statistics only (plan.exact = true)"
-            )
-    if estimator == "unitary" and channel is not None and not channel.is_unitary:
+            raise ConfigError("two-qubit devices support exact statistics only (plan.exact = true)")
+        if not probe.full_rank:  # each pair can be faithful while their product is not
+            names = " and ".join(states)
+            raise ConfigError(f"{names}: the product of the two pairs is not full rank")
+    if estimator == "unitary" and not channel.is_unitary:
         warnings.warn(
             "unitary estimator configured for a non-unitary device; "
             "the reconstruction will report a large unitarity deviation",
@@ -274,10 +272,8 @@ def parse_config(doc: dict) -> PipelineConfig:
     label = str(doc.get("label", "run"))
     return PipelineConfig(
         label=label,
-        input_state=input_state,
-        input_state_b=input_state_b,
+        input_state=probe,
         channel=channel,
-        two_qubit_unitary=u4,
         estimator=estimator,
         exact=exact,
         total=total,
@@ -423,19 +419,6 @@ def _write_result(path: Path, kind: str, cfg: PipelineConfig, result, truth) -> 
 def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
     """Estimate the configured quantity and write the result document."""
     psi_in = cfg.input_state
-
-    if cfg.two_qubit:
-        psi_b = cfg.input_state_b if cfg.input_state_b is not None else psi_in
-        rho = two_pair_output_state(cfg.two_qubit_unitary, psi_in, psi_b)
-        truth = choi_of_unitary(cfg.two_qubit_unitary)
-        result = reconstruct_two_qubit_device(
-            correlations_4party(rho), psi_in, psi_b, truth=truth
-        )
-        path = _resolve(out_dir, cfg.out_result)
-        _write_result(path, result.kind, cfg, result, truth)
-        print(f"wrote {result.kind} result to {path}")
-        return path
-
     if cfg.exact:
         table = exact_correlations(_output_state(cfg))
         events = None
@@ -458,7 +441,7 @@ def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
         result = reconstruct_unitary(table, psi_in, ref, truth=truth)
         estimate = lambda t: reconstruct_unitary(t, psi_in, ref).matrix
     else:
-        truth = cfg.channel.choi if cfg.channel is not None else None
+        truth = cfg.channel.choi
         result = reconstruct_choi(table, psi_in, truth=truth)
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 

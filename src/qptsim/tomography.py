@@ -1,15 +1,17 @@
 """Linear-inversion estimators for input states, unitary devices and channels.
 
 Everything here consumes correlation tables of the nine-setting Pauli
-quorum.  The table T is the Pauli expansion of the two-qubit output
-density matrix, rho = sum_ij T_ij sigma_i x sigma_j / 4.  For a pure output
-|Psi>>, the column of rho at a reference basis pair r = (n0, m0) is
-Psi Psi_r^*, so the coefficient matrix is that column divided by
-sqrt(p) with p = rho[r, r] the population of the reference pair; the
-global phase, which is unmeasurable, comes out with the reference element
-real positive.  A unitary device is recovered as U = M Psi_in^{-1} from the
-reconstructed output coefficients M, and a general channel by undoing the
-probe state on the untouched arm of the full output density matrix.
+quorum.  The table T is the Pauli expansion of the output density
+matrix, rho = sum_ij T_ij sigma_i x sigma_j / 4 for one pair; n pairs that
+probe an n-qubit device form one bipartite state whose (4,)*2n table
+expands the same way.  For a pure output |Psi>>, the column of rho at a
+reference basis pair r = (n0, m0) is Psi Psi_r^*, so the coefficient
+matrix is that column divided by sqrt(p) with p = rho[r, r] the
+population of the reference pair; the global phase, which is
+unmeasurable, comes out with the reference element real positive.  A
+unitary device is recovered as U = M Psi_in^{-1} from the reconstructed
+output coefficients M, and a general channel by undoing the probe state
+on the untouched arms of the full output density matrix.
 
 Estimators report raw linear inversion: no renormalization and no
 positivity projection.
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,13 +30,13 @@ from .algebra import (
     FULL_RANK_MIN_SV,
     BipartiteState,
     dagger,
-    double_ket,
     inverse,
+    pairs,
     pauli_coefficients,
     pauli_expand,
     permute_qubits,
 )
-from .channels import choi_from_kraus
+from .channels import propagate, unitary_channel
 from .errors import (
     DegenerateReferenceError,
     IncompleteQuorumError,
@@ -71,8 +72,8 @@ class ReconstructionResult:
     """Estimated matrix plus gauge note, error bars and diagnostics.
 
     kind is one of input_state (2x2 coefficients), device_unitary (2x2) or
-    device_choi (4x4 or 16x16, trace normalized to the deterministic-channel
-    convention).
+    device_choi (d^2 x d^2 for an n-qubit device, d = 2^n, trace normalized
+    to the deterministic-channel convention).
     """
 
     kind: str
@@ -91,7 +92,10 @@ def _check_reference(reference) -> tuple[int, int]:
 
 def _reference_column(table: CorrelationTable, ref: tuple[int, int]) -> tuple[np.ndarray, float]:
     """Column rho[:, ref] of the output density matrix as a 2x2 array, and
-    its diagonal element clipped to [0, 1], the population of ``ref``."""
+    its diagonal element clipped to [0, 1], the population of ``ref``.
+    The state estimators read one pair; a wider table is a ValueError."""
+    if table.entries.shape != (4, 4):
+        raise ValueError(f"the state estimators read one pair, got a {table.entries.shape} table")
     n0, m0 = ref
     col = _PAULI_STACK[:, :, n0].T @ table.entries @ _PAULI_STACK[:, :, m0] / 4.0
     return col, min(max(float(col[ref].real), 0.0), 1.0)
@@ -173,7 +177,7 @@ def faithfulness_check(psi: BipartiteState):
     """Full-rank flag and condition number of a pure probe state."""
     if not psi.pure:
         raise ValueError("faithfulness is defined for pure states")
-    sv = np.linalg.svd(psi.coeffs, compute_uv=False)
+    sv = psi.singular_values
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     return FaithfulnessReport(full_rank=bool(sv[-1] > FULL_RANK_MIN_SV), condition_number=cond)
 
@@ -235,57 +239,12 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def density_from_correlations(table: CorrelationTable) -> np.ndarray:
-    """Two-qubit density matrix from the full 16-entry Pauli expansion."""
-    return _hermitize(pauli_expand(table.entries) / 4.0)
+    """Output density matrix from the full Pauli expansion of the table.
 
-
-def _pair_grouping(n: int) -> tuple[int, ...]:
-    """Qubit order (dev 1..n, ancilla 1..n) from (dev 1, anc 1, .., dev n, anc n)."""
-    return tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-
-
-def _choi_core(table: np.ndarray, probes: Sequence[BipartiteState]) -> tuple[np.ndarray, np.ndarray]:
-    """Choi matrix of an n-qubit device probed by n entangled pairs.
-
-    ``table`` holds the (4,)*2n Pauli expectations over the register order
-    (device 1, ancilla 1, .., device n, ancilla n); ``probes`` are the n
-    faithful pair states.  The output density matrix is regrouped as
-    (devices, ancillas) and the probe Psi = Psi_1 x .. x Psi_n is undone on
-    the ancillas, C = (I x (Psi^T)^{-1}) rho (I x (Psi^*)^{-1}), then
-    rescaled to trace 2^n.  Returns the Choi matrix and its ascending
-    eigenvalues.
+    A (4,)*2n table gives the 4^n x 4^n matrix in the order (device arms,
+    untouched arms).
     """
-    n = len(probes)
-    rho = _hermitize(pauli_expand(table) / 4.0**n)
-    rho = permute_qubits(rho, _pair_grouping(n))
-    psi = reduce(np.kron, [p.coeffs for p in probes])
-    eye = np.eye(2**n)
-    choi = np.kron(eye, inverse(psi.T)) @ rho @ np.kron(eye, inverse(psi.conj()))
-    choi = _hermitize(choi)
-    tr = float(np.trace(choi).real)
-    if tr <= 0.0:
-        raise QptError(f"reconstructed Choi matrix has non-positive trace {tr!r}")
-    choi *= 2.0**n / tr
-    return choi, np.linalg.eigvalsh(choi)
-
-
-def _choi_result(choi, eigs, head: dict, truth: Optional[np.ndarray]) -> ReconstructionResult:
-    """Package a Choi estimate; ``head`` leads the diagnostics."""
-    diagnostics = {
-        **head,
-        "min_eigenvalue": float(eigs[0]),
-        "negativity": float(np.abs(eigs[eigs < 0.0]).sum()),
-        "occurrence_scale": "unrecoverable from coincidence-normalized data",
-    }
-    if truth is not None:
-        diagnostics["choi_distance"] = distance_choi(choi, truth)
-    trace = int(round(np.sqrt(choi.shape[0])))
-    return ReconstructionResult(
-        kind="device_choi",
-        matrix=choi,
-        gauge=f"Choi rescaled to trace {trace} (deterministic-channel convention)",
-        diagnostics=diagnostics,
-    )
+    return _hermitize(pauli_expand(table.entries) / 2.0**table.entries.ndim)
 
 
 def reconstruct_choi(
@@ -295,19 +254,45 @@ def reconstruct_choi(
 ) -> ReconstructionResult:
     """Choi matrix of a general (possibly non-unitary) device.
 
-    Stage 1 reconstructs the two-qubit output density matrix from the
-    Pauli expansion; stage 2 undoes the probe on the untouched arm,
-    C = (I x (Psi^T)^{-1}) rho (I x (Psi^*)^{-1}), and rescales to trace 2.
+    Stage 1 reconstructs the output density matrix rho with
+    ``density_from_correlations``; stage 2 undoes the probe on the
+    untouched arms, C = (I x (Psi^T)^{-1}) rho (I x (Psi^*)^{-1}), and
+    rescales to trace d.  An n-qubit device is probed by n pairs, so the
+    probe is ``pairs(...)`` of them and the table has shape (4,)*2n.
     Coincidence-normalized data cannot recover the occurrence probability
     of a trace-decreasing device, so that scale is reported as unknown.
     """
     cond = _require_faithful(psi_in)
-    choi, eigs = _choi_core(t_out.entries, (psi_in,))
-    head = {
+    psi = psi_in.coeffs
+    d = len(psi)
+    rho = density_from_correlations(t_out)
+    if len(rho) != d * d:
+        raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
+    eye = np.eye(d)
+    # full rank is checked above; inverse()'s absolute |det| floor would also
+    # refuse faithful products of pairs, whose determinant falls much faster
+    inv = np.linalg.inv
+    choi = _hermitize(np.kron(eye, inv(psi.T)) @ rho @ np.kron(eye, inv(psi.conj())))
+    tr = float(np.trace(choi).real)
+    if tr <= 0.0:
+        raise QptError(f"reconstructed Choi matrix has non-positive trace {tr!r}")
+    choi *= d / tr
+    eigs = np.linalg.eigvalsh(choi)
+    diagnostics = {
         "condition_number": cond,
         "choi_eigenvalues": ", ".join(f"{v:.12g}" for v in eigs),
+        "min_eigenvalue": float(eigs[0]),
+        "negativity": float(np.abs(eigs[eigs < 0.0]).sum()),
+        "occurrence_scale": "unrecoverable from coincidence-normalized data",
     }
-    return _choi_result(choi, eigs, head, truth)
+    if truth is not None:
+        diagnostics["choi_distance"] = distance_choi(choi, truth)
+    return ReconstructionResult(
+        kind="device_choi",
+        matrix=choi,
+        gauge=f"Choi rescaled to trace {d} (deterministic-channel convention)",
+        diagnostics=diagnostics,
+    )
 
 
 def fidelity_unitary(a: np.ndarray, b: np.ndarray) -> float:
@@ -396,8 +381,8 @@ def bootstrap_errors(
 
 
 # ---------------------------------------------------------------------------
-# Two-qubit devices: one entangled pair and one Pauli-detector pair per qubit.
-# Register order is (device qubit A, ancilla A, device qubit B, ancilla B).
+# Two-qubit gates, and the two-pair output in register order (device qubit A,
+# ancilla A, device qubit B, ancilla B), one detector pair per entangled pair.
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -410,17 +395,11 @@ SWAP = np.array(
 def two_pair_output_state(
     u4: np.ndarray, psi_a: BipartiteState, psi_b: BipartiteState
 ) -> np.ndarray:
-    """16x16 output density matrix of a 2-qubit unitary fed by two pairs."""
-    u4 = np.asarray(u4, dtype=complex)
-    if u4.shape != (4, 4):
-        raise ValueError(f"device unitary must be 4x4, got {u4.shape}")
-    if not (psi_a.pure and psi_b.pure):
-        raise ValueError("two-pair forward model expects pure probe states")
-    vec = np.kron(double_ket(psi_a.coeffs), double_ket(psi_b.coeffs))
-    # the two-pair grouping swaps the middle qubits, so it is its own inverse
-    op = permute_qubits(np.kron(u4, np.eye(4)), _pair_grouping(2))
-    out = op @ vec
-    return np.outer(out, out.conj())
+    """16x16 output density matrix of a 2-qubit unitary fed by two pairs,
+    in register order."""
+    out = propagate(unitary_channel(u4), pairs(psi_a, psi_b))
+    # (dev A, dev B, anc A, anc B) -> register order swaps the middle qubits
+    return permute_qubits(out.density, (0, 2, 1, 3))
 
 
 def correlations_4party(rho: np.ndarray) -> np.ndarray:
@@ -429,31 +408,3 @@ def correlations_4party(rho: np.ndarray) -> np.ndarray:
     if rho.shape != (16, 16):
         raise ValueError(f"expected a 16x16 density matrix, got {rho.shape}")
     return pauli_coefficients(rho)
-
-
-def reconstruct_two_qubit_device(
-    table4: np.ndarray,
-    psi_a: BipartiteState,
-    psi_b: BipartiteState,
-    truth: Optional[np.ndarray] = None,
-) -> ReconstructionResult:
-    """16x16 Choi matrix of a two-qubit device from 4-party correlations.
-
-    ``table4[i,j,k,l]`` is the expectation of sigma_i x sigma_j x sigma_k x
-    sigma_l over (device qubit A, ancilla A, device qubit B, ancilla B).
-    The probe correction is applied on each ancilla factor; the result is
-    rescaled to trace 4.
-    """
-    t = np.asarray(table4, dtype=float)
-    if t.shape != (4, 4, 4, 4):
-        raise ValueError(f"expected a 4x4x4x4 correlation table, got {t.shape}")
-    if abs(t[0, 0, 0, 0] - 1.0) > 1e-9:
-        raise ValueError("entry (0,0,0,0) of the correlation table must be 1")
-    conds = (_require_faithful(psi_a), _require_faithful(psi_b))
-    choi, eigs = _choi_core(t, (psi_a, psi_b))
-    return _choi_result(choi, eigs, {"condition_numbers": conds}, truth)
-
-
-def choi_of_unitary(u: np.ndarray) -> np.ndarray:
-    """Ground-truth Choi matrix |U>><<U| of a unitary of any qubit count."""
-    return choi_from_kraus([np.asarray(u, dtype=complex)])

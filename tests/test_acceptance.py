@@ -21,9 +21,7 @@ from qptsim import (
     WavePlate,
     bell_state,
     bootstrap_errors,
-    choi_of_unitary,
     compile_device,
-    correlations_4party,
     correlations_from_events,
     dagger,
     depolarizing,
@@ -31,15 +29,15 @@ from qptsim import (
     exact_correlations,
     faithfulness_check,
     fidelity_unitary,
+    pairs,
     pauli,
     propagate,
     reconstruct_choi,
     reconstruct_state,
-    reconstruct_two_qubit_device,
     reconstruct_unitary,
     run_experiment,
     select_reference,
-    two_pair_output_state,
+    unitary_channel,
     waveplate_bloch,
     waveplate_jones,
 )
@@ -235,9 +233,10 @@ def test_a7_waveplate_algebra_1000_plates():
 
 def test_a8_two_qubit_cnot():
     start = time.perf_counter()
-    rho = two_pair_output_state(CNOT, TRIPLET, TRIPLET)
-    res = reconstruct_two_qubit_device(correlations_4party(rho), TRIPLET, TRIPLET)
-    truth = choi_of_unitary(CNOT)
+    probe = pairs(TRIPLET, TRIPLET)
+    cnot = unitary_channel(CNOT)
+    res = reconstruct_choi(exact_correlations(propagate(cnot, probe)), probe)
+    truth = cnot.choi
     raw_trace_norm = float(np.abs(np.linalg.eigvalsh(res.matrix - truth)).sum())
     dist = distance_choi(res.matrix, truth)
     elapsed = time.perf_counter() - start

@@ -11,6 +11,7 @@ from qptsim import (
     double_ket,
     inverse,
     mat_close,
+    pairs,
     partial_trace,
     pauli,
     permute_qubits,
@@ -209,3 +210,21 @@ def test_pauli_transform_shape_checks():
         pauli_coefficients(np.eye(3))
     with pytest.raises(ValueError):
         pauli_coefficients(np.zeros(4))
+
+
+def test_pairs_is_kron_of_pure_states():
+    a = bell_state(1)
+    b = BipartiteState.from_coeffs(np.diag([np.cos(0.3), np.sin(0.3)]))
+    two = pairs(a, b)
+    assert two.pure and two.coeffs.shape == (4, 4) and two.density.shape == (16, 16)
+    assert mat_close(two.coeffs, np.kron(a.coeffs, b.coeffs))
+    product_svs = np.sort(np.kron(a.singular_values, b.singular_values))[::-1]
+    assert mat_close(two.singular_values, product_svs)
+    assert mat_close(pairs(a).coeffs, a.coeffs)
+    with pytest.raises(ValueError):
+        pairs(a, BipartiteState.from_density(np.eye(4) / 4))
+    with pytest.raises(ValueError):
+        pairs()
+    assert not BipartiteState.from_density(np.eye(16) / 16).pure
+    with pytest.raises(ValueError):
+        BipartiteState.from_density(np.eye(8) / 8)  # three qubits split no way into equal arms

@@ -15,13 +15,14 @@ from qptsim import (
     double_ket,
     identity_channel,
     mat_close,
+    pairs,
     partial_trace,
     pauli,
     propagate,
     tensor,
     unitary_channel,
 )
-from qptsim.algebra import BipartiteState
+from qptsim.algebra import BipartiteState, permute_qubits
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
@@ -140,3 +141,22 @@ def test_choi_from_kraus_validates_shapes():
         choi_from_kraus([np.eye(2), np.eye(4)])
 
 
+def test_propagate_two_pairs_matches_pairwise():
+    # a channel on device qubit A alone, sent through two pairs, leaves pair B
+    # untouched: the grouped output is the two pair outputs side by side
+    psi_a, psi_b = bell_state(1), bell_state(3)
+    dep = depolarizing(0.4)
+    on_a = QuantumChannel.from_kraus([np.kron(k, np.eye(2)) for k in dep.kraus_ops])
+    out = propagate(on_a, pairs(psi_a, psi_b))
+    assert not out.pure and out.density.shape == (16, 16)
+    side_by_side = np.kron(propagate(dep, psi_a).density, psi_b.density)
+    # (dev A, anc A, dev B, anc B) -> (dev A, dev B, anc A, anc B)
+    assert mat_close(out.density, permute_qubits(side_by_side, (0, 2, 1, 3)), tol=1e-12)
+
+
+def test_propagate_rejects_dimension_mismatch():
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    with pytest.raises(ValueError):
+        propagate(unitary_channel(cnot), bell_state(1))
+    with pytest.raises(ValueError):
+        propagate(depolarizing(0.2), pairs(bell_state(1), bell_state(1)))

@@ -15,6 +15,7 @@ from qptsim import (
     correlations_from_events,
     exact_correlations,
     joint_probs,
+    pairs,
     pauli,
     read_event_log,
     run_experiment,
@@ -380,3 +381,19 @@ def test_event_log_count_mismatch(tmp_path):
     path.write_text("# total=5 seed=0 eta=1.0\nx,z,+1,-1\n")
     with pytest.raises(DataError):
         read_event_log(path)
+
+
+def test_exact_correlations_of_two_pairs():
+    # device indices first: <sigma_i x sigma_j (dev A, dev B) x sigma_k x sigma_l (anc A, anc B)>
+    t = exact_correlations(pairs(TRIPLET, bell_state(0))).entries
+    assert t.shape == (4, 4, 4, 4) and t[0, 0, 0, 0] == 1.0
+    one_a, one_b = exact_correlations(TRIPLET).entries, exact_correlations(bell_state(0)).entries
+    assert np.allclose(t, np.einsum("ik,jl->ijkl", one_a, one_b), atol=1e-12)
+
+
+def test_sampler_rejects_two_pair_state():
+    two = pairs(TRIPLET, TRIPLET)
+    with pytest.raises(ValueError):
+        run_experiment(two, ExperimentPlan.uniform(90, seed=1))
+    with pytest.raises(ValueError):
+        joint_probs(two, MeasurementSetting(3, 3))

@@ -21,6 +21,15 @@ from qptsim.pipeline import (
 
 # coefficient matrix [[1, 0], [0, 0]]: the product state |00>, not a faithful probe
 UNFAITHFUL = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+# the 4x4 identity in [re, im] entries: config kraus devices take 2x2 operators only
+EYE4 = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+# a faithful pair (smallest singular value 1e-6) whose two-pair product, at 1e-12, is not
+SINGULAR_PAIR_PRODUCT = {
+    "input_state": {"coeffs": [[[np.sqrt(1 - 1e-12), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-6, 0.0]]]},
+    "device": {"type": "cnot"},
+    "estimator": "choi",
+    "plan": {"exact": True},
+}
 # the probe |11> sent through the filter |0><0| on beam 1: no photon survives
 ANNIHILATED = {
     "input_state": {"coeffs": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
@@ -99,6 +108,9 @@ def test_parse_minimal_defaults():
         {"inputs": {"bell": 1}},
         {"input_state_b": {"bell": 1}},
         ANNIHILATED,
+        {"device": {"type": "kraus", "ops": [EYE4]}},
+        {"input_state": {"coeffs": [[[0.5 * (r == c), 0.0] for c in range(4)] for r in range(4)]}},
+        SINGULAR_PAIR_PRODUCT,
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
@@ -230,6 +242,22 @@ def test_cnot_preset_pipeline(tmp_path):
     assert float(head["choi_distance"]) < 1e-9
     assert len(table) == 512
     assert table[0][0] == "C0_0"
+
+
+def test_two_pair_probe_near_full_rank_floor_runs(tmp_path):
+    # the product probe's smallest singular value, 1.7e-7 x 0.707, passes the
+    # full-rank floor of 1e-7, while its determinant, 7e-15, is below the
+    # 1e-14 floor of algebra.inverse
+    s = 1.7e-7
+    doc = base_config(
+        input_state={"coeffs": [[[np.sqrt(1 - s * s), 0.0], [0.0, 0.0]], [[0.0, 0.0], [s, 0.0]]]},
+        input_state_b={"bell": 1},
+        device={"type": "cnot"},
+        estimator="choi",
+        plan={"exact": True},
+    )
+    head, _, table = read_result(run_pipeline(parse_config(doc), tmp_path)["result"])
+    assert head["kind"] == "device_choi" and len(table) == 512
 
 
 def test_pipeline_end_to_end_deterministic(tmp_path):

@@ -1,4 +1,4 @@
-"""Linear-inversion estimators, bootstrap errors and the n=2 extension."""
+"""Linear-inversion estimators, bootstrap errors and the n-pair Choi estimator."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from qptsim import (
     UnfaithfulInputError,
     bell_state,
     bootstrap_errors,
-    choi_of_unitary,
     correlations_4party,
     correlations_from_events,
     density_from_correlations,
@@ -27,11 +26,11 @@ from qptsim import (
     fidelity_unitary,
     identity_channel,
     mat_close,
+    pairs,
     pauli,
     propagate,
     reconstruct_choi,
     reconstruct_state,
-    reconstruct_two_qubit_device,
     reconstruct_unitary,
     run_experiment,
     select_reference,
@@ -39,7 +38,6 @@ from qptsim import (
     unitary_channel,
 )
 from qptsim.algebra import pauli_coefficients, permute_qubits
-from qptsim.tomography import _choi_core
 
 TRIPLET = bell_state(1)
 RT2 = np.sqrt(2.0)
@@ -313,17 +311,21 @@ def test_faithfulness_report():
     assert not rep.full_rank
 
 
+def two_pair_table(gate, psi_a, psi_b):
+    """Exact grouped (4,4,4,4) table of a two-qubit gate probed by two pairs."""
+    return exact_correlations(propagate(unitary_channel(gate), pairs(psi_a, psi_b)))
+
+
 def test_two_qubit_identity_device():
-    rho = two_pair_output_state(np.eye(4), TRIPLET, TRIPLET)
-    res = reconstruct_two_qubit_device(correlations_4party(rho), TRIPLET, TRIPLET)
-    assert mat_close(res.matrix, choi_of_unitary(np.eye(4)), tol=1e-10)
+    probe = pairs(TRIPLET, TRIPLET)
+    res = reconstruct_choi(two_pair_table(np.eye(4), TRIPLET, TRIPLET), probe)
+    assert mat_close(res.matrix, unitary_channel(np.eye(4)).choi, tol=1e-10)
 
 
 @pytest.mark.parametrize("gate", [CNOT, SWAP], ids=["cnot", "swap"])
 def test_two_qubit_gate_reconstruction(gate):
-    rho = two_pair_output_state(gate, TRIPLET, TRIPLET)
-    res = reconstruct_two_qubit_device(correlations_4party(rho), TRIPLET, TRIPLET)
-    truth = choi_of_unitary(gate)
+    res = reconstruct_choi(two_pair_table(gate, TRIPLET, TRIPLET), pairs(TRIPLET, TRIPLET))
+    truth = unitary_channel(gate).choi
     assert distance_choi(res.matrix, truth) < 1e-9
     vals, vecs = np.linalg.eigh(res.matrix)
     assert vals[-1] == pytest.approx(4.0, abs=1e-9)  # rank one, trace 4
@@ -335,21 +337,57 @@ def test_two_qubit_gate_reconstruction(gate):
 def test_two_qubit_mixed_probes():
     # different Bell states on the two pairs still reconstruct the gate
     psi_b = bell_state(3)
-    rho = two_pair_output_state(CNOT, TRIPLET, psi_b)
-    res = reconstruct_two_qubit_device(correlations_4party(rho), TRIPLET, psi_b)
-    assert distance_choi(res.matrix, choi_of_unitary(CNOT)) < 1e-9
+    res = reconstruct_choi(two_pair_table(CNOT, TRIPLET, psi_b), pairs(TRIPLET, psi_b))
+    assert distance_choi(res.matrix, unitary_channel(CNOT).choi) < 1e-9
 
 
 def test_two_qubit_rejects_unfaithful_probe():
     product = BipartiteState.from_coeffs(np.diag([1.0, 0.0]))
-    rho = two_pair_output_state(CNOT, TRIPLET, product)
+    table = two_pair_table(CNOT, TRIPLET, product)
     with pytest.raises(UnfaithfulInputError):
-        reconstruct_two_qubit_device(correlations_4party(rho), TRIPLET, product)
+        reconstruct_choi(table, pairs(TRIPLET, product))
 
 
 def test_two_qubit_table_validation():
     with pytest.raises(ValueError):
-        reconstruct_two_qubit_device(np.zeros((4, 4, 4, 4)), TRIPLET, TRIPLET)
+        CorrelationTable(entries=np.zeros((4, 4, 4, 4)))
+
+
+def test_register_order_table_is_grouped_table_with_middle_axes_swapped():
+    # correlations_4party reads (dev A, anc A, dev B, anc B); the grouped
+    # table reads (dev A, dev B, anc A, anc B)
+    rng = np.random.default_rng(5)
+    psi_a, psi_b = random_full_rank_state(rng), random_full_rank_state(rng)
+    u4 = unitary_group.rvs(4, random_state=rng)
+    register = correlations_4party(two_pair_output_state(u4, psi_a, psi_b))
+    grouped = two_pair_table(u4, psi_a, psi_b).entries
+    assert np.max(np.abs(register - grouped.transpose(0, 2, 1, 3))) < 1e-12
+
+
+def test_estimators_reject_tables_of_other_pair_counts():
+    two_pair = two_pair_table(CNOT, TRIPLET, TRIPLET)
+    with pytest.raises(ValueError):
+        reconstruct_state(two_pair)
+    with pytest.raises(ValueError):
+        reconstruct_unitary(two_pair, TRIPLET)
+    # the Choi estimator needs one table axis pair per probe pair
+    with pytest.raises(ValueError):
+        reconstruct_choi(two_pair, TRIPLET)
+    with pytest.raises(ValueError):
+        reconstruct_choi(exact_correlations(TRIPLET), pairs(TRIPLET, TRIPLET))
+
+
+def test_probe_singular_values_taken_once(monkeypatch):
+    # full_rank, faithfulness_check and every unitary fit of one probe share one SVD
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    probe = BipartiteState.from_coeffs(np.diag([np.cos(0.3), np.sin(0.3)]))
+    table = exact_correlations(propagate(unitary_channel(pauli(1)), probe))
+    assert probe.full_rank and faithfulness_check(probe).full_rank
+    for _ in range(3):
+        reconstruct_unitary(table, probe)
+    assert len(calls) == 1
 
 
 def test_choi_core_three_pairs_random_unitary():
@@ -369,7 +407,9 @@ def test_choi_core_three_pairs_random_unitary():
     # the register order (d1, a1, d2, a2, d3, a3) of the probe vector
     op = permute_qubits(np.kron(u8, np.eye(8)), (0, 3, 1, 4, 2, 5))
     out = op @ vec
-    table = pauli_coefficients(np.outer(out, out.conj()))
-    choi, eigs = _choi_core(table, probes)
-    assert distance_choi(choi, choi_of_unitary(u8)) < 1e-9
-    assert eigs[-1] == pytest.approx(8.0, abs=1e-9)
+    # and the register-order output back to the grouped order of the table
+    rho = permute_qubits(np.outer(out, out.conj()), (0, 2, 4, 1, 3, 5))
+    table = CorrelationTable(entries=pauli_coefficients(rho))
+    res = reconstruct_choi(table, pairs(*probes))
+    assert distance_choi(res.matrix, unitary_channel(u8).choi) < 1e-9
+    assert np.linalg.eigvalsh(res.matrix)[-1] == pytest.approx(8.0, abs=1e-9)
