@@ -67,21 +67,24 @@ _PAULI_STACK = np.stack(_PAULI)
 _PAULI_STACK.setflags(write=False)
 
 
-def pauli_expand(coeffs: np.ndarray) -> np.ndarray:
+def pauli_expand(coeffs: np.ndarray, batched: bool = False) -> np.ndarray:
     """Operator sum_{i..l} c[i, .., l] sigma_i x .. x sigma_l on k qubits.
 
     ``coeffs`` has shape (4,)*k; the result is 2^k x 2^k with the first
-    index acting on the first tensor factor.
+    index acting on the first tensor factor.  With ``batched`` axis 0 of
+    ``coeffs`` indexes B coefficient tables and the result is (B, 2^k, 2^k).
     """
     t = np.asarray(coeffs)
-    k = t.ndim
-    if t.shape != (4,) * k:
+    lead = t.shape[:1] if batched else ()
+    k = t.ndim - len(lead)
+    if t.shape[len(lead) :] != (4,) * k:
         raise ValueError(f"Pauli coefficients must have shape (4,)*k, got {t.shape}")
     for _ in range(k):
         # contract the leading Pauli index; its (row, col) pair moves to the end
-        t = np.tensordot(t, _PAULI_STACK, axes=([0], [0]))
-    axes = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-    return t.transpose(axes).reshape(2**k, 2**k)
+        t = np.tensordot(t, _PAULI_STACK, axes=([len(lead)], [0]))
+    axes = list(range(len(lead))) + [len(lead) + a for a in range(0, 2 * k, 2)]
+    axes += [len(lead) + a for a in range(1, 2 * k, 2)]
+    return t.transpose(axes).reshape(lead + (2**k, 2**k))
 
 
 def pauli_coefficients(op: np.ndarray) -> np.ndarray:
@@ -99,8 +102,8 @@ def pauli_coefficients(op: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conjugate(np.asarray(m)).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conjugate(np.asarray(m)).swapaxes(-1, -2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,7 +10,15 @@ class NullEventError(QptError):
 
 
 class DegenerateReferenceError(QptError):
-    """The reference matrix element is too small to normalize against."""
+    """The reference matrix element is too small to normalize against.
+
+    On a batch of tables, ``rows`` holds the failing row indices in
+    ascending order; it is None for a single table.
+    """
+
+    def __init__(self, message: str, rows=None):
+        self.rows = None if rows is None else tuple(int(r) for r in rows)
+        super().__init__(message)
 
 
 class UnfaithfulInputError(QptError):

@@ -51,6 +51,9 @@ _LINES = tuple(
     for s1, s2 in OUTCOMES
 )
 _LINE_CODES = {line.strip(): c for c, line in enumerate(_LINES)}
+# The same lines as a (36, 10) byte table, one row per cell code.
+_LINE_BYTES = np.frombuffer("".join(_LINES).encode("ascii"), dtype=np.uint8)
+_LINE_BYTES = _LINE_BYTES.reshape(_N_CELLS, -1)
 
 _PROB_CLIP = -1e-12
 _LOSS_CHUNK = 4096
@@ -107,21 +110,31 @@ class CorrelationTable:
     and the n untouched-arm ones after.  One pair gives a 4x4 table whose
     rows index the beam-1 Pauli and columns the beam-2 Pauli; entries (i,0)
     and (0,j) are the single-beam marginals.
+
+    A batch of B tables has shape (B,) + (4,)*2n.  An unbatched table always
+    has an even number of axes, so an odd number means axis 0 is the batch.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
-        k = entries.ndim
-        if k == 0 or k % 2 or entries.shape != (4,) * k:
-            raise ValueError(f"correlation table must have shape (4,)*2n, got {entries.shape}")
-        if abs(entries[(0,) * k] - 1.0) > 1e-12:
+        k = entries.ndim - entries.ndim % 2
+        if k == 0 or entries.shape[entries.ndim - k :] != (4,) * k:
+            raise ValueError(
+                f"correlation table must have shape (4,)*2n or (B,)+(4,)*2n, got {entries.shape}"
+            )
+        if np.any(np.abs(entries[(..., *(0,) * k)] - 1.0) > 1e-12):
             raise ValueError("entry (0,..,0) of a correlation table must be 1")
         if np.max(np.abs(entries)) > 1.0 + 1e-9:
             raise ValueError("correlation entries must lie in [-1, 1]")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def batched(self) -> bool:
+        """Whether axis 0 indexes a batch of tables."""
+        return self.entries.ndim % 2 == 1
 
 
 def exact_correlations(state: BipartiteState) -> CorrelationTable:
@@ -233,29 +246,33 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
 
     Marginal entries pool every event that measured the given axis on the
     given beam, regardless of the partner axis.  Numerators are summed as
-    integers and divided once.
+    integers and divided once.  A (B, 9, 4) stack of count tables gives a
+    batch of B tables.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (len(SETTINGS), 4):
-        raise ValueError(f"expected a {len(SETTINGS)}x4 count table, got {counts.shape}")
-    per_setting = counts.sum(axis=1)
-    missing = [SETTINGS[k] for k in range(len(SETTINGS)) if per_setting[k] == 0]
-    if missing:
-        raise IncompleteQuorumError(missing)
+    if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), 4):
+        raise ValueError(
+            f"expected a {len(SETTINGS)}x4 count table or a stack of them, got {counts.shape}"
+        )
+    per_setting = counts.sum(axis=-1)
+    empty = (per_setting == 0).reshape(-1, len(SETTINGS)).any(axis=0)
+    if empty.any():
+        raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(empty)])
 
+    lead = counts.shape[:-2]
     # SETTINGS is axis1-major, so (9,) -> (3, 3) puts axis1 on rows, axis2 on columns.
-    num = (counts @ _SIGNS).T.reshape(3, 3, 3)
-    n = per_setting.reshape(3, 3)
-    n_table = np.empty((4, 4), dtype=np.int64)
-    n_table[0, 0] = n.sum()
-    n_table[1:, 1:] = n
-    n_table[1:, 0] = n.sum(axis=1)
-    n_table[0, 1:] = n.sum(axis=0)
-    sums = np.empty((4, 4), dtype=np.int64)
-    sums[0, 0] = n_table[0, 0]
-    sums[1:, 1:] = num[0]
-    sums[1:, 0] = num[1].sum(axis=1)
-    sums[0, 1:] = num[2].sum(axis=0)
+    num = np.moveaxis(counts @ _SIGNS, -1, -2).reshape(lead + (3, 3, 3))
+    n = per_setting.reshape(lead + (3, 3))
+    n_table = np.empty(lead + (4, 4), dtype=np.int64)
+    n_table[..., 0, 0] = n.sum(axis=(-2, -1))
+    n_table[..., 1:, 1:] = n
+    n_table[..., 1:, 0] = n.sum(axis=-1)
+    n_table[..., 0, 1:] = n.sum(axis=-2)
+    sums = np.empty(lead + (4, 4), dtype=np.int64)
+    sums[..., 0, 0] = n_table[..., 0, 0]
+    sums[..., 1:, 1:] = num[..., 0, :, :]
+    sums[..., 1:, 0] = num[..., 1, :, :].sum(axis=-1)
+    sums[..., 0, 1:] = num[..., 2, :, :].sum(axis=-2)
     return CorrelationTable(entries=sums / n_table)
 
 
@@ -266,9 +283,9 @@ def correlations_from_events(events: np.ndarray) -> CorrelationTable:
 
 def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> None:
     codes = _cell_codes(events)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# total={codes.size} seed={seed} eta={eta!r}\n")
-        fh.write("".join(map(_LINES.__getitem__, codes.tolist())))
+    with open(path, "wb") as fh:
+        fh.write(f"# total={codes.size} seed={seed} eta={eta!r}\n".encode("ascii"))
+        fh.write(_LINE_BYTES[codes])
 
 
 def read_event_log(path) -> tuple[np.ndarray, dict]:

@@ -73,7 +73,9 @@ class ReconstructionResult:
 
     kind is one of input_state (2x2 coefficients), device_unitary (2x2) or
     device_choi (d^2 x d^2 for an n-qubit device, d = 2^n, trace normalized
-    to the deterministic-channel convention).
+    to the deterministic-channel convention).  From a batch of B tables the
+    matrix has shape (B, ...) and each numeric diagnostic is a per-row array;
+    from a single table the diagnostics are Python floats and strings.
     """
 
     kind: str
@@ -90,20 +92,45 @@ def _check_reference(reference) -> tuple[int, int]:
     return ref
 
 
-def _reference_column(table: CorrelationTable, ref: tuple[int, int]) -> tuple[np.ndarray, float]:
+def _diagnostics(batched: bool, **values) -> dict:
+    """Per-row arrays for a batch of tables; Python floats for a single one."""
+    if batched:
+        return values
+    scalar = (np.ndarray, np.floating)
+    return {k: float(v) if isinstance(v, scalar) else v for k, v in values.items()}
+
+
+def _per_row(metric, estimate: np.ndarray, truth: np.ndarray):
+    """A comparison with the truth for one estimate, or per row of a stack."""
+    if estimate.ndim == 2:
+        return metric(estimate, truth)
+    return np.array([metric(m, truth) for m in estimate])
+
+
+def _reference_column(table: CorrelationTable, ref: tuple[int, int]):
     """Column rho[:, ref] of the output density matrix as a 2x2 array, and
-    its diagonal element clipped to [0, 1], the population of ``ref``.
-    The state estimators read one pair; a wider table is a ValueError."""
-    if table.entries.shape != (4, 4):
+    its diagonal element clipped to [0, 1], the population of ``ref``; one
+    of each per row of a batch.  The state estimators read one pair; a wider
+    table is a ValueError."""
+    if table.entries.shape[-2:] != (4, 4) or table.entries.ndim != 2 + table.batched:
         raise ValueError(f"the state estimators read one pair, got a {table.entries.shape} table")
     n0, m0 = ref
     col = _PAULI_STACK[:, :, n0].T @ table.entries @ _PAULI_STACK[:, :, m0] / 4.0
-    return col, min(max(float(col[ref].real), 0.0), 1.0)
+    return col, np.minimum(np.maximum(col[..., n0, m0].real, 0.0), 1.0)
 
 
 def _checked_column(table: CorrelationTable, ref: tuple[int, int], floor: float):
     col, p = _reference_column(table, ref)
-    if p < floor:
+    low = p < floor
+    if table.batched and low.any():
+        rows = np.flatnonzero(low)
+        raise DegenerateReferenceError(
+            f"reference element {_REF_LABEL[ref]} has population below the floor "
+            f"{floor:.1e} in {rows.size} of {low.size} rows, first row {rows[0]}; "
+            f"use another reference pair",
+            rows=rows,
+        )
+    if low.any():
         raise DegenerateReferenceError(
             f"reference element {_REF_LABEL[ref]} has population {p:.3e} "
             f"below the floor {floor:.1e}; use another reference pair"
@@ -127,7 +154,13 @@ def estimate_p(
 
 
 def select_reference(table: CorrelationTable, floor: float = P_FLOOR) -> tuple[int, int]:
-    """First non-degenerate reference pair in the order |01>, |10>, |11>, |00>."""
+    """First non-degenerate reference pair in the order |01>, |10>, |11>, |00>.
+
+    A batch of tables is a ValueError: its rows must share one reference,
+    chosen by the caller.
+    """
+    if table.batched:
+        raise ValueError("a batch of tables needs an explicit reference pair")
     for ref in REFERENCE_ORDER:
         if _reference_column(table, ref)[1] >= floor:
             return ref
@@ -143,21 +176,22 @@ def reconstruct_state(
     """Coefficient matrix of a pure two-qubit state by linear inversion.
 
     With reference=None the pairs |01>, |10>, |11>, |00> are tried in order
-    until one is non-degenerate.  The output is not renormalized; its norm
-    is reported as a consistency diagnostic.
+    until one is non-degenerate; a batch of tables needs an explicit
+    reference.  The output is not renormalized; its norm is reported as a
+    consistency diagnostic.
     """
     ref = select_reference(table, p_floor) if reference is None else _check_reference(reference)
     col, p = _checked_column(table, ref, p_floor)
     # psi[ref] = sqrt(p) > 0, since Pauli diagonals are real: the gauge needs no rotation
-    psi = col / np.sqrt(p)
-    norm = float(np.sum(np.abs(psi) ** 2))
-    diagnostics = {
-        "p": p,
-        "reference": _REF_LABEL[ref],
-        "norm": norm,
-    }
+    psi = col / np.sqrt(p)[..., None, None]
+    diagnostics = _diagnostics(
+        table.batched,
+        p=p,
+        reference=_REF_LABEL[ref],
+        norm=np.sum(np.abs(psi) ** 2, axis=(-2, -1)),
+    )
     if truth is not None:
-        diagnostics["fidelity"] = _state_overlap(psi, truth)
+        diagnostics["fidelity"] = _per_row(_state_overlap, psi, truth)
     return ReconstructionResult(
         kind="input_state",
         matrix=psi,
@@ -195,6 +229,11 @@ def _require_faithful(psi_in: BipartiteState) -> float:
     return report.condition_number
 
 
+_GAUGE_DET = "global phase fixed: determinant rotated real positive"
+_GAUGE_MAX = "global phase fixed: largest element rotated real positive"
+_GAUGE_MIXED = f"{_GAUGE_DET}; where |det| <= 1e-8, largest element rotated real positive"
+
+
 def reconstruct_unitary(
     t_out: CorrelationTable,
     psi_in: BipartiteState,
@@ -205,33 +244,50 @@ def reconstruct_unitary(
 
     The output coefficients M estimate U Psi up to a phase, so U = M
     Psi^{-1}.  The phase is fixed by rotating det(U) onto the positive real
-    axis (principal branch); unitarity of the result is reported as a
+    axis (principal branch), or, where |det U| <= 1e-8, the largest element;
+    a batch chooses per row.  Unitarity of the result is reported as a
     diagnostic, never enforced.
     """
     cond = _require_faithful(psi_in)
     state = reconstruct_state(t_out, reference)
     u = state.matrix @ inverse(psi_in.coeffs)
     d = np.linalg.det(u)
-    if abs(d) > 1e-8:
-        u = u * np.exp(-0.5j * np.angle(d))
-        gauge = "global phase fixed: determinant rotated real positive"
-    else:
-        k = int(np.argmax(np.abs(u)))
-        if abs(u.flat[k]) > 0.0:
-            u = u * np.exp(-1j * np.angle(u.flat[k]))
-        gauge = "global phase fixed: largest element rotated real positive"
-    deviation = float(np.linalg.norm(dagger(u) @ u - np.eye(2)))
-    diagnostics = {
-        "p": state.diagnostics["p"],
-        "reference": state.diagnostics["reference"],
-        "condition_number": cond,
-        "unitarity_deviation": deviation,
-    }
+    by_det = np.abs(d) > 1e-8
+    phase = np.exp(-0.5j * np.angle(d))
+    gauge = _GAUGE_DET
+    if not by_det.all():
+        flat = u.reshape(u.shape[:-2] + (4,))
+        k = np.argmax(np.abs(flat), axis=-1)[..., None]
+        big = np.take_along_axis(flat, k, axis=-1)[..., 0]
+        big_phase = np.where(np.abs(big) > 0.0, np.exp(-1j * np.angle(big)), 1.0)
+        phase = np.where(by_det, phase, big_phase)
+        gauge = _GAUGE_MAX if not by_det.any() else _GAUGE_MIXED
+    u = u * phase[..., None, None]
+    deviation = _frobenius(dagger(u) @ u - np.eye(2))
+    diagnostics = _diagnostics(
+        t_out.batched,
+        p=state.diagnostics["p"],
+        reference=state.diagnostics["reference"],
+        condition_number=cond,
+        unitarity_deviation=deviation,
+    )
     if truth is not None:
-        diagnostics["fidelity"] = fidelity_unitary(u, truth)
+        diagnostics["fidelity"] = _per_row(fidelity_unitary, u, truth)
     return ReconstructionResult(
         kind="device_unitary", matrix=u, gauge=gauge, diagnostics=diagnostics
     )
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix in a stack.
+
+    Each norm is the square root of two dot products, the real and the
+    imaginary parts, as ``np.linalg.norm`` takes it for one matrix, so a
+    batch row and a single call agree bit for bit.
+    """
+    flat = x.reshape(x.shape[:-2] + (1, -1))
+    sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -242,9 +298,10 @@ def density_from_correlations(table: CorrelationTable) -> np.ndarray:
     """Output density matrix from the full Pauli expansion of the table.
 
     A (4,)*2n table gives the 4^n x 4^n matrix in the order (device arms,
-    untouched arms).
+    untouched arms); a batch gives one per row.
     """
-    return _hermitize(pauli_expand(table.entries) / 2.0**table.entries.ndim)
+    k = table.entries.ndim - table.batched
+    return _hermitize(pauli_expand(table.entries, batched=table.batched) / 2.0**k)
 
 
 def reconstruct_choi(
@@ -258,35 +315,44 @@ def reconstruct_choi(
     ``density_from_correlations``; stage 2 undoes the probe on the
     untouched arms, C = (I x (Psi^T)^{-1}) rho (I x (Psi^*)^{-1}), and
     rescales to trace d.  An n-qubit device is probed by n pairs, so the
-    probe is ``pairs(...)`` of them and the table has shape (4,)*2n.
-    Coincidence-normalized data cannot recover the occurrence probability
-    of a trace-decreasing device, so that scale is reported as unknown.
+    probe is ``pairs(...)`` of them and the table has shape (4,)*2n; a batch
+    of tables gives one Choi matrix per row.  Coincidence-normalized data
+    cannot recover the occurrence probability of a trace-decreasing device,
+    so that scale is reported as unknown.
     """
     cond = _require_faithful(psi_in)
     psi = psi_in.coeffs
     d = len(psi)
     rho = density_from_correlations(t_out)
-    if len(rho) != d * d:
+    if rho.shape[-1] != d * d:
         raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
     eye = np.eye(d)
     # full rank is checked above; inverse()'s absolute |det| floor would also
     # refuse faithful products of pairs, whose determinant falls much faster
     inv = np.linalg.inv
     choi = _hermitize(np.kron(eye, inv(psi.T)) @ rho @ np.kron(eye, inv(psi.conj())))
-    tr = float(np.trace(choi).real)
-    if tr <= 0.0:
-        raise QptError(f"reconstructed Choi matrix has non-positive trace {tr!r}")
-    choi *= d / tr
+    tr = np.trace(choi, axis1=-2, axis2=-1).real
+    if np.any(tr <= 0.0):
+        raise QptError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")
+    choi *= (d / tr)[..., None, None]
     eigs = np.linalg.eigvalsh(choi)
-    diagnostics = {
-        "condition_number": cond,
-        "choi_eigenvalues": ", ".join(f"{v:.12g}" for v in eigs),
-        "min_eigenvalue": float(eigs[0]),
-        "negativity": float(np.abs(eigs[eigs < 0.0]).sum()),
-        "occurrence_scale": "unrecoverable from coincidence-normalized data",
-    }
+    diagnostics = _diagnostics(
+        t_out.batched,
+        condition_number=cond,
+        choi_eigenvalues=eigs if t_out.batched else ", ".join(f"{v:.12g}" for v in eigs),
+        min_eigenvalue=eigs[..., 0],
+        # a single table sums only its negative eigenvalues, in numpy's
+        # pairwise order; a batch row also adds zeros, which can move the
+        # last bit once there are more than eight eigenvalues
+        negativity=(
+            np.abs(np.minimum(eigs, 0.0)).sum(axis=-1)
+            if t_out.batched
+            else np.abs(eigs[eigs < 0.0]).sum()
+        ),
+        occurrence_scale="unrecoverable from coincidence-normalized data",
+    )
     if truth is not None:
-        diagnostics["choi_distance"] = distance_choi(choi, truth)
+        diagnostics["choi_distance"] = _per_row(distance_choi, choi, truth)
     return ReconstructionResult(
         kind="device_choi",
         matrix=choi,
@@ -328,8 +394,17 @@ def bootstrap_errors(
     per-setting outcome counts are the sufficient statistic, so resampling
     draws multinomial counts), the estimator re-runs with its own gauge
     fix, and the element-wise standard deviations of real and imaginary
-    parts are reported separately.  Resamples on which the estimator
-    degenerates are redrawn and counted.
+    parts are reported separately.
+
+    The estimator is called on all B resamples at once: it takes a
+    CorrelationTable with a leading batch axis of B rows and returns an
+    array of shape (B, ...), one estimate per row, such as
+    ``lambda t: reconstruct_unitary(t, psi_in, ref).matrix`` with an
+    explicit reference.  Where it degenerates it raises
+    DegenerateReferenceError with the failing rows; each of them, in
+    ascending order, is redrawn until a one-row call succeeds, and the
+    redraws are counted.  That consumes the random stream exactly as
+    resampling one table at a time would.
     """
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(
@@ -348,30 +423,40 @@ def bootstrap_errors(
         axis=1,
     )
 
-    estimates = []
     redraws = 0
-    budget = 100 * n_resamples
-    for b in range(n_resamples):
-        sample = draws[b]
-        while True:
-            try:
-                estimates.append(np.asarray(estimator(table_from_counts(sample))))
-                break
-            except DegenerateReferenceError:
+    while True:
+        try:
+            stack = np.asarray(estimator(table_from_counts(draws)))
+            break
+        except DegenerateReferenceError as exc:
+            if not exc.rows:
+                raise
+            failed = sorted(exc.rows)
+        for b in failed:
+            while True:
                 redraws += 1
-                budget -= 1
-                if budget <= 0:
-                    raise QptError("bootstrap exceeded its redraw budget; estimator degenerates too often")
-                sample = np.stack(
+                if redraws >= 100 * n_resamples:
+                    raise QptError(
+                        "bootstrap exceeded its redraw budget; estimator degenerates too often"
+                    )
+                draws[b] = np.stack(
                     [rng.multinomial(totals[k], probs[k]) for k in range(len(SETTINGS))]
                 )
+                try:
+                    estimator(table_from_counts(draws[b : b + 1]))
+                    break
+                except DegenerateReferenceError:
+                    pass
+    if stack.shape[:1] != (n_resamples,):
+        raise ValueError(
+            f"estimator must return one estimate per resample, got shape {stack.shape}"
+        )
     if redraws > 0.01 * n_resamples:
         warnings.warn(
             f"bootstrap redrew {redraws} of {n_resamples} resamples (>1%)",
             RuntimeWarning,
             stacklevel=2,
         )
-    stack = np.stack(estimates)
     return BootstrapErrors(
         real=stack.real.std(axis=0, ddof=1),
         imag=stack.imag.std(axis=0, ddof=1),
