@@ -54,6 +54,13 @@ _LINE_CODES = {line.strip(): c for c, line in enumerate(_LINES)}
 # The same lines as a (36, 10) byte table, one row per cell code.
 _LINE_BYTES = np.frombuffer("".join(_LINES).encode("ascii"), dtype=np.uint8)
 _LINE_BYTES = _LINE_BYTES.reshape(_N_CELLS, -1)
+# Digit of each byte a valid line holds at its axis and sign columns: x|y|z
+# -> 0|1|2 and +|- -> 0|1, so a line's code is 12*a1 + 4*a2 + 2*s1 + s2.
+# Every other byte maps to 0; the reader's re-encode check rejects it.
+_BYTE_DIGITS = np.zeros(256, dtype=np.uint8)
+_BYTE_DIGITS[list(b"xyz-")] = (0, 1, 2, 1)
+# Lines the array reader decodes at a time; bounds its working memory.
+_CHUNK_LINES = 1 << 14
 
 _PROB_CLIP = -1e-12
 _LOSS_CHUNK = 4096
@@ -204,12 +211,17 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
         if eta >= 1.0:
             cats = rng.choice(4, size=n, p=pvec)
         else:
+            # The stream of one choice(4, _LOSS_CHUNK, p=pvec) and two
+            # random(_LOSS_CHUNK) calls per chunk: choice draws one uniform per
+            # trial and inverts this cdf at it from the right, so only the
+            # trials where both photons survive need inverting.
+            cdf = pvec.cumsum()
+            cdf /= cdf[-1]
             kept: list[np.ndarray] = []
             total = 0
             while total < n:
-                trial = rng.choice(4, size=_LOSS_CHUNK, p=pvec)
-                detected = (rng.random(_LOSS_CHUNK) < eta) & (rng.random(_LOSS_CHUNK) < eta)
-                keep = trial[detected]
+                u = rng.random((3, _LOSS_CHUNK))
+                keep = cdf.searchsorted(u[0][(u[1] < eta) & (u[2] < eta)], side="right")
                 kept.append(keep)
                 total += keep.size
             cats = np.concatenate(kept)[:n]
@@ -292,11 +304,17 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
     """Parse an event log into cell codes.
 
     Every failure is a DataError naming the file: an unreadable path, a
-    non-ASCII byte, or a malformed line (reported with its number).
+    non-ASCII byte, or a malformed line (reported with its number).  A log
+    as the writer emits it is decoded as byte arrays; any other file is
+    read by the line parser, which also words every error.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return _parse_event_log(path, fh)
+        with open(path, "rb") as fh:
+            parsed = _decode_event_log(path, fh)
+        if parsed is None:
+            with open(path, "r", encoding="ascii") as fh:
+                parsed = _parse_event_log(path, fh)
+        return parsed
     except OSError as exc:
         raise DataError(f"{path}: cannot read event log: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -304,23 +322,59 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
         raise DataError(f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log") from None
 
 
-def _parse_event_log(path, fh) -> tuple[np.ndarray, dict]:
-    codes = bytearray()
-    header_line = fh.readline()
-    if not header_line.startswith("#"):
+def _parse_header(path, line: str) -> dict:
+    if not line.startswith("#"):
         raise DataError(f"{path}: line 1: missing '# total=... seed=... eta=...' header")
     header = {}
     try:
-        for tok in header_line[1:].split():
+        for tok in line[1:].split():
             key, val = tok.split("=", 1)
             header[key] = val
-        header = {
+        return {
             "total": int(header["total"]),
             "seed": int(header["seed"]),
             "eta": float(header["eta"]),
         }
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: line 1: malformed header ({exc})") from None
+
+
+def _decode_event_log(path, fh) -> Optional[tuple[np.ndarray, dict]]:
+    """Decode a binary handle in chunks of fixed-width lines, or return None.
+
+    Only a log the line parser would read the same way is accepted: an
+    ASCII header without a carriage return (which the text reader takes as
+    a line end), a body of whole 10-byte lines each of which re-encodes to
+    itself, and as many lines as the header announces.  Anything else
+    returns None, so the line parser is the one place that words errors.
+    """
+    line = fh.readline()
+    if b"\r" in line:
+        return None
+    try:
+        header = _parse_header(path, line.decode("ascii"))
+    except (UnicodeDecodeError, DataError):
+        return None
+    width = _LINE_BYTES.shape[1]
+    chunks: list[np.ndarray] = []
+    while chunk := fh.read(_CHUNK_LINES * width):
+        if len(chunk) % width:
+            return None
+        lines = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, width)
+        a1, a2, s1, s2 = (_BYTE_DIGITS.take(lines[:, col]) for col in (0, 2, 4, 7))
+        codes = 12 * a1 + 4 * a2 + 2 * s1 + s2
+        if not np.array_equal(_LINE_BYTES.take(codes, axis=0), lines):
+            return None
+        chunks.append(codes)
+    codes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
+    if codes.size != header["total"]:
+        return None
+    return codes, header
+
+
+def _parse_event_log(path, fh) -> tuple[np.ndarray, dict]:
+    codes = bytearray()
+    header = _parse_header(path, fh.readline())
     for lineno, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:

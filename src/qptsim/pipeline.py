@@ -60,6 +60,13 @@ from .tomography import (
 ESTIMATORS = ("unitary", "choi", "state_only")
 TWO_QUBIT_DEVICES = {"cnot": CNOT, "swap": SWAP}
 PRESETS = ("fig3", "fig4", "cnot", "depol")
+# Bounds on a sampled run, checked before any sampling starts.  Memory grows
+# with plan.total (the event log is written from one 10-byte-per-event array);
+# time grows with the trials the lossy sampler draws, about total / eta**2.
+# The largest accepted run, fig3 with total = 1e7 at eta = 0.1, took 15 s and
+# 164 MB peak RSS through the CLI on a 2-core host, and wrote a 100 MB log.
+MAX_TOTAL = 10**7
+MAX_TRIALS = 10**9
 
 # Accepted keys of the config root and of each of its sections.
 _CONFIG_KEYS = (
@@ -249,6 +256,14 @@ def parse_config(doc: dict) -> PipelineConfig:
             raise ConfigError("plan.total: a positive coincidence count is required")
         if not 0.0 < eta <= 1.0:
             raise ConfigError(f"plan.eta: efficiency must be in (0, 1], got {eta}")
+        if total > MAX_TOTAL:
+            raise ConfigError(f"plan.total: at most {MAX_TOTAL} coincidences, got {total}")
+        trials = total / eta / eta  # eta**2 can underflow to 0.0
+        if trials > MAX_TRIALS:
+            raise ConfigError(
+                f"plan.total, plan.eta: {total} coincidences at efficiency {eta} need about "
+                f"{trials:.4g} trials, more than the cap of {MAX_TRIALS:.0e}"
+            )
     allocation = _parse_allocation(plan["allocation"], total) if "allocation" in plan else None
 
     if two_qubit:

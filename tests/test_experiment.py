@@ -1,5 +1,7 @@
 """Joint outcome probabilities, event sampling and the event-log format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -23,7 +25,18 @@ from qptsim import (
     write_event_log,
 )
 from qptsim.errors import DataError
-from qptsim.experiment import AXIS_LETTERS, OUTCOMES, SETTINGS, events_to_counts
+from qptsim.experiment import (
+    _CHUNK_LINES,
+    _LINE_BYTES,
+    _LOSS_CHUNK,
+    AXIS_LETTERS,
+    OUTCOMES,
+    SETTINGS,
+    _decode_event_log,
+    _parse_event_log,
+    _setting_probs,
+    events_to_counts,
+)
 
 TRIPLET = bell_state(1)
 
@@ -208,6 +221,66 @@ def test_loss_model_preserves_event_count():
     assert len(events) == 900
 
 
+def three_call_lossy_loop(state, plan):
+    """The lossy sampler as first written: per chunk one choice and two random calls."""
+    probs = _setting_probs(state)
+    eta = plan.loss.eta
+    codes = []
+    for idx, setting in enumerate(SETTINGS):
+        n = plan.allocation.get(setting, 0)
+        if n == 0:
+            continue
+        rng = np.random.default_rng([plan.seed, idx])
+        kept, total = [], 0
+        while total < n:
+            trial = rng.choice(4, size=_LOSS_CHUNK, p=probs[idx])
+            detected = (rng.random(_LOSS_CHUNK) < eta) & (rng.random(_LOSS_CHUNK) < eta)
+            kept.append(trial[detected])
+            total += kept[-1].size
+        codes.append((4 * idx + np.concatenate(kept)[:n]).astype(np.uint8))
+    return np.concatenate(codes)
+
+
+@pytest.mark.parametrize("eta", [0.999, 0.42, 0.05])
+def test_lossy_stream_matches_three_call_loop(eta):
+    # one setting gets nothing, one fewer events than a chunk yields at eta 0.05
+    alloc = {s: 250 for s in SETTINGS}
+    alloc[SETTINGS[1]] = 0
+    alloc[SETTINGS[5]] = 3
+    state = BipartiteState.from_coeffs(unitary_group.rvs(2, random_state=8) / np.sqrt(2))
+    plan = ExperimentPlan(total=sum(alloc.values()), allocation=alloc, seed=2024, loss=LossModel(eta))
+    events = run_experiment(state, plan)
+    assert events.dtype == np.uint8
+    assert np.array_equal(events, three_call_lossy_loop(state, plan))
+
+
+def test_lossy_stream_digest_is_frozen():
+    # sha256 of these codes as drawn by the three-call loop
+    plan = ExperimentPlan.uniform(9000, seed=778, loss=LossModel(eta=0.42))
+    digest = hashlib.sha256(run_experiment(TRIPLET, plan).tobytes()).hexdigest()
+    assert digest == "a1632ea5deb3a28403109e356a271816309fbb86d3ada4dcd418ee7d32b859b6"
+
+
+def test_lossy_uniform_of_zero_draws_an_allowed_outcome(monkeypatch):
+    # |11> gives zz outcome (-1,-1) with probability 1 and exactly 0 to the
+    # rest.  Generator.choice inverts its cdf from the right, so a uniform of
+    # exactly 0.0 (which random() can return) still picks (-1,-1).
+    class ZeroUniforms:
+        def __init__(self, seed):
+            pass
+
+        def random(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroUniforms)
+    zz = MeasurementSetting(3, 3)
+    alloc = {s: 0 for s in SETTINGS}
+    alloc[zz] = 5
+    one_one = BipartiteState.from_coeffs(np.array([[0, 0], [0, 1]], dtype=complex))
+    plan = ExperimentPlan(total=5, allocation=alloc, seed=0, loss=LossModel(eta=0.5))
+    assert run_experiment(one_one, plan).tolist() == [code(zz, -1, -1)] * 5
+
+
 def test_loss_model_validation():
     with pytest.raises(ValueError):
         LossModel(eta=0.0)
@@ -366,6 +439,71 @@ def test_event_log_reader_fuzz(tmp_path):
             assert np.array_equal(back, codes)
         read_back += 1
     assert read_back >= 100 and failed > 0
+
+
+def log_header(total):
+    return b"# total=%d seed=0 eta=1.0\n" % total
+
+
+def log_body(n, seed=0):
+    """n random lines as the writer emits them."""
+    codes = np.random.default_rng(seed).integers(0, len(_LINE_BYTES), size=n)
+    return _LINE_BYTES[codes].tobytes()
+
+
+C = _CHUNK_LINES
+# (log bytes, whether the array decoder reads it); the rest are read, or
+# refused, by the line parser
+READER_CASES = {
+    **{f"valid-{n}": (log_header(n) + log_body(n), True) for n in (0, 1, C - 1, C, C + 1, 3 * C + 7)},
+    "bad-line-in-second-chunk": (
+        log_header(C + 6) + log_body(C) + b"x,q,+1,-1\n" + log_body(5), False
+    ),
+    "unsigned-sign-in-second-chunk": (log_header(C + 1) + log_body(C) + b"x,z,+1,-2\n", False),
+    "blank-line": (log_header(5) + log_body(3) + b"\n" + log_body(2, seed=1), False),
+    # 20 lines of 11 bytes: a whole number of 10-byte lines that do not re-encode
+    "crlf-body": (log_header(20) + log_body(20).replace(b"\n", b"\r\n"), False),
+    "crlf-everywhere": ((log_header(20) + log_body(20)).replace(b"\n", b"\r\n"), False),
+    "no-final-newline": (log_header(5) + log_body(5)[:-1], False),
+    "non-ascii-in-third-chunk": (
+        log_header(2 * C + 4) + log_body(2 * C + 1) + b"x,z,+1,-\xe9\n" + log_body(2, seed=1),
+        False,
+    ),
+    "count-mismatch": (log_header(C + 4) + log_body(C + 3), False),
+    "cr-in-header": (b"# total=1\rseed=0 eta=1.0\nx,z,+1,-1\n", False),
+    "no-header": (log_body(3), False),
+}
+
+
+def line_parser_reference(path):
+    """The line parser on a text handle: (codes, header) or the error text."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return _parse_event_log(path, fh)
+    except DataError as exc:
+        return str(exc)
+    except UnicodeDecodeError as exc:
+        return f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log"
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_event_log_reader_matches_line_parser(tmp_path, case):
+    data, decoded = READER_CASES[case]
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        assert (_decode_event_log(path, fh) is not None) == decoded
+    expected = line_parser_reference(path)
+    try:
+        got = read_event_log(path)
+    except DataError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got[0].dtype == np.uint8 and np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
 
 
 def test_event_log_bad_header(tmp_path):

@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import qptsim.pipeline
 from qptsim.cli import main
 from qptsim.errors import ConfigError, DataError
 from qptsim.pipeline import (
+    MAX_TOTAL,
+    MAX_TRIALS,
     PRESETS,
     load_config,
     load_preset,
@@ -111,11 +114,33 @@ def test_parse_minimal_defaults():
         {"device": {"type": "kraus", "ops": [EYE4]}},
         {"input_state": {"coeffs": [[[0.5 * (r == c), 0.0] for c in range(4)] for r in range(4)]}},
         SINGULAR_PAIR_PRODUCT,
+        {"plan": {"total": MAX_TOTAL + 1}},
+        {"plan": {"total": MAX_TRIALS // 1000, "eta": 0.0316}},
+        {"plan": {"total": 100, "eta": 1e-200}},
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
     with pytest.raises(ConfigError):
         parse_config(base_config(**mutation))
+
+
+def test_run_caps(tmp_path, capsys, monkeypatch):
+    # the largest accepted run sits on both caps
+    cfg = parse_config(base_config(plan={"total": MAX_TOTAL, "eta": 0.1}))
+    assert MAX_TOTAL / cfg.eta**2 == pytest.approx(MAX_TRIALS)
+
+    def no_sampling(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(qptsim.pipeline, "run_experiment", no_sampling)
+    for plan, fields in (
+        ({"total": MAX_TOTAL + 1}, "plan.total:"),
+        ({"total": 10**6, "eta": 0.03}, "plan.total, plan.eta:"),
+    ):
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(base_config(plan=plan)))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert one_line_error(capsys).startswith(f"config error: {fields}")
 
 
 def test_parse_missing_required_field():
