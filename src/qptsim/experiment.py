@@ -311,10 +311,10 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
     try:
         with open(path, "rb") as fh:
             parsed = _decode_event_log(path, fh)
-        if parsed is None:
-            with open(path, "r", encoding="ascii") as fh:
-                parsed = _parse_event_log(path, fh)
-        return parsed
+        if parsed is not None:
+            return parsed
+        with open(path, "r", encoding="ascii") as fh:
+            return _parse_event_log(path, fh)
     except OSError as exc:
         raise DataError(f"{path}: cannot read event log: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
