@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, DataError
@@ -27,7 +28,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qptsim",
         description=(

@@ -59,7 +59,8 @@ _LINE_BYTES = _LINE_BYTES.reshape(_N_CELLS, -1)
 # Every other byte maps to 0; the reader's re-encode check rejects it.
 _BYTE_DIGITS = np.zeros(256, dtype=np.uint8)
 _BYTE_DIGITS[list(b"xyz-")] = (0, 1, 2, 1)
-# Lines the array reader decodes at a time; bounds its working memory.
+# Events the sampler, the counter, the log writer and the array reader handle
+# at a time; bounds their working memory.
 _CHUNK_LINES = 1 << 14
 
 _PROB_CLIP = -1e-12
@@ -188,6 +189,18 @@ def joint_probs(state: BipartiteState, setting: MeasurementSetting) -> dict[tupl
     return {o: float(p) for o, p in zip(OUTCOMES, row)}
 
 
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the outcome each uniform in ``u`` draws from ``cdf``.
+
+    Generator.choice inverts ``cdf = p.cumsum(); cdf /= cdf[-1]`` from the
+    right, i.e. counts the cdf entries ``<= u``; ``cdf[3]`` is exactly 1.0
+    and never ``<= u``, so three comparisons give the same outcome.
+    """
+    np.less_equal(cdf[0], u, out=out)
+    out += cdf[1] <= u
+    out += cdf[2] <= u
+
+
 def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
     """Draw coincidence events for every allocated setting, as cell codes.
 
@@ -196,37 +209,49 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
     the others.  With a loss model, physical trials are generated and only
     those where both photons survive are recorded; the recorded statistics
     are unchanged because detection is independent of the outcome.
+
+    The stream is that of ``rng.choice(4, n, p=probs)`` per setting (with
+    loss, of one such call and two ``rng.random`` calls per trial chunk);
+    the uniforms are drawn and inverted in chunks straight into the codes.
     """
     if all(plan.allocation.get(s, 0) == 0 for s in SETTINGS):
         raise ValueError("plan allocates zero events to every setting")
     eta = plan.loss.eta if plan.loss is not None else 1.0
     probs = _setting_probs(state)
-    codes: list[np.ndarray] = []
+    codes = np.empty(plan.total, dtype=np.uint8)
+    end = 0
     for idx, setting in enumerate(SETTINGS):
         n = plan.allocation.get(setting, 0)
         if n == 0:
             continue
+        out = codes[end : end + n]
+        end += n
         rng = np.random.default_rng([plan.seed, idx])
-        pvec = probs[idx]
+        cdf = probs[idx].cumsum()
+        cdf /= cdf[-1]
         if eta >= 1.0:
-            cats = rng.choice(4, size=n, p=pvec)
+            for a in range(0, n, _CHUNK_LINES):
+                u = rng.random(min(_CHUNK_LINES, n - a))
+                _invert_cdf(cdf, u, out[a : a + u.size])
         else:
-            # The stream of one choice(4, _LOSS_CHUNK, p=pvec) and two
-            # random(_LOSS_CHUNK) calls per chunk: choice draws one uniform per
-            # trial and inverts this cdf at it from the right, so only the
-            # trials where both photons survive need inverting.
-            cdf = pvec.cumsum()
-            cdf /= cdf[-1]
-            kept: list[np.ndarray] = []
-            total = 0
-            while total < n:
+            # Each trial chunk draws its outcome, beam-1 and beam-2 uniform
+            # rows in one call.  The outcome uniforms of the trials where
+            # both photons survive are held until about _CHUNK_LINES of them
+            # can be inverted at once: at small eta a trial chunk keeps only
+            # a few.
+            filled = 0
+            kept, held = [], 0
+            while filled < n:
                 u = rng.random((3, _LOSS_CHUNK))
-                keep = cdf.searchsorted(u[0][(u[1] < eta) & (u[2] < eta)], side="right")
-                kept.append(keep)
-                total += keep.size
-            cats = np.concatenate(kept)[:n]
-        codes.append((4 * idx + cats).astype(np.uint8))
-    return np.concatenate(codes)
+                kept.append(u[0][(u[1] < eta) & (u[2] < eta)])
+                held += kept[-1].size
+                if held >= _CHUNK_LINES or filled + held >= n:
+                    u = np.concatenate(kept)[: n - filled]
+                    _invert_cdf(cdf, u, out[filled : filled + u.size])
+                    filled += u.size
+                    kept, held = [], 0
+        out += 4 * idx
+    return codes
 
 
 def _cell_codes(events) -> np.ndarray:
@@ -249,8 +274,12 @@ def _cell_codes(events) -> np.ndarray:
 
 def events_to_counts(events: np.ndarray) -> np.ndarray:
     """(9, 4) table of outcome counts per setting, in fixed enumeration order."""
-    counts = np.bincount(_cell_codes(events), minlength=_N_CELLS)
-    return counts.astype(np.int64).reshape(len(SETTINGS), len(OUTCOMES))
+    codes = _cell_codes(events)
+    counts = np.zeros(_N_CELLS, dtype=np.int64)
+    # bincount casts its input to intp; a chunk at a time bounds that copy
+    for a in range(0, codes.size, _CHUNK_LINES):
+        counts += np.bincount(codes[a : a + _CHUNK_LINES], minlength=_N_CELLS)
+    return counts.reshape(len(SETTINGS), len(OUTCOMES))
 
 
 def table_from_counts(counts: np.ndarray) -> CorrelationTable:
@@ -297,7 +326,8 @@ def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> No
     codes = _cell_codes(events)
     with open(path, "wb") as fh:
         fh.write(f"# total={codes.size} seed={seed} eta={eta!r}\n".encode("ascii"))
-        fh.write(_LINE_BYTES[codes])
+        for a in range(0, codes.size, _CHUNK_LINES):
+            fh.write(_LINE_BYTES.take(codes[a : a + _CHUNK_LINES], axis=0))
 
 
 def read_event_log(path) -> tuple[np.ndarray, dict]:

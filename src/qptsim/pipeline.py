@@ -61,10 +61,11 @@ ESTIMATORS = ("unitary", "choi", "state_only")
 TWO_QUBIT_DEVICES = {"cnot": CNOT, "swap": SWAP}
 PRESETS = ("fig3", "fig4", "cnot", "depol")
 # Bounds on a sampled run, checked before any sampling starts.  Memory grows
-# with plan.total (the event log is written from one 10-byte-per-event array);
-# time grows with the trials the lossy sampler draws, about total / eta**2.
-# The largest accepted run, fig3 with total = 1e7 at eta = 0.1, took 15 s and
-# 164 MB peak RSS through the CLI on a 2-core host, and wrote a 100 MB log.
+# with plan.total by the one-byte code of each event (the sampler, counter and
+# log writer work in bounded chunks); time grows with the trials the lossy
+# sampler draws, about total / eta**2.  The largest accepted run, fig3 with
+# total = 1e7 at eta = 0.1, took 13 s and 49 MB peak RSS through the CLI on a
+# 2-core host, and wrote a 100 MB log.
 MAX_TOTAL = 10**7
 MAX_TRIALS = 10**9
 
@@ -343,8 +344,8 @@ def _output_state(cfg: PipelineConfig) -> BipartiteState:
     return propagate(cfg.channel, cfg.input_state)
 
 
-def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
-    """Draw coincidence events and write the event log."""
+def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
+    """Draw coincidence events and write the event log; returns its path and the events."""
     if cfg.exact:
         raise ConfigError("exact-statistics configs have no event log to simulate")
     loss = LossModel(cfg.eta) if cfg.eta < 1.0 else None
@@ -360,7 +361,12 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
         n = plan.allocation.get(setting, 0)
         print(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
     print(f"wrote {len(events)} events to {path}")
-    return path
+    return path, events
+
+
+def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
+    """Draw coincidence events and write the event log."""
+    return _simulate(cfg, out_dir)[0]
 
 
 def _element_labels(kind: str, shape) -> list[str]:
@@ -378,7 +384,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_result(path: Path, kind: str, cfg: PipelineConfig, result, truth) -> None:
+def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
     lines = [
         f"kind: {kind}",
         f"label: {cfg.label}",
@@ -409,39 +415,29 @@ def _write_result(path: Path, kind: str, cfg: PipelineConfig, result, truth) -> 
         if abs(overlap) > 1e-12:
             truth = np.asarray(truth) * np.exp(1j * np.angle(overlap))
     labels = _element_labels(kind, m.shape)
-    err = result.errors
-    flat = m.reshape(-1)
-    err_re = err.real.reshape(-1) if err is not None else None
-    err_im = err.imag.reshape(-1) if err is not None else None
-    truth_flat = np.asarray(truth).reshape(-1) if truth is not None else None
+
+    def parts(a) -> tuple[list, list]:
+        """Real and imaginary parts of every element, as Python floats."""
+        return a.real.reshape(-1).tolist(), a.imag.reshape(-1).tolist()
+
+    est = parts(m)
+    err = parts(result.errors) if result.errors is not None else None
+    theory = parts(np.asarray(truth)) if truth is not None else None
     for k, label in enumerate(labels):
-        for part in ("re", "im"):
-            est = flat[k].real if part == "re" else flat[k].imag
-            if err is not None:
-                e = err_re[k] if part == "re" else err_im[k]
-                err_s = _fmt(float(e))
-            else:
-                err_s = ""
-            if truth_flat is not None:
-                t = truth_flat[k].real if part == "re" else truth_flat[k].imag
-                truth_s = _fmt(float(t))
-            else:
-                truth_s = ""
-            lines.append(f"{label},{part},{_fmt(float(est))},{err_s},{truth_s}")
-    _write_output(path, lambda p: p.write_text("\n".join(lines) + "\n", encoding="utf-8"))
+        for p, part in enumerate(("re", "im")):
+            err_s = _fmt(err[p][k]) if err is not None else ""
+            truth_s = _fmt(theory[p][k]) if theory is not None else ""
+            lines.append(f"{label},{part},{_fmt(est[p][k])},{err_s},{truth_s}")
+    return "\n".join(lines) + "\n"
 
 
-def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
-    """Estimate the configured quantity and write the result document."""
+def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
+    """Estimate the configured quantity from the events (None for exact
+    statistics) and write the result document; returns its path and text."""
     psi_in = cfg.input_state
-    if cfg.exact:
+    if events is None:
         table = exact_correlations(_output_state(cfg))
-        events = None
     else:
-        events_path = _resolve(out_dir, cfg.out_events)
-        if not events_path.exists():
-            raise DataError(f"event log {events_path} does not exist; run simulate first")
-        events, _header = read_event_log(events_path)
         table = correlations_from_events(events)
 
     if cfg.estimator == "state_only":
@@ -465,21 +461,27 @@ def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
             events, estimate, n_resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed
         )
 
+    text = _format_result(result.kind, cfg, result, truth)
     path = _resolve(out_dir, cfg.out_result)
-    _write_result(path, result.kind, cfg, result, truth)
+    _write_output(path, lambda p: p.write_text(text, encoding="utf-8"))
     print(f"wrote {result.kind} result to {path}")
-    return path
+    return path, text
 
 
-def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
-    """Extract the element table of a result document as a standalone CSV."""
-    result_path = _resolve(out_dir, cfg.out_result)
-    if not result_path.exists():
-        raise DataError(f"result document {result_path} does not exist; run reconstruct first")
-    try:
-        lines = result_path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{result_path}: cannot read result document: {exc}") from None
+def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
+    """Estimate the configured quantity and write the result document."""
+    events = None
+    if not cfg.exact:
+        events_path = _resolve(out_dir, cfg.out_events)
+        if not events_path.exists():
+            raise DataError(f"event log {events_path} does not exist; run simulate first")
+        events, _header = read_event_log(events_path)
+    return _reconstruct(cfg, out_dir, events)[0]
+
+
+def _plotdata(cfg: PipelineConfig, out_dir, result_path: Path, text: str) -> Path:
+    """Write the element table of a result document's text as the plot data."""
+    lines = text.splitlines()
     try:
         start = lines.index("") + 1
     except ValueError:
@@ -493,11 +495,30 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
     return path
 
 
+def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
+    """Extract the element table of a result document as a standalone CSV."""
+    result_path = _resolve(out_dir, cfg.out_result)
+    if not result_path.exists():
+        raise DataError(f"result document {result_path} does not exist; run reconstruct first")
+    try:
+        text = result_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{result_path}: cannot read result document: {exc}") from None
+    return _plotdata(cfg, out_dir, result_path, text)
+
+
 def run_pipeline(cfg: PipelineConfig, out_dir=".") -> dict[str, Path]:
-    """simulate (unless exact), reconstruct, plotdata; one seed end to end."""
+    """simulate (unless exact), reconstruct, plotdata; one seed end to end.
+
+    Each stage hands its product to the next in memory: reconstruct takes
+    the events simulate drew, and plotdata the document reconstruct
+    formatted.  Every file is still written, with the bytes the standalone
+    commands write from each other's files.
+    """
     paths = {}
+    events = None
     if not cfg.exact:
-        paths["events"] = run_simulate(cfg, out_dir)
-    paths["result"] = run_reconstruct(cfg, out_dir)
-    paths["plotdata"] = run_plotdata(cfg, out_dir)
+        paths["events"], events = _simulate(cfg, out_dir)
+    paths["result"], text = _reconstruct(cfg, out_dir, events)
+    paths["plotdata"] = _plotdata(cfg, out_dir, paths["result"], text)
     return paths

@@ -1,6 +1,7 @@
 """Joint outcome probabilities, event sampling and the event-log format."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from qptsim.experiment import (
     OUTCOMES,
     SETTINGS,
     _decode_event_log,
+    _invert_cdf,
     _parse_event_log,
     _setting_probs,
     events_to_counts,
@@ -261,6 +263,54 @@ def test_lossy_stream_digest_is_frozen():
     assert digest == "a1632ea5deb3a28403109e356a271816309fbb86d3ada4dcd418ee7d32b859b6"
 
 
+def choice_sampler(state, plan):
+    """The lossless sampler as first written: one Generator.choice per setting."""
+    probs = _setting_probs(state)
+    codes = []
+    for idx, setting in enumerate(SETTINGS):
+        n = plan.allocation.get(setting, 0)
+        if n == 0:
+            continue
+        rng = np.random.default_rng([plan.seed, idx])
+        codes.append((4 * idx + rng.choice(4, size=n, p=probs[idx])).astype(np.uint8))
+    return np.concatenate(codes)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.42])
+@pytest.mark.parametrize("state_seed", [None, 3, 17])
+def test_stream_matches_choice_across_chunks(state_seed, eta):
+    # allocations on both sides of one and three chunks, and one setting with
+    # nothing; the triplet's xx, yy and zz rows hold zero probabilities, so
+    # their cdfs repeat values
+    C = _CHUNK_LINES
+    sizes = [1, C - 1, C, C + 1, 3 * C + 7, 0, 2, 5, 1]
+    alloc = dict(zip(SETTINGS, sizes))
+    if state_seed is None:
+        state = TRIPLET
+    else:
+        coeffs = unitary_group.rvs(2, random_state=state_seed) / np.sqrt(2)
+        state = BipartiteState.from_coeffs(coeffs)
+    loss = LossModel(eta) if eta < 1.0 else None
+    plan = ExperimentPlan(total=sum(sizes), allocation=alloc, seed=99, loss=loss)
+    events = run_experiment(state, plan)
+    assert events.dtype == np.uint8
+    reference = choice_sampler if loss is None else three_call_lossy_loop
+    assert np.array_equal(events, reference(state, plan))
+
+
+def test_cdf_inversion_counts_entries_at_or_below_u():
+    # Generator.choice's searchsorted(side="right") on uniforms that hit the
+    # cdf's (repeated) values exactly, and on 0.0
+    p = np.array([0.0, 0.25, 0.0, 0.75])
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.array([0.0, 0.1, 0.25, np.nextafter(0.25, 0), np.nextafter(0.25, 1), 0.9, 1 - 2**-53])
+    out = np.empty(u.size, dtype=np.uint8)
+    _invert_cdf(cdf, u, out)
+    assert out.tolist() == cdf.searchsorted(u, side="right").tolist()
+    assert set(out.tolist()) <= {1, 3}
+
+
 def test_lossy_uniform_of_zero_draws_an_allowed_outcome(monkeypatch):
     # |11> gives zz outcome (-1,-1) with probability 1 and exactly 0 to the
     # rest.  Generator.choice inverts its cdf from the right, so a uniform of
@@ -397,6 +447,24 @@ def test_event_log_matches_per_event_format(tmp_path):
     path = tmp_path / "events.csv"
     write_event_log(path, events, seed=12, eta=0.3)
     assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_writer_and_counter_work_in_bounded_chunks(tmp_path):
+    # 1e6 events are 10 MB of log and, cast to intp, 8 MB of codes; neither
+    # may be held whole
+    codes = np.random.default_rng(4).integers(0, len(_LINE_BYTES), size=1_000_000, dtype=np.uint8)
+    path = tmp_path / "events.csv"
+    tracemalloc.start()
+    try:
+        write_event_log(path, codes, seed=4)
+        counts = events_to_counts(codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert np.array_equal(counts.reshape(-1), np.bincount(codes, minlength=len(_LINE_BYTES)))
+    body = path.read_bytes().split(b"\n", 1)[1]
+    assert body == _LINE_BYTES[codes].tobytes()
 
 
 def test_event_log_malformed_line(tmp_path):

@@ -1,6 +1,7 @@
 """Config parsing, pipeline stages, result documents and the CLI."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -292,6 +293,41 @@ def test_pipeline_end_to_end_deterministic(tmp_path):
     run_pipeline(cfg, b)
     for name in ("t_events.csv", "t_result.txt", "t_plotdata.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def lossy_fig3():
+    doc = json.loads((resources.files("qptsim") / "presets" / "fig3.json").read_text("utf-8"))
+    doc["plan"]["eta"] = 0.42
+    return parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "make_cfg",
+    [
+        lambda: load_preset("fig3"),
+        lambda: load_preset("fig4"),
+        lossy_fig3,
+        lambda: parse_config(base_config(plan={
+            "total": 2000, "seed": 5,
+            "allocation": {"xx": 390, "xy": 10, "xz": 100, "yx": 300, "yy": 200,
+                           "yz": 150, "zx": 250, "zy": 350, "zz": 250},
+        })),
+    ],
+    ids=["fig3", "fig4", "fig3-eta0.42", "allocation"],
+)
+def test_pipeline_writes_the_bytes_of_the_staged_commands(tmp_path, make_cfg):
+    # the pipeline hands events and the result document on in memory; the
+    # commands read each other's files
+    cfg = make_cfg()
+    run_pipeline(cfg, tmp_path / "pipeline")
+    staged = tmp_path / "staged"
+    run_simulate(cfg, staged)
+    run_reconstruct(cfg, staged)
+    run_plotdata(cfg, staged)
+    names = sorted(p.name for p in (tmp_path / "pipeline").iterdir())
+    assert names == sorted(p.name for p in staged.iterdir()) and len(names) == 3
+    for name in names:
+        assert (tmp_path / "pipeline" / name).read_bytes() == (staged / name).read_bytes()
 
 
 def test_simulate_then_reconstruct_roundtrip_never_errors(tmp_path):
