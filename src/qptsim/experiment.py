@@ -20,8 +20,9 @@ coincidence, ``axis1,axis2,s1,s2`` with axes as letters x|y|z and signs as
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -322,12 +323,38 @@ def correlations_from_events(events: np.ndarray) -> CorrelationTable:
     return table_from_counts(events_to_counts(events))
 
 
+def write_file(path, first: bytes, rest: Iterable[bytes] = ()) -> None:
+    """Make ``first`` (non-empty) and then the ``rest`` chunks the content of ``path``.
+
+    An existing file is overwritten in place and cut to length, not truncated
+    to zero first: ext4 writes a file that was truncated to zero and
+    rewritten back to disk as soon as it is closed, and truncating it again
+    can wait on that write, so every rewrite of an output paid a disk write
+    of all of it and freed and refilled its page cache.  On a seekable file
+    the first byte goes in last, over a newline: an interrupted rewrite
+    leaves a blank first line, which the event-log and result-document
+    readers reject, not a mix of the old and new bytes.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        seekable = fh.seekable()
+        fh.write(b"\n" + first[1:] if seekable else first)
+        for chunk in rest:
+            fh.write(chunk)
+        if seekable:
+            if os.fstat(fh.fileno()).st_size > fh.tell():
+                fh.truncate()
+            fh.seek(0)
+            fh.write(first[:1])
+
+
 def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> None:
     codes = _cell_codes(events)
-    with open(path, "wb") as fh:
-        fh.write(f"# total={codes.size} seed={seed} eta={eta!r}\n".encode("ascii"))
-        for a in range(0, codes.size, _CHUNK_LINES):
-            fh.write(_LINE_BYTES.take(codes[a : a + _CHUNK_LINES], axis=0))
+    header = f"# total={codes.size} seed={seed} eta={eta!r}\n".encode("ascii")
+    body = (
+        _LINE_BYTES.take(codes[a : a + _CHUNK_LINES], axis=0)
+        for a in range(0, codes.size, _CHUNK_LINES)
+    )
+    write_file(path, header, body)
 
 
 def read_event_log(path) -> tuple[np.ndarray, dict]:

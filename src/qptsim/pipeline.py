@@ -44,6 +44,7 @@ from .experiment import (
     read_event_log,
     run_experiment,
     write_event_log,
+    write_file,
 )
 from .optics import DeviceSpec, compile_device
 from .tomography import (
@@ -463,7 +464,7 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
 
     text = _format_result(result.kind, cfg, result, truth)
     path = _resolve(out_dir, cfg.out_result)
-    _write_output(path, lambda p: p.write_text(text, encoding="utf-8"))
+    _write_output(path, lambda p: write_file(p, text.encode("utf-8")))
     print(f"wrote {result.kind} result to {path}")
     return path, text
 
@@ -490,7 +491,7 @@ def _plotdata(cfg: PipelineConfig, out_dir, result_path: Path, text: str) -> Pat
     if not table or table[0] != "element,part,estimate,error,theory":
         raise DataError(f"{result_path}: malformed element table header")
     path = _resolve(out_dir, cfg.out_plotdata)
-    _write_output(path, lambda p: p.write_text("\n".join(table) + "\n", encoding="utf-8"))
+    _write_output(path, lambda p: write_file(p, ("\n".join(table) + "\n").encode("utf-8")))
     print(f"wrote {len(table) - 1} plot rows to {path}")
     return path
 

@@ -1,6 +1,7 @@
 """Joint outcome probabilities, event sampling and the event-log format."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
@@ -38,6 +39,7 @@ from qptsim.experiment import (
     _parse_event_log,
     _setting_probs,
     events_to_counts,
+    write_file,
 )
 
 TRIPLET = bell_state(1)
@@ -465,6 +467,40 @@ def test_writer_and_counter_work_in_bounded_chunks(tmp_path):
     assert np.array_equal(counts.reshape(-1), np.bincount(codes, minlength=len(_LINE_BYTES)))
     body = path.read_bytes().split(b"\n", 1)[1]
     assert body == _LINE_BYTES[codes].tobytes()
+
+
+def test_interrupted_rewrite_leaves_a_rejected_log(tmp_path):
+    # outputs are rewritten in place; until the first byte goes in last,
+    # line 1 is blank, so no mix of the old and new logs reads as valid
+    path = tmp_path / "events.csv"
+    codes = np.arange(36, dtype=np.uint8)
+    write_event_log(path, codes, seed=1)
+
+    def body():
+        yield _LINE_BYTES[codes[::-1]].tobytes()[:100]
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_file(path, b"# total=36 seed=2 eta=1.0\n", body())
+    with pytest.raises(DataError, match="line 1: missing"):
+        read_event_log(path)
+    write_event_log(path, codes[:5], seed=3)
+    assert path.read_bytes() == b"# total=5 seed=3 eta=1.0\n" + _LINE_BYTES[codes[:5]].tobytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_event_log_written_to_a_pipe():
+    codes = np.arange(36, dtype=np.uint8)
+    r, w = os.pipe()
+    try:
+        write_event_log(f"/dev/fd/{w}", codes, seed=1)
+        os.close(w)
+        w = None
+        assert os.read(r, 1 << 12) == b"# total=36 seed=1 eta=1.0\n" + _LINE_BYTES[codes].tobytes()
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
 
 
 def test_event_log_malformed_line(tmp_path):

@@ -290,6 +290,10 @@ def test_pipeline_end_to_end_deterministic(tmp_path):
     cfg = parse_config(base_config())
     a, b = tmp_path / "a", tmp_path / "b"
     run_pipeline(cfg, a)
+    # outputs are rewritten in place, over longer and shorter old files
+    b.mkdir()
+    for name, scale in (("t_events.csv", 2), ("t_result.txt", 0.5), ("t_plotdata.csv", 3)):
+        (b / name).write_bytes(b"#" * int(scale * (a / name).stat().st_size))
     run_pipeline(cfg, b)
     for name in ("t_events.csv", "t_result.txt", "t_plotdata.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
