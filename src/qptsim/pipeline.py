@@ -39,10 +39,11 @@ from .experiment import (
     ExperimentPlan,
     LossModel,
     MeasurementSetting,
-    correlations_from_events,
+    events_to_counts,
     exact_correlations,
     read_event_log,
     run_experiment,
+    table_from_counts,
     write_event_log,
     write_file,
 )
@@ -51,7 +52,7 @@ from .tomography import (
     CNOT,
     MIN_RESAMPLES,
     SWAP,
-    bootstrap_errors,
+    _bootstrap_counts,
     reconstruct_choi,
     reconstruct_state,
     reconstruct_unitary,
@@ -65,7 +66,7 @@ PRESETS = ("fig3", "fig4", "cnot", "depol")
 # with plan.total by the one-byte code of each event (the sampler, counter and
 # log writer work in bounded chunks); time grows with the trials the lossy
 # sampler draws, about total / eta**2.  The largest accepted run, fig3 with
-# total = 1e7 at eta = 0.1, took 13 s and 49 MB peak RSS through the CLI on a
+# total = 1e7 at eta = 0.1, took 12 s and 51 MB peak RSS through the CLI on a
 # 2-core host, and wrote a 100 MB log.
 MAX_TOTAL = 10**7
 MAX_TRIALS = 10**9
@@ -208,6 +209,18 @@ def _int_field(where: str, v, low: int) -> int:
     return v
 
 
+def _name_field(where: str, v) -> str:
+    """A config string that names output files and is written into UTF-8 documents."""
+    text = str(v)
+    if "\0" in text:
+        raise ConfigError(f"{where}: {text!r} contains a NUL character")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{where}: {text!r} cannot be encoded as UTF-8 ({exc.reason})") from None
+    return text
+
+
 def parse_config(doc: dict) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -286,7 +299,7 @@ def parse_config(doc: dict) -> PipelineConfig:
 
     boot = _section(doc, "bootstrap")
     outputs = _section(doc, "outputs")
-    label = str(doc.get("label", "run"))
+    label = _name_field("label", doc.get("label", "run"))
     return PipelineConfig(
         label=label,
         input_state=probe,
@@ -301,9 +314,11 @@ def parse_config(doc: dict) -> PipelineConfig:
             "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES
         ),
         bootstrap_seed=_int_field("bootstrap.seed", boot.get("seed", 0), 0),
-        out_events=str(outputs.get("events", f"{label}_events.csv")),
-        out_result=str(outputs.get("result", f"{label}_result.txt")),
-        out_plotdata=str(outputs.get("plotdata", f"{label}_plotdata.csv")),
+        out_events=_name_field("outputs.events", outputs.get("events", f"{label}_events.csv")),
+        out_result=_name_field("outputs.result", outputs.get("result", f"{label}_result.txt")),
+        out_plotdata=_name_field(
+            "outputs.plotdata", outputs.get("plotdata", f"{label}_plotdata.csv")
+        ),
     )
 
 
@@ -439,7 +454,8 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
     if events is None:
         table = exact_correlations(_output_state(cfg))
     else:
-        table = correlations_from_events(events)
+        counts = events_to_counts(events)  # counted once; the bootstrap resamples them
+        table = table_from_counts(counts)
 
     if cfg.estimator == "state_only":
         out = _output_state(cfg)
@@ -458,8 +474,8 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 
     if events is not None:
-        result.errors = bootstrap_errors(
-            events, estimate, n_resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed
+        result.errors = _bootstrap_counts(
+            counts, estimate, n_resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed
         )
 
     text = _format_result(result.kind, cfg, result, truth)

@@ -406,11 +406,20 @@ def bootstrap_errors(
     redraws are counted.  That consumes the random stream exactly as
     resampling one table at a time would.
     """
+    return _bootstrap_counts(events_to_counts(events), estimator, n_resamples, seed)
+
+
+def _bootstrap_counts(
+    counts: np.ndarray,
+    estimator: Callable[[CorrelationTable], np.ndarray],
+    n_resamples: int,
+    seed: int,
+) -> BootstrapErrors:
+    """``bootstrap_errors`` of the events whose (9, 4) count table is ``counts``."""
     if n_resamples < MIN_RESAMPLES:
         raise ValueError(
             f"need at least {MIN_RESAMPLES} resamples for stable error bars, got {n_resamples}"
         )
-    counts = events_to_counts(events)
     totals = counts.sum(axis=1)
     if np.any(totals == 0):
         raise IncompleteQuorumError(

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import PCG64, Generator, SeedSequence
 from scipy.stats import unitary_group
 
 from qptsim import (
@@ -26,18 +27,24 @@ from qptsim import (
     tensor,
     write_event_log,
 )
+import qptsim.experiment
 from qptsim.errors import DataError
 from qptsim.experiment import (
     _CHUNK_LINES,
+    _JUMP_BEAM2_BELOW,
+    _JUMP_OUTCOME_BELOW,
     _LINE_BYTES,
+    _LOSS_BLOCK_DOUBLES,
     _LOSS_CHUNK,
     AXIS_LETTERS,
     OUTCOMES,
     SETTINGS,
     _decode_event_log,
     _invert_cdf,
+    _jumped_uniforms,
     _parse_event_log,
     _setting_probs,
+    _stream_jumps,
     events_to_counts,
     write_file,
 )
@@ -245,12 +252,19 @@ def three_call_lossy_loop(state, plan):
     return np.concatenate(codes)
 
 
-@pytest.mark.parametrize("eta", [0.999, 0.42, 0.05])
+@pytest.mark.parametrize("eta", [0.999, 0.42, 0.26, 0.2, 0.07, 0.06, 0.05, 0.03, 0.01])
 def test_lossy_stream_matches_three_call_loop(eta):
-    # one setting gets nothing, one fewer events than a chunk yields at eta 0.05
+    # etas on both sides of both jump crossovers; one setting gets nothing,
+    # one fewer events than a chunk yields at eta 0.05, and two just below and
+    # just above what one block of the jumped sampler is expected to yield
+    assert 0.2 < _JUMP_OUTCOME_BELOW < 0.26 and 0.06 < _JUMP_BEAM2_BELOW < 0.07
+    rows = 1 if eta < _JUMP_BEAM2_BELOW else 2
+    block_yield = _LOSS_BLOCK_DOUBLES // rows * eta**2
     alloc = {s: 250 for s in SETTINGS}
     alloc[SETTINGS[1]] = 0
     alloc[SETTINGS[5]] = 3
+    alloc[SETTINGS[6]] = int(block_yield) - 1
+    alloc[SETTINGS[7]] = int(block_yield) + 2
     state = BipartiteState.from_coeffs(unitary_group.rvs(2, random_state=8) / np.sqrt(2))
     plan = ExperimentPlan(total=sum(alloc.values()), allocation=alloc, seed=2024, loss=LossModel(eta))
     events = run_experiment(state, plan)
@@ -316,21 +330,63 @@ def test_cdf_inversion_counts_entries_at_or_below_u():
 def test_lossy_uniform_of_zero_draws_an_allowed_outcome(monkeypatch):
     # |11> gives zz outcome (-1,-1) with probability 1 and exactly 0 to the
     # rest.  Generator.choice inverts its cdf from the right, so a uniform of
-    # exactly 0.0 (which random() can return) still picks (-1,-1).
+    # exactly 0.0 (which random() can return) still picks (-1,-1), whether
+    # the outcome row is drawn (eta 0.5) or jumped (eta 0.2, and 0.03 where
+    # the beam-2 row is jumped too).
     class ZeroUniforms:
-        def __init__(self, seed):
+        def __init__(self, bit_generator):
             pass
 
         def random(self, size):
             return np.zeros(size)
 
-    monkeypatch.setattr(np.random, "default_rng", ZeroUniforms)
+    def zero_jumped_uniforms(s_lo, s_hi, k, jumps):
+        return np.zeros(k.size)
+
     zz = MeasurementSetting(3, 3)
     alloc = {s: 0 for s in SETTINGS}
     alloc[zz] = 5
     one_one = BipartiteState.from_coeffs(np.array([[0, 0], [0, 1]], dtype=complex))
-    plan = ExperimentPlan(total=5, allocation=alloc, seed=0, loss=LossModel(eta=0.5))
-    assert run_experiment(one_one, plan).tolist() == [code(zz, -1, -1)] * 5
+    for eta in (0.5, 0.2, 0.03):
+        with monkeypatch.context() as patch:
+            if eta >= _JUMP_OUTCOME_BELOW:
+                patch.setattr(np.random, "Generator", ZeroUniforms)
+            else:
+                patch.setattr(qptsim.experiment, "_jumped_uniforms", zero_jumped_uniforms)
+            plan = ExperimentPlan(total=5, allocation=alloc, seed=0, loss=LossModel(eta=eta))
+            assert run_experiment(one_one, plan).tolist() == [code(zz, -1, -1)] * 5
+
+
+@pytest.mark.parametrize("seed", [[0, 0], [2024, 4], [778, 8], [2**64 - 1, 5]])
+def test_jumped_uniforms_match_generator(seed):
+    # every draw of one loss chunk (offsets 0, 1, L-1, L, 2L and 3L-1 among
+    # them), computed from the state before the chunk; the Python-int oracle
+    # below checks that a rotation of 0 and a carry out of the low word occur
+    L = _LOSS_CHUNK
+    mask64, mask128, mult = (1 << 64) - 1, (1 << 128) - 1, 0x2360ED051FC65DA44385DF649FCCF645
+    bitgen = PCG64(SeedSequence(seed))
+    Generator(bitgen).random(seed[1] * 1000 + 1)  # start mid-stream
+    state = bitgen.state["state"]
+    s, inc = state["state"], state["inc"]
+    expected = Generator(bitgen).random(3 * L)
+    jumps, (a_chunk, c_chunk) = _stream_jumps(inc, 3 * L)
+    k = np.arange(3 * L)
+    s_lo = np.full(k.size, s & mask64, dtype=np.uint64)
+    s_hi = np.full(k.size, s >> 64, dtype=np.uint64)
+    u = _jumped_uniforms(s_lo, s_hi, k, jumps)
+    for offset in (0, 1, L - 1, L, 2 * L, 3 * L - 1):
+        assert u[offset] == expected[offset]
+    assert np.array_equal(u, expected)
+    assert bitgen.state["state"]["state"] == (a_chunk * s + c_chunk) & mask128
+
+    rotations_of_zero = carries = 0
+    a, g = 1, 0
+    for _ in range(3 * L):
+        g, a = (g + a) & mask128, a * mult & mask128
+        a_s, c = a * s & mask128, inc * g & mask128
+        rotations_of_zero += ((a_s + c) & mask128) >> 122 == 0
+        carries += (a_s & mask64) + (c & mask64) > mask64
+    assert rotations_of_zero > 0 and carries > 0
 
 
 def test_loss_model_validation():

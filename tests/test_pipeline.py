@@ -7,6 +7,13 @@ import numpy as np
 import pytest
 
 import qptsim.pipeline
+from qptsim import (
+    bootstrap_errors,
+    correlations_from_events,
+    read_event_log,
+    reconstruct_unitary,
+    select_reference,
+)
 from qptsim.cli import main
 from qptsim.errors import ConfigError, DataError
 from qptsim.pipeline import (
@@ -118,6 +125,9 @@ def test_parse_minimal_defaults():
         {"plan": {"total": MAX_TOTAL + 1}},
         {"plan": {"total": MAX_TRIALS // 1000, "eta": 0.0316}},
         {"plan": {"total": 100, "eta": 1e-200}},
+        {"label": "a\ud800"},
+        {"label": "a\x00b"},
+        {"outputs": {"result": "r\udcff.txt"}},
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
@@ -209,6 +219,17 @@ def test_unitary_result_document(tmp_path):
     assert len(table) == 8
     for row in table:
         float(row[2]), float(row[3]), float(row[4])  # all columns populated
+    # the error column is bootstrap_errors of the logged events
+    events, _ = read_event_log(tmp_path / cfg.out_events)
+    ref = select_reference(correlations_from_events(events))
+    errors = bootstrap_errors(
+        events,
+        lambda t: reconstruct_unitary(t, cfg.input_state, ref).matrix,
+        cfg.bootstrap_resamples,
+        seed=cfg.bootstrap_seed,
+    )
+    parts = zip(errors.real.ravel().tolist(), errors.imag.ravel().tolist())
+    assert [row[3] for row in table] == [f"{x:.12g}" for pair in parts for x in pair]
 
 
 def test_theory_column_matches_estimate_gauge(tmp_path):
@@ -396,6 +417,12 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     fresh = tmp_path / "fresh"
     assert main(["reconstruct", "--config", str(cfg_path), "--out", str(fresh)]) == 3
     assert "data error" in capsys.readouterr().err
+
+    # a label UTF-8 cannot encode names no file and fits in no result document
+    surrogate = tmp_path / "surrogate.json"
+    surrogate.write_text(json.dumps(base_config(label="a\ud800")))
+    assert main(["pipeline", "--config", str(surrogate), "--out", str(tmp_path)]) == 2
+    assert one_line_error(capsys).startswith("config error: label:")
 
     latin = tmp_path / "latin.json"
     latin.write_bytes(json.dumps(base_config(label="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
