@@ -9,16 +9,12 @@ estimators with bootstrap error bars, and a config-driven CLI.
 """
 
 from .algebra import (
-    TOL,
     BipartiteState,
-    Tolerances,
     bell_state,
     dagger,
-    det,
     double_ket,
     inverse,
     mat_close,
-    partial_trace,
     pairs,
     pauli,
     permute_qubits,
@@ -74,7 +70,6 @@ from .tomography import (
     correlations_4party,
     density_from_correlations,
     distance_choi,
-    estimate_p,
     faithfulness_check,
     fidelity_unitary,
     reconstruct_choi,

@@ -18,16 +18,11 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric tolerances (single knob for the property tests)."""
-
-    equality: float = 1e-12
-    psd_slack: float = 1e-10
-    invertibility: float = 1e-14
-
-
-TOL = Tolerances()
+# Absolute tolerances: equality of normalizations, slack of hermiticity and
+# positivity checks, and the |det| below which a matrix is singular.
+EQUALITY_TOL = 1e-12
+PSD_SLACK = 1e-10
+INVERTIBILITY_TOL = 1e-14
 
 # Smallest singular value of a coefficient matrix still considered full-rank.
 FULL_RANK_MIN_SV = 1e-7
@@ -114,45 +109,15 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(m: np.ndarray, subsystem: int) -> np.ndarray:
-    """Trace out one qubit of a two-qubit (4x4) operator.
-
-    ``subsystem`` is the factor removed: 1 for the device arm, 2 for the
-    untouched arm.
-    """
-    m = np.asarray(m)
-    if m.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got {m.shape}")
-    t = m.reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        return np.einsum("abac->bc", t)
-    if subsystem == 2:
-        return np.einsum("abcb->ac", t)
-    raise ValueError(f"subsystem must be 1 or 2, got {subsystem!r}")
-
-
-def det(m: np.ndarray) -> complex:
-    """Determinant of a square matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"det expects a square matrix, got shape {m.shape}")
-    return complex(np.linalg.det(m))
-
-
 def inverse(m: np.ndarray) -> np.ndarray:
     """Matrix inverse; rejects matrices singular within tolerance."""
-    d = det(m)
-    if abs(d) < TOL.invertibility:
-        raise ValueError(f"matrix is singular within tolerance (|det| = {abs(d):.3e})")
-    return np.linalg.inv(np.asarray(m))
+    d = abs(np.linalg.det(m))
+    if d < INVERTIBILITY_TOL:
+        raise ValueError(f"matrix is singular within tolerance (|det| = {d:.3e})")
+    return np.linalg.inv(m)
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL.psd_slack) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - dagger(m))) <= tol)
-
-
-def mat_close(a: np.ndarray, b: np.ndarray, tol: float = TOL.equality) -> bool:
+def mat_close(a: np.ndarray, b: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
     """Element-wise equality within an explicit absolute tolerance."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
@@ -179,12 +144,12 @@ def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
     return m.reshape([2] * (2 * n)).transpose(axes).reshape(2**n, 2**n)
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = TOL.psd_slack) -> bool:
+def is_density_matrix(rho: np.ndarray, tol: float = PSD_SLACK) -> bool:
     """Hermitian, unit trace, eigenvalues >= -tol."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if not is_hermitian(rho, tol):
+    if np.max(np.abs(rho - dagger(rho))) > tol:
         return False
     if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > tol:
         return False
@@ -210,7 +175,7 @@ class BipartiteState:
         if psi.shape != (d, d) or d < 2 or d & (d - 1):
             raise ValueError(f"coefficient matrix must be 2^n x 2^n, got {psi.shape}")
         norm = float(np.sum(np.abs(psi) ** 2))
-        if abs(norm - 1.0) > TOL.equality:
+        if abs(norm - 1.0) > EQUALITY_TOL:
             raise ValueError(f"coefficient matrix is not normalized (sum |Psi|^2 = {norm!r})")
         v = psi.reshape(-1)
         rho = np.outer(v, v.conj())

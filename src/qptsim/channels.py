@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .algebra import (
-    TOL,
+    PSD_SLACK,
     BipartiteState,
     dagger,
     double_ket,
@@ -56,7 +56,7 @@ class QuantumChannel:
         choi = choi_from_kraus(ops)  # checks that all operators are d x d
         s = sum(dagger(k) @ k for k in ops)
         excess = np.max(np.linalg.eigvalsh(s - np.eye(len(s))))
-        if excess > TOL.psd_slack:
+        if excess > PSD_SLACK:
             raise ValueError(
                 f"channel increases trace: max eigenvalue of sum K^dag K "
                 f"exceeds 1 by {float(excess):.3e}"
@@ -68,7 +68,7 @@ class QuantumChannel:
         if len(self.kraus_ops) != 1:
             return False
         k = self.kraus_ops[0]
-        return bool(np.max(np.abs(dagger(k) @ k - np.eye(len(k)))) <= TOL.psd_slack)
+        return bool(np.max(np.abs(dagger(k) @ k - np.eye(len(k)))) <= PSD_SLACK)
 
     @property
     def unitary_matrix(self) -> Optional[np.ndarray]:
@@ -105,7 +105,7 @@ def unitary_channel(u: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary must be square, got {u.shape}")
-    if np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) > TOL.psd_slack:
+    if np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))) > PSD_SLACK:
         raise ValueError("matrix is not unitary within tolerance")
     return QuantumChannel.from_kraus([u])
 

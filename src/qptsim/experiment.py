@@ -76,16 +76,16 @@ _PROB_CLIP = -1e-12
 # Trials per loss chunk; each chunk takes three rows of this many uniforms
 # from its setting's stream: outcome, beam-1 and beam-2.
 _LOSS_CHUNK = 4096
-# Below these efficiencies the lossy sampler jumps over a chunk's outcome row,
-# and then also its beam-2 row, instead of drawing it (``_sample_jumped``).
-# Only eta**2 of the outcome row and eta of the beam-2 row are read, and a
-# jumped uniform, with its share of the per-chunk and per-setting work,
-# costs about 15 drawn ones.  Measured crossovers (CPU time, 50,000 events,
-# 9-11 interleaved runs on a 2-core host): jumping the outcome row breaks
-# even at eta 0.25 and the beam-2 row at about 0.065.
-_JUMP_OUTCOME_BELOW = 0.25
-_JUMP_BEAM2_BELOW = 0.065
-# Uniforms the jumped sampler draws per block of loss chunks (512 KB); twice
+# A loss chunk's row is jumped (passed over, with only the uniforms the
+# sampler needs computed from the PCG64 state) when it is read at fewer than
+# 1 in _JUMP_COST of its trials, and drawn otherwise: a jumped uniform, with
+# its share of the per-chunk and per-setting work, costs about 15-16 drawn
+# ones.  The outcome row is read at eta**2 of its trials and the beam-2 row
+# at eta, so they are jumped below eta 0.25 and 0.0625; the crossovers
+# measured for each row (CPU time, 50,000 events, 9-11 interleaved runs on a
+# 2-core host) were 0.25 and about 0.065.
+_JUMP_COST = 16
+# Uniforms the lossy sampler draws per block of loss chunks (512 KB); twice
 # this ran no faster at eta 0.1 or 0.03.
 _LOSS_BLOCK_DOUBLES = 1 << 16
 
@@ -318,51 +318,64 @@ def _jumped_uniforms(s_lo, s_hi, k, jumps) -> np.ndarray:
     return raw * 2.0**-53
 
 
-def _sample_jumped(rng: np.random.Generator, cdf: np.ndarray, eta: float, out: np.ndarray) -> None:
-    """Fill ``out`` with the codes the three-row loss loop draws, reading fewer rows.
+def _sample_lossy(rng: np.random.Generator, cdf: np.ndarray, eta: float, out: np.ndarray) -> None:
+    """Fill ``out`` with the codes the three-row loss loop draws.
 
-    Every loss chunk's beam-1 row is drawn, a block of chunks at a time
-    sized from the expected yield.  Its outcome row, and below
-    _JUMP_BEAM2_BELOW its beam-2 row, are passed over with ``advance``;
-    only the uniforms of the trials that reach them are computed, from the
-    chunk's start state.  The surviving trials are held until about
-    _CHUNK_LINES of them can be inverted at once.  A block may draw past
-    the last chunk the loop would draw; the generator is not used after.
+    A loss chunk's rows are read at a known share of its trials: the beam-1
+    row at all of them, the beam-2 row at eta and the outcome row at eta**2.
+    A row read at fewer than 1 in _JUMP_COST of its trials is jumped: passed
+    over with ``advance``, only the uniforms of the trials that reach it
+    computed from the chunk's start state.  The other rows, which are
+    contiguous since beam-1 is always drawn, are drawn a block of chunks at
+    a time, sized from the expected yield.  The survivors are held, as
+    outcome uniforms or as (state, offset) pairs, until about _CHUNK_LINES
+    of them can be inverted at once.  A block may draw past the last chunk
+    the loop would draw; the generator is not used after.
     """
     L = _LOSS_CHUNK
-    bitgen = rng.bit_generator
-    state = bitgen.state["state"]
-    s = state["state"]
-    rows = 2 if eta >= _JUMP_BEAM2_BELOW else 1  # beam-1, then beam-2 if drawn
-    jumps, (a_chunk, c_chunk) = _stream_jumps(state["inc"], L if rows == 2 else 3 * L)
+    # outcome, beam-1 and beam-2 rows, in stream order
+    drawn = [r for r, share in enumerate((eta * eta, 1.0, eta)) if share >= 1 / _JUMP_COST]
+    first, rows = drawn[0], len(drawn)
+    jumped_beam2 = first + rows < 3
+    if first:
+        bitgen = rng.bit_generator
+        state = bitgen.state["state"]
+        s = state["state"]
+        jumps, (a_chunk, c_chunk) = _stream_jumps(state["inc"], 3 * L if jumped_beam2 else L)
     block = np.empty((_LOSS_BLOCK_DOUBLES // (rows * L), rows, L))
     n, filled = out.size, 0
     held, n_held = [], 0
-    skip = L  # the first chunk's outcome row
+    skip = first * L  # up to the first chunk's first drawn row
     while filled < n:
         m = min(len(block), math.ceil((n - filled - n_held) / (L * eta * eta)))
-        starts = []
-        for drawn in block[:m]:
-            starts.append(s)
-            s = (a_chunk * s + c_chunk) & _MASK128
-            bitgen.advance(skip)
-            rng.random(out=drawn)
-            skip = (3 - rows) * L  # up to the next beam-1 row
-        if rows == 2:
-            hit = np.flatnonzero((block[:m, 0] < eta) & (block[:m, 1] < eta))
+        if not first:
+            rng.random(out=block[:m])  # every row drawn: the chunks are one run
         else:
-            hit = np.flatnonzero(block[:m, 0] < eta)
-        chunk, k = np.divmod(hit, L)
-        s_lo = np.array([v & _MASK64 for v in starts], dtype=np.uint64).take(chunk)
-        s_hi = np.array([v >> 64 for v in starts], dtype=np.uint64).take(chunk)
-        if rows == 1:
-            both = _jumped_uniforms(s_lo, s_hi, k + 2 * L, jumps) < eta
-            s_lo, s_hi, k = s_lo[both], s_hi[both], k[both]
-        held.append((s_lo, s_hi, k))
-        n_held += k.size
+            starts = []
+            for chunk_rows in block[:m]:
+                starts.append(s)
+                s = (a_chunk * s + c_chunk) & _MASK128
+                bitgen.advance(skip)
+                rng.random(out=chunk_rows)
+                skip = (3 - rows) * L  # up to the next chunk's first drawn row
+        fired = block[:m, 1 - first] < eta
+        if not jumped_beam2:
+            fired &= block[:m, 2 - first] < eta
+        if not first:
+            kept = (block[:m, 0][fired],)
+        else:
+            chunk, k = np.divmod(np.flatnonzero(fired), L)
+            s_lo = np.array([v & _MASK64 for v in starts], dtype=np.uint64).take(chunk)
+            s_hi = np.array([v >> 64 for v in starts], dtype=np.uint64).take(chunk)
+            if jumped_beam2:
+                both = _jumped_uniforms(s_lo, s_hi, k + 2 * L, jumps) < eta
+                s_lo, s_hi, k = s_lo[both], s_hi[both], k[both]
+            kept = (s_lo, s_hi, k)
+        held.append(kept)
+        n_held += kept[-1].size
         if n_held >= _CHUNK_LINES or filled + n_held >= n:
-            s_lo, s_hi, k = (np.concatenate(parts)[: n - filled] for parts in zip(*held))
-            u = _jumped_uniforms(s_lo, s_hi, k, jumps)
+            parts = [np.concatenate(p)[: n - filled] for p in zip(*held)]
+            u = _jumped_uniforms(*parts, jumps) if first else parts[0]
             _invert_cdf(cdf, u, out[filled : filled + u.size])
             filled += u.size
             held, n_held = [], 0
@@ -380,10 +393,9 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
     The stream is that of ``rng.choice(4, n, p=probs)`` per setting; the
     uniforms are drawn and inverted in chunks straight into the codes.
     With loss it is that of one such call and two ``rng.random`` calls per
-    trial chunk: an outcome row, a beam-1 row and a beam-2 row.  Each row
-    is drawn or jumped by a rule on eta: below _JUMP_OUTCOME_BELOW the
-    outcome row is jumped, and below _JUMP_BEAM2_BELOW the beam-2 row too
-    (``_sample_jumped``); the beam-1 row is always drawn.
+    trial chunk: an outcome row, a beam-1 row and a beam-2 row.  A row
+    read at fewer than 1 in _JUMP_COST of its trials is jumped, any other
+    drawn (``_sample_lossy``).
     """
     if all(plan.allocation.get(s, 0) == 0 for s in SETTINGS):
         raise ValueError("plan allocates zero events to every setting")
@@ -398,7 +410,7 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
         out = codes[end : end + n]
         end += n
         # the stream of np.random.default_rng([plan.seed, idx]), named in full
-        # because the jumped sampler relies on PCG64's state arithmetic;
+        # because the lossy sampler relies on PCG64's state arithmetic;
         # numpy.random is loaded on this first use, not at import
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([plan.seed, idx])))
         cdf = probs[idx].cumsum()
@@ -407,25 +419,8 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
             for a in range(0, n, _CHUNK_LINES):
                 u = rng.random(min(_CHUNK_LINES, n - a))
                 _invert_cdf(cdf, u, out[a : a + u.size])
-        elif eta < _JUMP_OUTCOME_BELOW:
-            _sample_jumped(rng, cdf, eta, out)
         else:
-            # Each trial chunk draws its outcome, beam-1 and beam-2 uniform
-            # rows in one call.  The outcome uniforms of the trials where
-            # both photons survive are held until about _CHUNK_LINES of them
-            # can be inverted at once: at small eta a trial chunk keeps only
-            # a few.
-            filled = 0
-            kept, held = [], 0
-            while filled < n:
-                u = rng.random((3, _LOSS_CHUNK))
-                kept.append(u[0][(u[1] < eta) & (u[2] < eta)])
-                held += kept[-1].size
-                if held >= _CHUNK_LINES or filled + held >= n:
-                    u = np.concatenate(kept)[: n - filled]
-                    _invert_cdf(cdf, u, out[filled : filled + u.size])
-                    filled += u.size
-                    kept, held = [], 0
+            _sample_lossy(rng, cdf, eta, out)
         out += 4 * idx
     return codes
 

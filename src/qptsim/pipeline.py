@@ -175,8 +175,7 @@ def _parse_allocation(spec, total: int) -> dict:
     for key, n in spec.items():
         if len(key) != 2 or key[0] not in LETTER_AXES or key[1] not in LETTER_AXES:
             raise ConfigError(f"plan.allocation: keys must be axis pairs like 'xz', got {key!r}")
-        if not isinstance(n, int) or n < 0:
-            raise ConfigError(f"plan.allocation[{key!r}]: counts must be non-negative integers")
+        n = _int_field(f"plan.allocation[{key!r}]", n, 0)
         alloc[MeasurementSetting(LETTER_AXES[key[0]], LETTER_AXES[key[1]])] = n
     if sum(alloc.values()) != total:
         raise ConfigError("plan.allocation: counts must sum to plan.total")
@@ -492,7 +491,14 @@ def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
         events_path = _resolve(out_dir, cfg.out_events)
         if not events_path.exists():
             raise DataError(f"event log {events_path} does not exist; run simulate first")
-        events, _header = read_event_log(events_path)
+        events, header = read_event_log(events_path)
+        # the result document reports the config's values; the log must share them
+        for field, value in (("total", cfg.total), ("seed", cfg.seed), ("eta", cfg.eta)):
+            if header[field] != value:
+                raise DataError(
+                    f"{events_path}: header {field}={header[field]!r} does not match "
+                    f"the config's {field} {value!r}"
+                )
     return _reconstruct(cfg, out_dir, events)[0]
 
 

@@ -138,21 +138,6 @@ def _checked_column(table: CorrelationTable, ref: tuple[int, int], floor: float)
     return col, p
 
 
-def estimate_p(
-    table: CorrelationTable,
-    reference: tuple[int, int] = (0, 1),
-    floor: float = P_FLOOR,
-) -> float:
-    """Population of the reference basis pair, the diagonal element rho[r, r].
-
-    For the default |01> reference this is the fraction of events with the
-    beam-1 z-detector firing on h and the beam-2 one on v.  A value below
-    the floor raises DegenerateReferenceError; |10>, |11> or |00> can then
-    be used instead.
-    """
-    return _checked_column(table, _check_reference(reference), floor)[1]
-
-
 def select_reference(table: CorrelationTable, floor: float = P_FLOOR) -> tuple[int, int]:
     """First non-degenerate reference pair in the order |01>, |10>, |11>, |00>.
 

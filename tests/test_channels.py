@@ -16,7 +16,6 @@ from qptsim import (
     identity_channel,
     mat_close,
     pairs,
-    partial_trace,
     pauli,
     propagate,
     tensor,
@@ -50,8 +49,8 @@ def test_apply_depolarizing():
     # operator-sum with the four-Kraus set evaluated directly:
     # (1-p)|0><0| + p I/2 = diag(0.85, 0.15) at p = 0.3 on beam 1 of |00>
     out = propagate(depolarizing(0.3), BipartiteState.from_coeffs(KET0))
-    assert mat_close(partial_trace(out.density, 2), np.diag([0.85, 0.15]))
-    assert mat_close(partial_trace(out.density, 1), KET0)
+    assert mat_close(np.einsum("abcb->ac", out.density.reshape(2, 2, 2, 2)), np.diag([0.85, 0.15]))
+    assert mat_close(np.einsum("abac->bc", out.density.reshape(2, 2, 2, 2)), KET0)
 
 
 def test_propagate_identity_triplet():
@@ -101,8 +100,8 @@ def test_isotropy_of_maximally_entangled_outputs():
     for j in range(4):
         u = unitary_group.rvs(2, random_state=rng)
         out = propagate(unitary_channel(u), bell_state(j))
-        assert mat_close(partial_trace(out.density, 1), np.eye(2) / 2)
-        assert mat_close(partial_trace(out.density, 2), np.eye(2) / 2)
+        assert mat_close(np.einsum("abac->bc", out.density.reshape(2, 2, 2, 2)), np.eye(2) / 2)
+        assert mat_close(np.einsum("abcb->ac", out.density.reshape(2, 2, 2, 2)), np.eye(2) / 2)
 
 
 def test_choi_identity_corners():

@@ -31,8 +31,7 @@ import qptsim.experiment
 from qptsim.errors import DataError
 from qptsim.experiment import (
     _CHUNK_LINES,
-    _JUMP_BEAM2_BELOW,
-    _JUMP_OUTCOME_BELOW,
+    _JUMP_COST,
     _LINE_BYTES,
     _LOSS_BLOCK_DOUBLES,
     _LOSS_CHUNK,
@@ -252,14 +251,16 @@ def three_call_lossy_loop(state, plan):
     return np.concatenate(codes)
 
 
-@pytest.mark.parametrize("eta", [0.999, 0.42, 0.26, 0.2, 0.07, 0.06, 0.05, 0.03, 0.01])
+@pytest.mark.parametrize(
+    "eta", [0.999, 0.42, 0.26, _JUMP_COST**-0.5, 0.2, 0.07, 1 / _JUMP_COST, 0.06, 0.05, 0.03, 0.01]
+)
 def test_lossy_stream_matches_three_call_loop(eta):
-    # etas on both sides of both jump crossovers; one setting gets nothing,
-    # one fewer events than a chunk yields at eta 0.05, and two just below and
-    # just above what one block of the jumped sampler is expected to yield
-    assert 0.2 < _JUMP_OUTCOME_BELOW < 0.26 and 0.06 < _JUMP_BEAM2_BELOW < 0.07
-    rows = 1 if eta < _JUMP_BEAM2_BELOW else 2
-    block_yield = _LOSS_BLOCK_DOUBLES // rows * eta**2
+    # etas on both sides of both crossovers of the row rule and on each; one
+    # setting gets nothing, one fewer events than a chunk yields at eta 0.05,
+    # and two just below and just above what one block is expected to yield
+    assert 0.2 < _JUMP_COST**-0.5 < 0.26 and 0.06 < 1 / _JUMP_COST < 0.07
+    rows = sum(share >= 1 / _JUMP_COST for share in (eta * eta, 1.0, eta))
+    block_yield = _LOSS_BLOCK_DOUBLES // (rows * _LOSS_CHUNK) * _LOSS_CHUNK * eta**2
     alloc = {s: 250 for s in SETTINGS}
     alloc[SETTINGS[1]] = 0
     alloc[SETTINGS[5]] = 3
@@ -331,14 +332,15 @@ def test_lossy_uniform_of_zero_draws_an_allowed_outcome(monkeypatch):
     # |11> gives zz outcome (-1,-1) with probability 1 and exactly 0 to the
     # rest.  Generator.choice inverts its cdf from the right, so a uniform of
     # exactly 0.0 (which random() can return) still picks (-1,-1), whether
-    # the outcome row is drawn (eta 0.5) or jumped (eta 0.2, and 0.03 where
-    # the beam-2 row is jumped too).
+    # every row is drawn (eta 0.5), the outcome row jumped (eta 0.2) or the
+    # beam-2 row jumped too (eta 0.03).
     class ZeroUniforms:
         def __init__(self, bit_generator):
-            pass
+            self.bit_generator = bit_generator
 
-        def random(self, size):
-            return np.zeros(size)
+        def random(self, out):
+            out[...] = 0.0
+            return out
 
     def zero_jumped_uniforms(s_lo, s_hi, k, jumps):
         return np.zeros(k.size)
@@ -347,14 +349,11 @@ def test_lossy_uniform_of_zero_draws_an_allowed_outcome(monkeypatch):
     alloc = {s: 0 for s in SETTINGS}
     alloc[zz] = 5
     one_one = BipartiteState.from_coeffs(np.array([[0, 0], [0, 1]], dtype=complex))
+    monkeypatch.setattr(np.random, "Generator", ZeroUniforms)
+    monkeypatch.setattr(qptsim.experiment, "_jumped_uniforms", zero_jumped_uniforms)
     for eta in (0.5, 0.2, 0.03):
-        with monkeypatch.context() as patch:
-            if eta >= _JUMP_OUTCOME_BELOW:
-                patch.setattr(np.random, "Generator", ZeroUniforms)
-            else:
-                patch.setattr(qptsim.experiment, "_jumped_uniforms", zero_jumped_uniforms)
-            plan = ExperimentPlan(total=5, allocation=alloc, seed=0, loss=LossModel(eta=eta))
-            assert run_experiment(one_one, plan).tolist() == [code(zz, -1, -1)] * 5
+        plan = ExperimentPlan(total=5, allocation=alloc, seed=0, loss=LossModel(eta=eta))
+        assert run_experiment(one_one, plan).tolist() == [code(zz, -1, -1)] * 5
 
 
 @pytest.mark.parametrize("seed", [[0, 0], [2024, 4], [778, 8], [2**64 - 1, 5]])

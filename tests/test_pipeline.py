@@ -128,6 +128,7 @@ def test_parse_minimal_defaults():
         {"label": "a\ud800"},
         {"label": "a\x00b"},
         {"outputs": {"result": "r\udcff.txt"}},
+        {"plan": {"total": 100, "allocation": {"xx": 99, "yy": True}}},
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
@@ -203,6 +204,28 @@ def test_reconstruct_before_simulate_is_data_error(tmp_path):
     cfg = parse_config(base_config())
     with pytest.raises(DataError):
         run_reconstruct(cfg, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "field, plan",
+    [
+        ("total", {"total": 2999, "seed": 11, "eta": 1.0}),
+        ("seed", {"total": 3000, "seed": 5, "eta": 1.0}),
+        ("eta", {"total": 3000, "seed": 11, "eta": 0.9}),
+    ],
+)
+def test_reconstruct_rejects_a_log_of_another_config(tmp_path, capsys, field, plan):
+    # the result document reports the config's total, seed and eta, so a log
+    # whose header disagrees with any of them is a data error, exit 3
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config(plan=plan)))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    cfg_path.write_text(json.dumps(base_config()))
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = one_line_error(capsys)
+    assert f"header {field}=" in err and f"config's {field} " in err
+    assert not (tmp_path / "t_result.txt").exists()
 
 
 def test_unitary_result_document(tmp_path):

@@ -20,7 +20,6 @@ from qptsim import (
     depolarizing,
     distance_choi,
     double_ket,
-    estimate_p,
     exact_correlations,
     faithfulness_check,
     fidelity_unitary,
@@ -64,12 +63,12 @@ def up_to_phase(a, b, tol=1e-10):
 
 def test_estimate_p_rejects_bad_reference():
     with pytest.raises(ValueError):
-        estimate_p(exact_correlations(TRIPLET), reference=(0, 2))
+        reconstruct_state(exact_correlations(TRIPLET), reference=(0, 2))
 
 
 def test_state_estimate_is_reference_column_of_density():
     # rho[:, r] = Psi Psi_r^* for a pure output, so the estimate is that
-    # column over sqrt(rho[r, r]) and estimate_p is the clipped diagonal
+    # column over sqrt(rho[r, r]) and its reported p is the clipped diagonal
     rng = np.random.default_rng(101)
     states = [random_full_rank_state(rng, min_sv=0.0) for _ in range(50)]
     for w in (0.2, 0.5, 1.0):
@@ -81,26 +80,29 @@ def test_state_estimate_is_reference_column_of_density():
         for ref in ((0, 1), (1, 0), (1, 1), (0, 0)):
             r = 2 * ref[0] + ref[1]
             p = min(max(rho[r, r].real, 0.0), 1.0)
-            assert estimate_p(table, ref, floor=0.0) == pytest.approx(p, abs=1e-12)
+            with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 divides by 0
+                res = reconstruct_state(table, ref, p_floor=0.0)
+            assert res.diagnostics["p"] == pytest.approx(p, abs=1e-12)
             if p < 1e-6:
                 continue
-            psi = reconstruct_state(table, ref).matrix
+            psi = res.matrix
             col = rho[:, r].reshape(2, 2) / np.sqrt(rho[r, r].real)
             phase = np.vdot(col, psi)
             assert mat_close(psi, col * phase / abs(phase), tol=1e-12)
 
 
 def test_estimate_p_triplet():
-    assert estimate_p(exact_correlations(TRIPLET)) == pytest.approx(0.5, abs=1e-12)
+    p = reconstruct_state(exact_correlations(TRIPLET), (0, 1)).diagnostics["p"]
+    assert p == pytest.approx(0.5, abs=1e-12)
 
 
 def test_estimate_p_degenerate_for_phi_plus():
     with pytest.raises(DegenerateReferenceError):
-        estimate_p(exact_correlations(bell_state(0)))
+        reconstruct_state(exact_correlations(bell_state(0)), (0, 1))
 
 
 def test_estimate_p_maximally_mixed():
-    assert estimate_p(mixed_table()) == pytest.approx(0.25)
+    assert reconstruct_state(mixed_table(), (0, 1)).diagnostics["p"] == pytest.approx(0.25)
 
 
 def test_reconstruct_state_triplet_exact():
