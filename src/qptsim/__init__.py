@@ -13,7 +13,6 @@ from .algebra import (
     bell_state,
     dagger,
     double_ket,
-    inverse,
     mat_close,
     pairs,
     pauli,

@@ -18,11 +18,10 @@ from typing import Optional
 import numpy as np
 
 
-# Absolute tolerances: equality of normalizations, slack of hermiticity and
-# positivity checks, and the |det| below which a matrix is singular.
+# Absolute tolerances: equality of normalizations, and slack of hermiticity
+# and positivity checks.
 EQUALITY_TOL = 1e-12
 PSD_SLACK = 1e-10
-INVERTIBILITY_TOL = 1e-14
 
 # Smallest singular value of a coefficient matrix still considered full-rank.
 FULL_RANK_MIN_SV = 1e-7
@@ -109,14 +108,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def inverse(m: np.ndarray) -> np.ndarray:
-    """Matrix inverse; rejects matrices singular within tolerance."""
-    d = abs(np.linalg.det(m))
-    if d < INVERTIBILITY_TOL:
-        raise ValueError(f"matrix is singular within tolerance (|det| = {d:.3e})")
-    return np.linalg.inv(m)
-
-
 def mat_close(a: np.ndarray, b: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
     """Element-wise equality within an explicit absolute tolerance."""
     a, b = np.asarray(a), np.asarray(b)
@@ -199,6 +190,13 @@ class BipartiteState:
         sv = np.linalg.svd(self.coeffs, compute_uv=False)
         sv.setflags(write=False)
         return sv
+
+    @cached_property
+    def coeffs_inverse(self) -> np.ndarray:
+        """Inverse of the coefficient matrix of a faithful probe, taken once."""
+        if not self.full_rank:
+            raise ValueError("only a full-rank pure state has an inverse coefficient matrix")
+        return _frozen(np.linalg.inv(self.coeffs))
 
     @property
     def full_rank(self) -> bool:

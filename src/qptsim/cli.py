@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 data error.
+Exit codes: 0 success, 2 configuration error, 3 data error.  A reader that
+closes stdout early (``| head -1``) is no error: the progress lines it misses
+are dropped, every file is still written and the exit code is unchanged.
 """
 
 from __future__ import annotations

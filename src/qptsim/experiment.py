@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
@@ -104,6 +105,8 @@ class LossModel:
     eta: float
 
     def __post_init__(self):
+        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
+            raise ValueError(f"detector efficiency must be a number, got {self.eta!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"detector efficiency must be in (0, 1], got {self.eta}")
 
@@ -118,11 +121,15 @@ class ExperimentPlan:
     loss: Optional[LossModel] = None
 
     def __post_init__(self):
+        alloc = dict(self.allocation)
+        counts = [(f"allocation for setting {s}", n) for s, n in alloc.items()]
+        for what, v in [("total coincidence count", self.total), ("seed", self.seed)] + counts:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{what} must be an integer, got {v!r}")
         if self.total <= 0:
             raise ValueError(f"total coincidence count must be positive, got {self.total}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        alloc = dict(self.allocation)
         for s, n in alloc.items():
             if s not in SETTINGS:
                 raise ValueError(f"unknown setting {s!r} in allocation")
@@ -187,8 +194,15 @@ _S1 = np.array([o[0] for o in OUTCOMES])
 _S2 = np.array([o[1] for o in OUTCOMES])
 _A1 = np.array([s.axis1 for s in SETTINGS])
 _A2 = np.array([s.axis2 for s in SETTINGS])
-# Columns: s1*s2, s1, s2 of each outcome.
-_SIGNS = np.stack([_S1 * _S2, _S1, _S2], axis=1)
+# (36, 16) maps from cell counts (row 4*k + o: setting k, outcome o) to the
+# numerators and pooled counts of table entries (column 4*i + j: entry (i, j)):
+# setting (a1, a2) adds s1*s2 to (a1, a2), s1 to (a1, 0), s2 to (0, a2), 1 to (0, 0).
+_SETTING_ENTRIES = 4 * _A1 + _A2
+_TABLE_NUM = np.zeros((len(SETTINGS), len(OUTCOMES), 16))
+for _entries, _signs in zip((_SETTING_ENTRIES, 4 * _A1, _A2, 0), (_S1 * _S2, _S1, _S2, 1)):
+    _TABLE_NUM[np.arange(len(SETTINGS)), :, _entries] = _signs
+_TABLE_NUM = _TABLE_NUM.reshape(_N_CELLS, 16)
+_TABLE_DEN = np.abs(_TABLE_NUM)
 
 
 def _setting_probs(state: BipartiteState) -> np.ndarray:
@@ -457,35 +471,22 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     """Empirical correlation table from per-setting outcome counts.
 
     Marginal entries pool every event that measured the given axis on the
-    given beam, regardless of the partner axis.  Numerators are summed as
-    integers and divided once.  A (B, 9, 4) stack of count tables gives a
-    batch of B tables.
+    given beam, regardless of the partner axis.  Flattened counts c give the
+    flattened table ``(c @ _TABLE_NUM) / (c @ _TABLE_DEN)``: sums of whole
+    counts, exact in float64, divided once.  A (B, 9, 4) stack of count
+    tables gives a batch of B tables.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), 4):
         raise ValueError(
             f"expected a {len(SETTINGS)}x4 count table or a stack of them, got {counts.shape}"
         )
-    per_setting = counts.sum(axis=-1)
-    empty = (per_setting == 0).reshape(-1, len(SETTINGS)).any(axis=0)
+    c = counts.reshape(-1, _N_CELLS).astype(float)
+    den = c @ _TABLE_DEN
+    empty = (den[:, _SETTING_ENTRIES] == 0).any(axis=0)
     if empty.any():
         raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(empty)])
-
-    lead = counts.shape[:-2]
-    # SETTINGS is axis1-major, so (9,) -> (3, 3) puts axis1 on rows, axis2 on columns.
-    num = np.moveaxis(counts @ _SIGNS, -1, -2).reshape(lead + (3, 3, 3))
-    n = per_setting.reshape(lead + (3, 3))
-    n_table = np.empty(lead + (4, 4), dtype=np.int64)
-    n_table[..., 0, 0] = n.sum(axis=(-2, -1))
-    n_table[..., 1:, 1:] = n
-    n_table[..., 1:, 0] = n.sum(axis=-1)
-    n_table[..., 0, 1:] = n.sum(axis=-2)
-    sums = np.empty(lead + (4, 4), dtype=np.int64)
-    sums[..., 0, 0] = n_table[..., 0, 0]
-    sums[..., 1:, 1:] = num[..., 0, :, :]
-    sums[..., 1:, 0] = num[..., 1, :, :].sum(axis=-1)
-    sums[..., 0, 1:] = num[..., 2, :, :].sum(axis=-2)
-    return CorrelationTable(entries=sums / n_table)
+    return CorrelationTable(entries=((c @ _TABLE_NUM) / den).reshape(counts.shape[:-2] + (4, 4)))
 
 
 def correlations_from_events(events: np.ndarray) -> CorrelationTable:

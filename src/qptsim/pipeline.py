@@ -14,6 +14,8 @@ on its own.
 from __future__ import annotations
 
 import json
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -355,6 +357,14 @@ def _write_output(path: Path, write) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _say(line: str) -> None:
+    """Print a progress line; once stdout's reader has gone, drop it and the rest."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _output_state(cfg: PipelineConfig) -> BipartiteState:
     return propagate(cfg.channel, cfg.input_state)
 
@@ -374,8 +384,8 @@ def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
     _write_output(path, lambda p: write_event_log(p, events, seed=cfg.seed, eta=cfg.eta))
     for setting in SETTINGS:
         n = plan.allocation.get(setting, 0)
-        print(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
-    print(f"wrote {len(events)} events to {path}")
+        _say(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
+    _say(f"wrote {len(events)} events to {path}")
     return path, events
 
 
@@ -480,7 +490,7 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
     text = _format_result(result.kind, cfg, result, truth)
     path = _resolve(out_dir, cfg.out_result)
     _write_output(path, lambda p: write_file(p, text.encode("utf-8")))
-    print(f"wrote {result.kind} result to {path}")
+    _say(f"wrote {result.kind} result to {path}")
     return path, text
 
 
@@ -514,7 +524,7 @@ def _plotdata(cfg: PipelineConfig, out_dir, result_path: Path, text: str) -> Pat
         raise DataError(f"{result_path}: malformed element table header")
     path = _resolve(out_dir, cfg.out_plotdata)
     _write_output(path, lambda p: write_file(p, ("\n".join(table) + "\n").encode("utf-8")))
-    print(f"wrote {len(table) - 1} plot rows to {path}")
+    _say(f"wrote {len(table) - 1} plot rows to {path}")
     return path
 
 

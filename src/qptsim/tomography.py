@@ -30,7 +30,6 @@ from .algebra import (
     FULL_RANK_MIN_SV,
     BipartiteState,
     dagger,
-    inverse,
     pairs,
     pauli_coefficients,
     pauli_expand,
@@ -107,16 +106,38 @@ def _per_row(metric, estimate: np.ndarray, truth: np.ndarray):
     return np.array([metric(m, truth) for m in estimate])
 
 
+def _column_terms(ref: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The (16, 4) map T -> rho[:, ref], T_ij times sigma_i[a, n0] sigma_j[b, m0] / 4
+    in element (a, b), as (4, 8) entry indices and weights: each element's
+    real and imaginary part, interleaved, sums at most four entries times
+    +-1/4, by j then i as sigma_.[:, n0]^T T sigma_.[:, m0] does; an empty
+    slot adds +0.0 from entry (0, 0)."""
+    coeff = np.einsum("ia,jb->abji", *(_PAULI_STACK[:, :, n] for n in ref)) / 4.0
+    parts = np.stack([coeff.real, coeff.imag], axis=2).reshape(8, 16)
+    rows, weights = np.zeros((4, 8), dtype=int), np.zeros((4, 8))
+    for k, part in enumerate(parts):
+        nz = np.flatnonzero(part)
+        rows[: nz.size, k], weights[: nz.size, k] = nz % 4 * 4 + nz // 4, part[nz]
+    return rows, weights
+
+
+_COLUMN_TERMS = {ref: _column_terms(ref) for ref in _REF_LABEL}
+
+
 def _reference_column(table: CorrelationTable, ref: tuple[int, int]):
     """Column rho[:, ref] of the output density matrix as a 2x2 array, and
     its diagonal element clipped to [0, 1], the population of ``ref``; one
-    of each per row of a batch.  The state estimators read one pair; a wider
-    table is a ValueError."""
-    if table.entries.shape[-2:] != (4, 4) or table.entries.ndim != 2 + table.batched:
-        raise ValueError(f"the state estimators read one pair, got a {table.entries.shape} table")
-    n0, m0 = ref
-    col = _PAULI_STACK[:, :, n0].T @ table.entries @ _PAULI_STACK[:, :, m0] / 4.0
-    return col, np.minimum(np.maximum(col[..., n0, m0].real, 0.0), 1.0)
+    of each per row of a batch, each summed element-wise from the table as
+    ``_column_terms(ref)`` lists, so batch rows and single tables agree bit
+    for bit.  The state estimators read one pair; a wider table is a ValueError."""
+    shape = table.entries.shape
+    if shape[-2:] != (4, 4) or len(shape) != 2 + table.batched:
+        raise ValueError(f"the state estimators read one pair, got a {shape} table")
+    rows, weights = _COLUMN_TERMS[ref]
+    terms = np.ascontiguousarray(table.entries.reshape(-1, 16).T)[rows] * weights[..., None]
+    parts = (terms[0] + terms[1]) + (terms[2] + terms[3])
+    col = np.ascontiguousarray(parts.T).view(complex).reshape(shape[:-2] + (2, 2))
+    return col, np.minimum(np.maximum(col[(..., *ref)].real, 0.0), 1.0)
 
 
 def _checked_column(table: CorrelationTable, ref: tuple[int, int], floor: float):
@@ -234,21 +255,36 @@ def reconstruct_unitary(
     diagnostic, never enforced.
     """
     cond = _require_faithful(psi_in)
+    if psi_in.coeffs.shape != (2, 2):
+        raise ValueError(f"the unitary estimator takes a one-pair probe, got {psi_in.coeffs.shape}")
     state = reconstruct_state(t_out, reference)
-    u = state.matrix @ inverse(psi_in.coeffs)
-    d = np.linalg.det(u)
+    # U = M Psi^{-1}, det U and ||U^dag U - I|| in closed form on a (B, 2, 2)
+    # stack, one row for a single table, so no step falls to scalar arithmetic
+    m, inv = state.matrix.reshape(-1, 2, 2), psi_in.coeffs_inverse
+    u = m[:, :, :1] * inv[0] + m[:, :, 1:] * inv[1]
+    # det U by one pivoted elimination step, the pivot the larger |re| + |im|
+    # of column 0, as an LU factorization takes it (a zero column gives 0)
+    size = np.abs(u[:, :, 0].real) + np.abs(u[:, :, 0].imag)
+    swap = size[:, 1] > size[:, 0]
+    (p, q), (r, s) = np.where(swap[:, None, None], u[:, ::-1], u).transpose(1, 2, 0)
+    d = np.where(swap, -p, p) * (s - r / np.where(p == 0.0, 1.0, p) * q)
     by_det = np.abs(d) > 1e-8
     phase = np.exp(-0.5j * np.angle(d))
     gauge = _GAUGE_DET
     if not by_det.all():
-        flat = u.reshape(u.shape[:-2] + (4,))
-        k = np.argmax(np.abs(flat), axis=-1)[..., None]
-        big = np.take_along_axis(flat, k, axis=-1)[..., 0]
+        flat = u.reshape(-1, 4)
+        big = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
         big_phase = np.where(np.abs(big) > 0.0, np.exp(-1j * np.angle(big)), 1.0)
         phase = np.where(by_det, phase, big_phase)
         gauge = _GAUGE_MAX if not by_det.any() else _GAUGE_MIXED
-    u = u * phase[..., None, None]
-    deviation = _frobenius(dagger(u) @ u - np.eye(2))
+    u = u * phase[:, None, None]
+    # ||U^dag U - I||: the columns' squared norms less 1, and twice their squared overlap
+    sq = u.real**2 + u.imag**2
+    norms = sq[:, 0] + sq[:, 1] - 1.0
+    overlap = u[:, 0, 0].conj() * u[:, 0, 1] + u[:, 1, 0].conj() * u[:, 1, 1]
+    overlap_sq = overlap.real**2 + overlap.imag**2
+    deviation = np.sqrt(norms[:, 0] ** 2 + norms[:, 1] ** 2 + 2.0 * overlap_sq)
+    u, deviation = u.reshape(state.matrix.shape), deviation.reshape(state.matrix.shape[:-2])
     diagnostics = _diagnostics(
         t_out.batched,
         p=state.diagnostics["p"],
@@ -261,18 +297,6 @@ def reconstruct_unitary(
     return ReconstructionResult(
         kind="device_unitary", matrix=u, gauge=gauge, diagnostics=diagnostics
     )
-
-
-def _frobenius(x: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a matrix, or of each matrix in a stack.
-
-    Each norm is the square root of two dot products, the real and the
-    imaginary parts, as ``np.linalg.norm`` takes it for one matrix, so a
-    batch row and a single call agree bit for bit.
-    """
-    flat = x.reshape(x.shape[:-2] + (1, -1))
-    sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
-    return np.sqrt(sq[..., 0, 0])
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -311,10 +335,7 @@ def reconstruct_choi(
     rho = density_from_correlations(t_out)
     if rho.shape[-1] != d * d:
         raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
-    eye = np.eye(d)
-    # full rank is checked above; inverse()'s absolute |det| floor would also
-    # refuse faithful products of pairs, whose determinant falls much faster
-    inv = np.linalg.inv
+    eye, inv = np.eye(d), np.linalg.inv  # full rank is checked above, by singular values
     choi = _hermitize(np.kron(eye, inv(psi.T)) @ rho @ np.kron(eye, inv(psi.conj())))
     tr = np.trace(choi, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):

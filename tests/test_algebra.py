@@ -8,7 +8,6 @@ from qptsim import (
     bell_state,
     dagger,
     double_ket,
-    inverse,
     mat_close,
     pairs,
     pauli,
@@ -92,13 +91,15 @@ def test_tensor_rejects_vectors():
         tensor(np.ones(2), np.eye(2))
 
 
-def test_inverse():
-    assert mat_close(inverse(pauli(1) / RT2), RT2 * pauli(1))
-    with pytest.raises(ValueError):
-        inverse(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    # invertible in floating point, but below the |det| floor
-    with pytest.raises(ValueError, match="singular within tolerance"):
-        inverse(np.diag([1.0, 1e-15]))
+def test_coeffs_inverse_of_a_faithful_pure_state_only():
+    probe = BipartiteState.from_coeffs(np.array([[0.6, 0.2j], [0.0, 0.6]]) / np.sqrt(0.76))
+    inv = probe.coeffs_inverse
+    assert inv is probe.coeffs_inverse and not inv.flags.writeable
+    assert mat_close(inv @ probe.coeffs, np.eye(2))
+    with pytest.raises(ValueError, match="full-rank"):
+        BipartiteState.from_coeffs(np.diag([1.0, 0.0])).coeffs_inverse
+    with pytest.raises(ValueError, match="pure states"):
+        BipartiteState.from_density(np.eye(4) / 4).coeffs_inverse
 
 
 def test_mat_close_tolerance():

@@ -45,6 +45,7 @@ from qptsim.experiment import (
     _setting_probs,
     _stream_jumps,
     events_to_counts,
+    table_from_counts,
     write_file,
 )
 
@@ -393,6 +394,10 @@ def test_loss_model_validation():
         LossModel(eta=0.0)
     with pytest.raises(ValueError):
         LossModel(eta=1.2)
+    with pytest.raises(ValueError, match="must be a number"):
+        LossModel(eta=True)
+    with pytest.raises(ValueError, match="must be a number"):
+        LossModel(eta="0.5")
 
 
 def test_correlations_single_event_average():
@@ -458,6 +463,63 @@ def test_counts_and_table_match_per_event_loops():
         ref[a, 0] = float((counts[rows1] * s1).sum()) / n[rows1].sum()
         ref[0, a] = float((counts[rows2] * s2).sum()) / n[rows2].sum()
     assert np.array_equal(correlations_from_events(events).entries, ref)
+
+
+def pooled_sums_table(counts):
+    """Reference: each entry's signed and pooled event counts summed as
+    Python integers over the settings and outcomes it pools, divided once."""
+    table = np.empty((4, 4))
+    for i in range(4):
+        for j in range(4):
+            num = den = 0
+            for k, (a1, a2) in enumerate(SETTINGS):
+                if i not in (0, a1) or j not in (0, a2):
+                    continue
+                for o, (s1, s2) in enumerate(OUTCOMES):
+                    n = int(counts[k, o])
+                    num += n * (s1 if i else 1) * (s2 if j else 1)
+                    den += n
+            table[i, j] = num / den
+    return table
+
+
+def test_table_from_counts_equals_integer_pooled_sums():
+    # the (36, 16) maps sum whole counts in float64, which is exact, so the
+    # table is the integer reference bit for bit, zero cells included
+    rng = np.random.default_rng(59)
+    counts = rng.integers(0, 10**7 + 1, size=(6, len(SETTINGS), len(OUTCOMES)))
+    counts[0] = rng.integers(0, 3, size=(len(SETTINGS), len(OUTCOMES)))
+    counts[1, :, 1:] = 0  # only (+,+) outcomes: every correlation is 1
+    counts[2, :, :2] = 0  # s1 = -1 everywhere
+    counts[3] = 10**7
+    counts[0, :, 0] += 1  # no empty setting
+    expected = np.stack([pooled_sums_table(c) for c in counts])
+    assert table_from_counts(counts).entries.tobytes() == expected.tobytes()
+    for c, e in zip(counts, expected):
+        assert table_from_counts(c).entries.tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seed": True},
+        {"seed": 1.0},
+        {"total": True, "allocation": {SETTINGS[0]: 1}},
+        {"total": 2.0},
+        {"allocation": {SETTINGS[0]: 2.0}},
+        {"total": 1, "allocation": {SETTINGS[0]: True}},
+        {"allocation": {SETTINGS[0]: np.float64(2)}},
+    ],
+)
+def test_plan_refuses_bools_and_non_integers(kwargs):
+    plan = {"total": 2, "allocation": {SETTINGS[0]: 2}, "seed": 0, **kwargs}
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExperimentPlan(**plan)
+
+
+def test_plan_and_loss_model_take_numpy_numbers():
+    plan = ExperimentPlan(np.int64(2), {SETTINGS[0]: np.int32(2)}, np.uint64(7), LossModel(np.float64(0.5)))
+    assert run_experiment(TRIPLET, plan).size == 2
 
 
 def test_missing_setting_listed():

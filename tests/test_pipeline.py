@@ -1,11 +1,15 @@
 """Config parsing, pipeline stages, result documents and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import qptsim
 import qptsim.pipeline
 from qptsim import (
     bootstrap_errors,
@@ -317,7 +321,7 @@ def test_cnot_preset_pipeline(tmp_path):
 def test_two_pair_probe_near_full_rank_floor_runs(tmp_path):
     # the product probe's smallest singular value, 1.7e-7 x 0.707, passes the
     # full-rank floor of 1e-7, while its determinant, 7e-15, is below the
-    # 1e-14 floor of algebra.inverse
+    # 1e-14 |det| floor that a determinant-based singularity check would use
     s = 1.7e-7
     doc = base_config(
         input_state={"coeffs": [[[np.sqrt(1 - s * s), 0.0], [0.0, 0.0]], [[0.0, 0.0], [s, 0.0]]]},
@@ -341,6 +345,27 @@ def test_pipeline_end_to_end_deterministic(tmp_path):
     run_pipeline(cfg, b)
     for name in ("t_events.csv", "t_result.txt", "t_plotdata.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_closed_stdout_still_writes_every_file(tmp_path):
+    # the reader of the progress lines quits after the first, as `| head -1`
+    # does: the rest are dropped, with no traceback, and the run goes on;
+    # unbuffered, each line is written as it is printed
+    src = os.path.dirname(os.path.dirname(qptsim.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+    piped, direct = tmp_path / "piped", tmp_path / "direct"
+    cmd = [sys.executable, "-m", "qptsim.cli", "pipeline", "--preset", "fig3", "--out", str(piped)]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert first.startswith(b"x,x: ") and err == b""
+    run_pipeline(load_preset("fig3"), direct)
+    for name in ("fig3_events.csv", "fig3_result.txt", "fig3_plotdata.csv"):
+        assert (piped / name).read_bytes() == (direct / name).read_bytes()
 
 
 def lossy_fig3():

@@ -36,7 +36,8 @@ from qptsim import (
     two_pair_output_state,
     unitary_channel,
 )
-from qptsim.algebra import pauli_coefficients, permute_qubits
+from qptsim.algebra import _PAULI_STACK, dagger, pauli_coefficients, permute_qubits
+from qptsim.tomography import _reference_column
 
 TRIPLET = bell_state(1)
 RT2 = np.sqrt(2.0)
@@ -377,6 +378,8 @@ def test_estimators_reject_tables_of_other_pair_counts():
         reconstruct_choi(two_pair, TRIPLET)
     with pytest.raises(ValueError):
         reconstruct_choi(exact_correlations(TRIPLET), pairs(TRIPLET, TRIPLET))
+    with pytest.raises(ValueError, match="one-pair probe"):
+        reconstruct_unitary(exact_correlations(TRIPLET), pairs(TRIPLET, TRIPLET))
 
 
 def test_probe_singular_values_taken_once(monkeypatch):
@@ -390,6 +393,55 @@ def test_probe_singular_values_taken_once(monkeypatch):
     for _ in range(3):
         reconstruct_unitary(table, probe)
     assert len(calls) == 1
+
+
+def test_probe_inverse_taken_once(monkeypatch):
+    # every unitary fit of one probe, single or batched, shares one inversion
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
+    probe = BipartiteState.from_coeffs(np.diag([np.cos(0.3), np.sin(0.3)]))
+    table = exact_correlations(propagate(unitary_channel(pauli(1)), probe))
+    batch = CorrelationTable(entries=np.stack([table.entries] * 5))
+    for t in (table, table, batch):
+        reconstruct_unitary(t, probe, (0, 1))
+    assert len(calls) == 1
+
+
+def assert_ulps(a, b, scale, ulps=4):
+    """a equals b within a few units in the last place of ``scale``, the
+    magnitude of the terms the two were computed from."""
+    assert np.all(np.abs(a - b) <= ulps * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("ref", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_reference_column_and_unitary_match_the_matrix_formulas(ref):
+    # references: rho[:, ref] as a product of Pauli columns, U = M Psi^-1 by
+    # numpy's inverse, det U by np.linalg.det and the deviation by norm()
+    n0, m0 = ref
+    rng = np.random.default_rng(71 + 2 * n0 + m0)
+    tables = rng.uniform(-1.0, 1.0, size=(300, 4, 4))
+    tables[:, 0, 0] = 1.0
+    cols = _PAULI_STACK[:, :, n0].T @ tables @ _PAULI_STACK[:, :, m0] / 4.0
+    tables = CorrelationTable(entries=tables[cols[:, n0, m0].real >= 1e-6])
+    probe = random_full_rank_state(rng)
+    res = reconstruct_unitary(tables, probe, ref)
+    for k, t in enumerate(tables.entries):
+        col = _PAULI_STACK[:, :, n0].T @ t @ _PAULI_STACK[:, :, m0] / 4.0
+        p = min(col[n0, m0].real, 1.0)
+        assert_ulps(_reference_column(CorrelationTable(entries=t), ref)[0], col, 1.0)
+        single = reconstruct_unitary(CorrelationTable(entries=t), probe, ref)
+        u = single.matrix
+        assert u.tobytes() == res.matrix[k].tobytes()
+        deviation = single.diagnostics["unitarity_deviation"]
+        assert deviation == res.diagnostics["unitarity_deviation"][k]
+        # the estimate is M Psi^-1 rotated by a phase that makes det U real positive
+        expected = col / np.sqrt(p) @ np.linalg.inv(probe.coeffs)
+        d = np.linalg.det(expected)
+        size = np.abs(u).max()
+        assert_ulps(u, expected * np.exp(-0.5j * np.angle(d)), size, ulps=16)
+        assert_ulps(np.linalg.det(u), abs(d), size**2, ulps=16)
+        assert_ulps(deviation, np.linalg.norm(dagger(u) @ u - np.eye(2)), 1 + size**2, ulps=16)
 
 
 def test_choi_core_three_pairs_random_unitary():
