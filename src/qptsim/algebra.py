@@ -51,8 +51,8 @@ def pauli(i: int) -> np.ndarray:
     the horizontal/vertical encoding (|0> horizontal), and sigma_y is the
     standard [[0,-i],[i,0]].
     """
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be in 0..3, got {i!r}")
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i not in (0, 1, 2, 3):
+        raise ValueError(f"Pauli index must be an integer in 0..3, got {i!r}")
     return _PAULI[i]
 
 

@@ -3,15 +3,19 @@
 Exit codes: 0 success, 2 configuration error, 3 data error.  A reader that
 closes stdout early (``| head -1``) is no error: the progress lines it misses
 are dropped, every file is still written and the exit code is unchanged.
+With stderr closed (``2>&-``) or unwritable, the error line is dropped and
+the exit code is still 2 or 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
+import os
 import sys
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, PlanError
 from .pipeline import (
     PRESETS,
     load_config,
@@ -64,16 +68,21 @@ def main(argv=None) -> int:
     try:
         cfg = load_preset(args.preset) if args.preset else load_config(args.config)
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must fit in 64 unsigned bits")
-            cfg.seed = args.seed
+            if cfg.plan is None:
+                raise ConfigError("--seed: an exact-statistics config has no plan seed")
+            try:
+                cfg.plan = dataclasses.replace(cfg.plan, seed=args.seed)
+            except PlanError as exc:
+                raise ConfigError(f"--seed: {exc.problem}") from None
         _COMMANDS[args.command](cfg, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
+    except (ConfigError, DataError) as exc:
+        kind, code = ("config", 2) if isinstance(exc, ConfigError) else ("data", 3)
+        if sys.stderr is not None:  # None when fd 2 was closed at start; print would use stdout
+            try:
+                print(f"{kind} error: {exc}", file=sys.stderr, flush=True)
+            except OSError:  # drop the line, pointed at the null device so exit flushes nothing
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+        return code
     return 0
 
 

@@ -33,6 +33,14 @@ class UnfaithfulInputError(QptError):
         )
 
 
+class PlanError(QptError, ValueError):
+    """An experiment plan that cannot run; ``fields`` names the arguments at fault."""
+
+    def __init__(self, fields: tuple, problem: str):
+        self.fields, self.problem = fields, problem
+        super().__init__(f"{', '.join(fields)}: {problem}")
+
+
 class ConfigError(QptError):
     """Invalid pipeline configuration (CLI exit code 2)."""
 

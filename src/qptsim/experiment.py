@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .algebra import BipartiteState, pauli_coefficients
-from .errors import DataError, IncompleteQuorumError
+from .errors import DataError, IncompleteQuorumError, PlanError
 
 
 class MeasurementSetting(NamedTuple):
@@ -46,7 +46,6 @@ class MeasurementSetting(NamedTuple):
 
 AXES = (1, 2, 3)
 AXIS_LETTERS = {1: "x", 2: "y", 3: "z"}
-LETTER_AXES = {v: k for k, v in AXIS_LETTERS.items()}
 
 # Fixed enumeration order of the quorum settings and of the four joint
 # outcomes within a setting; samplers and allocators rely on it.
@@ -98,6 +97,22 @@ _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
 
+# Bounds on a sampled run, checked when its plan is made, before any sampling
+# starts.  Memory grows with total by the one-byte code of each event (the
+# sampler, counter and log writer work in bounded chunks); time grows with the
+# trials the lossy sampler draws, about total / eta**2.  The largest accepted
+# run, fig3 with total = 1e7 at eta = 0.1, took 12 s and 51 MB peak RSS
+# through the CLI on a 2-core host, and wrote a 100 MB log.
+MAX_TOTAL = 10**7
+MAX_TRIALS = 10**9
+
+
+def _check_integer(field: str, what: str, v) -> None:
+    """Refuse ``v`` unless it is an integer; numpy integers pass, bools do not."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise PlanError((field,), f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LossModel:
     """Equal per-detector efficiency; coincidences post-select double clicks."""
@@ -106,14 +121,17 @@ class LossModel:
 
     def __post_init__(self):
         if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
-            raise ValueError(f"detector efficiency must be a number, got {self.eta!r}")
+            raise PlanError(("eta",), f"detector efficiency must be a number, got {self.eta!r}")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"detector efficiency must be in (0, 1], got {self.eta}")
+            raise PlanError(("eta",), f"detector efficiency must be in (0, 1], got {self.eta}")
+        object.__setattr__(self, "eta", float(self.eta))
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """How many coincidences to record per setting, and with which seed."""
+    """How many coincidences to record per setting, and with which seed.
+
+    A bad plan, or one over MAX_TOTAL or MAX_TRIALS, raises PlanError."""
 
     total: int
     allocation: Mapping[MeasurementSetting, int]
@@ -121,27 +139,44 @@ class ExperimentPlan:
     loss: Optional[LossModel] = None
 
     def __post_init__(self):
-        alloc = dict(self.allocation)
-        counts = [(f"allocation for setting {s}", n) for s, n in alloc.items()]
-        for what, v in [("total coincidence count", self.total), ("seed", self.seed)] + counts:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{what} must be an integer, got {v!r}")
-        if self.total <= 0:
-            raise ValueError(f"total coincidence count must be positive, got {self.total}")
+        _check_integer("total", "the coincidence count", self.total)
+        _check_integer("seed", "the seed", self.seed)
+        if not 0 < self.total <= MAX_TOTAL:
+            raise PlanError(("total",), f"must be 1 to {MAX_TOTAL} coincidences, got {self.total}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise PlanError(("seed",), f"must fit in 64 unsigned bits, got {self.seed}")
+        if not isinstance(self.allocation, Mapping):
+            raise PlanError(("allocation",), f"expected a mapping, got {self.allocation!r}")
+        alloc = dict(self.allocation)
         for s, n in alloc.items():
             if s not in SETTINGS:
-                raise ValueError(f"unknown setting {s!r} in allocation")
+                raise PlanError(("allocation",), f"unknown setting {s!r}")
+            what = f"the count of setting {AXIS_LETTERS[s[0]]}{AXIS_LETTERS[s[1]]}"
+            _check_integer("allocation", what, n)
             if n < 0:
-                raise ValueError(f"negative allocation for setting {s}")
+                raise PlanError(("allocation",), f"{what} must be at least 0, got {n}")
         if sum(alloc.values()) != self.total:
-            raise ValueError("allocation does not sum to the total coincidence count")
+            raise PlanError(("allocation",), f"the counts must sum to total ({self.total})")
+        if self.loss is not None and not isinstance(self.loss, LossModel):
+            raise PlanError(("loss",), f"expected a LossModel or None, got {self.loss!r}")
+        trials = self.total / self.eta / self.eta  # eta**2 can underflow to 0.0
+        if trials > MAX_TRIALS:
+            raise PlanError(
+                ("total", "eta"),
+                f"{self.total} coincidences at efficiency {self.eta} need about "
+                f"{trials:.4g} trials, more than the cap of {MAX_TRIALS:.0e}",
+            )
         object.__setattr__(self, "allocation", alloc)
+
+    @property
+    def eta(self) -> float:
+        """The per-detector efficiency: the loss model's, or 1.0 without one."""
+        return self.loss.eta if self.loss is not None else 1.0
 
     @classmethod
     def uniform(cls, total: int, seed: int, loss: Optional[LossModel] = None) -> "ExperimentPlan":
         """Split the total equally; the remainder goes to the earliest settings."""
+        _check_integer("total", "the coincidence count", total)
         base, rem = divmod(total, len(SETTINGS))
         alloc = {s: base + (1 if k < rem else 0) for k, s in enumerate(SETTINGS)}
         return cls(total=total, allocation=alloc, seed=seed, loss=loss)
@@ -411,9 +446,7 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
     read at fewer than 1 in _JUMP_COST of its trials is jumped, any other
     drawn (``_sample_lossy``).
     """
-    if all(plan.allocation.get(s, 0) == 0 for s in SETTINGS):
-        raise ValueError("plan allocates zero events to every setting")
-    eta = plan.loss.eta if plan.loss is not None else 1.0
+    eta = plan.eta
     probs = _setting_probs(state)
     codes = np.empty(plan.total, dtype=np.uint8)
     end = 0
@@ -476,11 +509,15 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     counts, exact in float64, divided once.  A (B, 9, 4) stack of count
     tables gives a batch of B tables.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.asarray(counts)
     if counts.ndim not in (2, 3) or counts.shape[-2:] != (len(SETTINGS), 4):
         raise ValueError(
             f"expected a {len(SETTINGS)}x4 count table or a stack of them, got {counts.shape}"
         )
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+    if (counts < 0).any():
+        raise ValueError("counts must be at least 0")
     c = counts.reshape(-1, _N_CELLS).astype(float)
     den = c @ _TABLE_DEN
     empty = (den[:, _SETTING_ENTRIES] == 0).any(axis=0)

@@ -33,14 +33,12 @@ from .channels import (
     propagate,
     unitary_channel,
 )
-from .errors import ConfigError, DataError, NullEventError
+from .errors import ConfigError, DataError, NullEventError, PlanError
 from .experiment import (
-    LETTER_AXES,
     SETTINGS,
     AXIS_LETTERS,
     ExperimentPlan,
     LossModel,
-    MeasurementSetting,
     events_to_counts,
     exact_correlations,
     read_event_log,
@@ -64,14 +62,6 @@ from .tomography import (
 ESTIMATORS = ("unitary", "choi", "state_only")
 TWO_QUBIT_DEVICES = {"cnot": CNOT, "swap": SWAP}
 PRESETS = ("fig3", "fig4", "cnot", "depol")
-# Bounds on a sampled run, checked before any sampling starts.  Memory grows
-# with plan.total by the one-byte code of each event (the sampler, counter and
-# log writer work in bounded chunks); time grows with the trials the lossy
-# sampler draws, about total / eta**2.  The largest accepted run, fig3 with
-# total = 1e7 at eta = 0.1, took 12 s and 51 MB peak RSS through the CLI on a
-# 2-core host, and wrote a 100 MB log.
-MAX_TOTAL = 10**7
-MAX_TRIALS = 10**9
 
 # Accepted keys of the config root and of each of its sections.
 _CONFIG_KEYS = (
@@ -87,17 +77,14 @@ _SECTION_KEYS = {
 @dataclass
 class PipelineConfig:
     """A parsed run.  ``input_state`` is the probe: for a two-qubit device,
-    the two pairs ``pairs(input_state, input_state_b)``."""
+    the two pairs ``pairs(input_state, input_state_b)``.  ``plan`` is None
+    for exact statistics."""
 
     label: str
     input_state: BipartiteState
     channel: QuantumChannel
     estimator: str
-    exact: bool
-    total: int
-    seed: int
-    eta: float
-    allocation: Optional[dict]
+    plan: Optional[ExperimentPlan]
     bootstrap_resamples: int
     bootstrap_seed: int
     out_events: str
@@ -119,10 +106,10 @@ def _parse_state(field: str, spec) -> BipartiteState:
     if not isinstance(spec, dict):
         raise ConfigError(f"{field}: expected an object with 'bell' or 'coeffs'")
     if "bell" in spec:
-        j = spec["bell"]
-        if j not in (0, 1, 2, 3):
-            raise ConfigError(f"{field}.bell: index must be in 0..3, got {j!r}")
-        return bell_state(j)
+        try:
+            return bell_state(spec["bell"])
+        except ValueError as exc:
+            raise ConfigError(f"{field}.bell: {exc}") from None
     if "coeffs" in spec:
         rows = spec["coeffs"]
         try:
@@ -170,18 +157,29 @@ def _parse_device(spec) -> QuantumChannel:
     )
 
 
-def _parse_allocation(spec, total: int) -> dict:
-    if not isinstance(spec, dict):
-        raise ConfigError("plan.allocation: expected an object")
-    alloc = {}
-    for key, n in spec.items():
-        if len(key) != 2 or key[0] not in LETTER_AXES or key[1] not in LETTER_AXES:
-            raise ConfigError(f"plan.allocation: keys must be axis pairs like 'xz', got {key!r}")
-        n = _int_field(f"plan.allocation[{key!r}]", n, 0)
-        alloc[MeasurementSetting(LETTER_AXES[key[0]], LETTER_AXES[key[1]])] = n
-    if sum(alloc.values()) != total:
-        raise ConfigError("plan.allocation: counts must sum to plan.total")
-    return alloc
+def _parse_plan(spec: dict) -> Optional[ExperimentPlan]:
+    """The plan of a ``plan`` section, None for exact statistics.  The library
+    types check it; a plan they refuse is a config error naming its fields."""
+    exact = spec.get("exact", False)
+    if not isinstance(exact, bool):
+        raise ConfigError(f"plan.exact: expected true or false, got {exact!r}")
+    if exact:
+        if len(spec) > 1:
+            others = ", ".join(repr(k) for k in spec if k != "exact")
+            raise ConfigError(f"plan: an exact-statistics plan takes no other key, got {others}")
+        return None
+    total, seed, alloc = spec.get("total", 0), spec.get("seed", 0), spec.get("allocation")
+    if isinstance(alloc, dict):  # keys name settings by their axis letters, such as 'xz'
+        names = {AXIS_LETTERS[s.axis1] + AXIS_LETTERS[s.axis2]: s for s in SETTINGS}
+        alloc = {names.get(key, key): n for key, n in alloc.items()}
+    try:
+        loss = LossModel(spec.get("eta", 1.0))
+        if "allocation" not in spec:
+            return ExperimentPlan.uniform(total, seed, loss=loss)
+        return ExperimentPlan(total, alloc, seed, loss)
+    except PlanError as exc:
+        fields = ", ".join(f"plan.{f}" for f in exc.fields)
+        raise ConfigError(f"{fields}: {exc.problem}") from None
 
 
 def _check_keys(where: str, doc: dict, allowed) -> None:
@@ -255,37 +253,11 @@ def parse_config(doc: dict) -> PipelineConfig:
                 f"(a full-rank coefficient matrix)"
             )
 
-    plan = _section(doc, "plan")
-    exact = plan.get("exact", False)
-    if not isinstance(exact, bool):
-        raise ConfigError(f"plan.exact: expected true or false, got {exact!r}")
-    total = _int_field("plan.total", plan.get("total", 0), 0)
-    seed = _int_field("plan.seed", plan.get("seed", 0), 0)
-    if seed >= 2**64:
-        raise ConfigError("plan.seed: must fit in 64 unsigned bits")
-    eta = plan.get("eta", 1.0)
-    if isinstance(eta, bool) or not isinstance(eta, (int, float)):
-        raise ConfigError(f"plan.eta: expected a number, got {eta!r}")
-    eta = float(eta)
-    if not exact:
-        if total <= 0:
-            raise ConfigError("plan.total: a positive coincidence count is required")
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"plan.eta: efficiency must be in (0, 1], got {eta}")
-        if total > MAX_TOTAL:
-            raise ConfigError(f"plan.total: at most {MAX_TOTAL} coincidences, got {total}")
-        trials = total / eta / eta  # eta**2 can underflow to 0.0
-        if trials > MAX_TRIALS:
-            raise ConfigError(
-                f"plan.total, plan.eta: {total} coincidences at efficiency {eta} need about "
-                f"{trials:.4g} trials, more than the cap of {MAX_TRIALS:.0e}"
-            )
-    allocation = _parse_allocation(plan["allocation"], total) if "allocation" in plan else None
-
+    plan = _parse_plan(_section(doc, "plan"))
     if two_qubit:
         if estimator != "choi":
             raise ConfigError("two-qubit devices require the choi estimator")
-        if not exact:
+        if plan is not None:
             raise ConfigError("two-qubit devices support exact statistics only (plan.exact = true)")
         if not probe.full_rank:  # each pair can be faithful while their product is not
             names = " and ".join(states)
@@ -306,11 +278,7 @@ def parse_config(doc: dict) -> PipelineConfig:
         input_state=probe,
         channel=channel,
         estimator=estimator,
-        exact=exact,
-        total=total,
-        seed=seed,
-        eta=eta,
-        allocation=allocation,
+        plan=plan,
         bootstrap_resamples=_int_field(
             "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES
         ),
@@ -371,17 +339,12 @@ def _output_state(cfg: PipelineConfig) -> BipartiteState:
 
 def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
     """Draw coincidence events and write the event log; returns its path and the events."""
-    if cfg.exact:
+    plan = cfg.plan
+    if plan is None:
         raise ConfigError("exact-statistics configs have no event log to simulate")
-    loss = LossModel(cfg.eta) if cfg.eta < 1.0 else None
-    allocation = cfg.allocation
-    if allocation is None:
-        plan = ExperimentPlan.uniform(cfg.total, cfg.seed, loss=loss)
-    else:
-        plan = ExperimentPlan(total=cfg.total, allocation=allocation, seed=cfg.seed, loss=loss)
     events = run_experiment(_output_state(cfg), plan)
     path = _resolve(out_dir, cfg.out_events)
-    _write_output(path, lambda p: write_event_log(p, events, seed=cfg.seed, eta=cfg.eta))
+    _write_output(path, lambda p: write_event_log(p, events, seed=plan.seed, eta=plan.eta))
     for setting in SETTINGS:
         n = plan.allocation.get(setting, 0)
         _say(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
@@ -410,17 +373,18 @@ def _fmt(x: float) -> str:
 
 
 def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
+    plan = cfg.plan
     lines = [
         f"kind: {kind}",
         f"label: {cfg.label}",
         f"estimator: {cfg.estimator}",
-        f"exact: {str(cfg.exact).lower()}",
+        f"exact: {str(plan is None).lower()}",
     ]
-    if not cfg.exact:
+    if plan is not None:
         lines += [
-            f"n_events: {cfg.total}",
-            f"seed: {cfg.seed}",
-            f"eta: {cfg.eta!r}",
+            f"n_events: {plan.total}",
+            f"seed: {plan.seed}",
+            f"eta: {plan.eta!r}",
             f"bootstrap_resamples: {cfg.bootstrap_resamples}",
             f"bootstrap_seed: {cfg.bootstrap_seed}",
         ]
@@ -496,14 +460,14 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
 
 def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
     """Estimate the configured quantity and write the result document."""
-    events = None
-    if not cfg.exact:
+    events, plan = None, cfg.plan
+    if plan is not None:
         events_path = _resolve(out_dir, cfg.out_events)
         if not events_path.exists():
             raise DataError(f"event log {events_path} does not exist; run simulate first")
         events, header = read_event_log(events_path)
         # the result document reports the config's values; the log must share them
-        for field, value in (("total", cfg.total), ("seed", cfg.seed), ("eta", cfg.eta)):
+        for field, value in (("total", plan.total), ("seed", plan.seed), ("eta", plan.eta)):
             if header[field] != value:
                 raise DataError(
                     f"{events_path}: header {field}={header[field]!r} does not match "
@@ -550,7 +514,7 @@ def run_pipeline(cfg: PipelineConfig, out_dir=".") -> dict[str, Path]:
     """
     paths = {}
     events = None
-    if not cfg.exact:
+    if cfg.plan is not None:
         paths["events"], events = _simulate(cfg, out_dir)
     paths["result"], text = _reconstruct(cfg, out_dir, events)
     paths["plotdata"] = _plotdata(cfg, out_dir, paths["result"], text)

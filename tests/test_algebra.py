@@ -46,6 +46,10 @@ def test_pauli_bad_index():
         pauli(4)
     with pytest.raises(ValueError):
         pauli(-1)
+    # 1.0 and True compare equal to 1 but are no index
+    for i in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            pauli(i)
 
 
 @pytest.mark.parametrize(

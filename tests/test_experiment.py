@@ -398,6 +398,8 @@ def test_loss_model_validation():
         LossModel(eta=True)
     with pytest.raises(ValueError, match="must be a number"):
         LossModel(eta="0.5")
+    # stored as a float, so a JSON 1 is written as eta=1.0
+    assert repr(LossModel(eta=1).eta) == "1.0"
 
 
 def test_correlations_single_event_average():
@@ -497,6 +499,19 @@ def test_table_from_counts_equals_integer_pooled_sums():
     assert table_from_counts(counts).entries.tobytes() == expected.tobytes()
     for c, e in zip(counts, expected):
         assert table_from_counts(c).entries.tobytes() == e.tobytes()
+
+
+def test_table_from_counts_refuses_non_integer_and_negative_counts():
+    # 2.7 is not read as 2, and a count of -1 is no table
+    with pytest.raises(ValueError, match="must be integers"):
+        table_from_counts(np.full((9, 4), 2.7))
+    with pytest.raises(ValueError, match="must be integers"):
+        table_from_counts(np.full((2, 9, 4), True))
+    counts = np.full((3, 9, 4), 5)
+    counts[2, 4, 1] = -1
+    for bad in (counts[2], counts):
+        with pytest.raises(ValueError, match="at least 0"):
+            table_from_counts(bad)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -20,9 +21,8 @@ from qptsim import (
 )
 from qptsim.cli import main
 from qptsim.errors import ConfigError, DataError
+from qptsim.experiment import MAX_TOTAL, MAX_TRIALS, SETTINGS, ExperimentPlan, LossModel
 from qptsim.pipeline import (
-    MAX_TOTAL,
-    MAX_TRIALS,
     PRESETS,
     load_config,
     load_preset,
@@ -92,7 +92,7 @@ def read_result(path):
 def test_parse_minimal_defaults():
     cfg = parse_config(base_config())
     assert cfg.estimator == "unitary"
-    assert cfg.total == 3000 and cfg.seed == 11 and not cfg.exact
+    assert cfg.plan.total == 3000 and cfg.plan.seed == 11 and cfg.plan.eta == 1.0
     assert cfg.out_events == "t_events.csv"
     assert cfg.truth_unitary is not None
 
@@ -102,6 +102,8 @@ def test_parse_minimal_defaults():
     [
         {"estimator": "mle"},
         {"input_state": {"bell": 7}},
+        {"input_state": {"bell": 1.0}},
+        {"input_state": {"bell": True}},
         {"input_state": {}},
         {"device": {"type": "teleporter"}},
         {"device": {"type": "depolarizing"}},
@@ -133,6 +135,7 @@ def test_parse_minimal_defaults():
         {"label": "a\x00b"},
         {"outputs": {"result": "r\udcff.txt"}},
         {"plan": {"total": 100, "allocation": {"xx": 99, "yy": True}}},
+        {"plan": {"exact": True, "total": 100}},
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
@@ -143,7 +146,7 @@ def test_parse_rejects_bad_configs(mutation):
 def test_run_caps(tmp_path, capsys, monkeypatch):
     # the largest accepted run sits on both caps
     cfg = parse_config(base_config(plan={"total": MAX_TOTAL, "eta": 0.1}))
-    assert MAX_TOTAL / cfg.eta**2 == pytest.approx(MAX_TRIALS)
+    assert MAX_TOTAL / cfg.plan.eta**2 == pytest.approx(MAX_TRIALS)
 
     def no_sampling(*args):
         raise AssertionError("sampling started")
@@ -157,6 +160,85 @@ def test_run_caps(tmp_path, capsys, monkeypatch):
         cfg_path.write_text(json.dumps(base_config(plan=plan)))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert one_line_error(capsys).startswith(f"config error: {fields}")
+
+
+# Values a fuzzed config entry takes.  The ones a config accepts are cheap
+# (total at most 3000, eta at least 0.3); the rest must be refused before sampling.
+FUZZ_POOL = (
+    True, False, "abc", "", None, [], [3000], {}, float("nan"), float("inf"),
+    -1, -0.5, 0, 0.0, 1, 3, 900, 3000, 0.3, 0.42, 1.0, 1e-5, 1e-200,
+    2**64, 10**30, MAX_TOTAL + 1,
+)
+FUZZ_KEYS = ("total", "seed", "eta", "exact", "allocation", "allocation.xx", "bell")
+
+
+def fuzz_configs(rng, n):
+    """``n`` configs: base_config() with one or two plan entries (or the
+    probe's Bell index) drawn from FUZZ_POOL, and exact-statistics configs
+    with one more."""
+    for _ in range(n):
+        exact = rng.random() < 0.25
+        doc = base_config(plan={"exact": True}) if exact else base_config()
+        for key in rng.choice(FUZZ_KEYS, size=1 if exact else rng.integers(1, 3), replace=False):
+            value = FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
+            if key == "bell":
+                doc["input_state"] = {"bell": value}
+            elif key == "allocation.xx":  # the count of xx in an allocation that sums to 3000 at 0
+                alloc = {a + b: 375 for a in "xyz" for b in "xyz"}
+                doc["plan"]["allocation"] = {**alloc, "xx": value}
+            else:
+                doc["plan"][key] = value
+        yield doc
+
+
+def test_cli_config_fuzz(tmp_path, capsys):
+    # malformed and extreme configs (and --seed values) through the CLI: each
+    # runs or is refused with one line, never a traceback, in bounded time
+    rng = np.random.default_rng(612)
+    cfg_path = tmp_path / "fuzz.json"
+    seeds = [v for v in FUZZ_POOL if type(v) is int]
+    codes = {0: 0, 2: 0, 3: 0}
+    for trial, doc in enumerate(fuzz_configs(rng, 300)):
+        cfg_path.write_text(json.dumps(doc))
+        argv = ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]
+        if trial % 4 == 3:
+            argv += ["--seed", str(seeds[rng.integers(len(seeds))])]
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 5.0, argv
+        err = capsys.readouterr().err
+        assert code in codes and "Traceback" not in err, (doc, argv, err)
+        assert err.count("\n") == (code != 0), (doc, argv, err)
+        codes[code] += 1
+    assert all(codes.values()), codes
+
+
+def test_plan_types_fuzz():
+    # the same pool straight into the library types: each call makes a plan
+    # within the caps or raises ValueError
+    rng = np.random.default_rng(613)
+    draw = lambda: FUZZ_POOL[rng.integers(len(FUZZ_POOL))]
+    made = refused = 0
+    for _ in range(400):
+        total, seed, eta, count = draw(), draw(), draw(), draw()
+        loss = (None, LossModel(0.3), LossModel(1.0), eta)[rng.integers(4)]
+        for call in (
+            lambda: LossModel(eta),
+            lambda: ExperimentPlan.uniform(total, seed),
+            lambda: ExperimentPlan.uniform(total, seed, loss=LossModel(eta)),
+            lambda: ExperimentPlan(total, {SETTINGS[0]: count}, seed, loss),
+            lambda: ExperimentPlan(total, count, seed),
+        ):
+            try:
+                result = call()
+            except ValueError:
+                refused += 1
+                continue
+            made += 1
+            if isinstance(result, ExperimentPlan):
+                assert 0 < result.total <= MAX_TOTAL
+                assert result.total / result.eta**2 <= MAX_TRIALS
+    assert made > 0 and refused > 0
 
 
 def test_parse_missing_required_field():
@@ -187,7 +269,7 @@ def test_allocation_accepted():
     alloc = {a + b: 0 for a in "xyz" for b in "xyz"}
     alloc["zz"] = 100
     cfg = parse_config(base_config(plan={"total": 100, "seed": 1, "allocation": alloc}))
-    assert sum(cfg.allocation.values()) == 100
+    assert sum(cfg.plan.allocation.values()) == 100
 
 
 def test_simulate_writes_log(tmp_path):
@@ -347,15 +429,20 @@ def test_pipeline_end_to_end_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def cli_command(*args) -> tuple[list, dict]:
+    """The command and environment that run ``qptsim args`` on this checkout's package."""
+    src = os.path.dirname(os.path.dirname(qptsim.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return [sys.executable, "-m", "qptsim.cli", *args], dict(os.environ, PYTHONPATH=path)
+
+
 def test_closed_stdout_still_writes_every_file(tmp_path):
     # the reader of the progress lines quits after the first, as `| head -1`
     # does: the rest are dropped, with no traceback, and the run goes on;
     # unbuffered, each line is written as it is printed
-    src = os.path.dirname(os.path.dirname(qptsim.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
     piped, direct = tmp_path / "piped", tmp_path / "direct"
-    cmd = [sys.executable, "-m", "qptsim.cli", "pipeline", "--preset", "fig3", "--out", str(piped)]
+    cmd, env = cli_command("pipeline", "--preset", "fig3", "--out", str(piped))
+    env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     first = proc.stdout.readline()
     proc.stdout.close()
@@ -366,6 +453,26 @@ def test_closed_stdout_still_writes_every_file(tmp_path):
     run_pipeline(load_preset("fig3"), direct)
     for name in ("fig3_events.csv", "fig3_result.txt", "fig3_plotdata.csv"):
         assert (piped / name).read_bytes() == (direct / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "close",
+    [
+        lambda: os.close(2),  # `2>&-`: Python starts with sys.stderr None
+        lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), 2),  # writing raises
+    ],
+    ids=["closed", "read-only"],
+)
+def test_closed_stderr_keeps_the_exit_code(tmp_path, close):
+    # the error line has nowhere to go; it is dropped, not sent to stdout,
+    # and the exit code still says what went wrong
+    for args, code in (
+        (["pipeline", "--config", str(tmp_path / "missing.json")], 2),
+        (["reconstruct", "--preset", "fig3", "--out", str(tmp_path)], 3),
+    ):
+        cmd, env = cli_command(*args)
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE, env=env, preexec_fn=close)
+        assert proc.returncode == code and proc.stdout == b""
 
 
 def lossy_fig3():
@@ -487,7 +594,7 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     assert one_line_error(capsys).startswith("data error:")
 
 
-def test_cli_seed_override(tmp_path):
+def test_cli_seed_override(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(base_config()))
     a, b = tmp_path / "a", tmp_path / "b"
@@ -495,6 +602,14 @@ def test_cli_seed_override(tmp_path):
     assert main(["simulate", "--config", str(cfg_path), "--out", str(b), "--seed", "99"]) == 0
     assert (a / "t_events.csv").read_bytes() != (b / "t_events.csv").read_bytes()
     assert "seed=99" in (b / "t_events.csv").read_text().splitlines()[0]
+    capsys.readouterr()
+    # the seed goes through the plan's own check; an exact config has no plan to seed
+    for argv in (
+        ["--config", str(cfg_path), "--seed", str(2**64)],
+        ["--preset", "depol", "--seed", "5"],
+    ):
+        assert main(["pipeline", *argv, "--out", str(tmp_path)]) == 2
+        assert one_line_error(capsys).startswith("config error: --seed: ")
 
 
 def test_cli_preset_and_malformed_log(tmp_path, capsys):
