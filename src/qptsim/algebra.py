@@ -11,6 +11,7 @@ is a pure function, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
@@ -25,6 +26,13 @@ PSD_SLACK = 1e-10
 
 # Smallest singular value of a coefficient matrix still considered full-rank.
 FULL_RANK_MIN_SV = 1e-7
+
+
+def _check_real(what: str, v) -> None:
+    """Refuse ``v`` with ValueError unless it is a real number; numpy reals
+    pass, bools and strings do not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {v!r}")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .algebra import (
     double_ket,
     pauli,
     tensor,
+    _check_real,
     _frozen,
 )
 from .errors import NullEventError
@@ -116,6 +117,7 @@ def identity_channel() -> QuantumChannel:
 
 def depolarizing(p: float) -> QuantumChannel:
     """Depolarizing channel E(rho) = (1-p) rho + p I/2."""
+    _check_real("depolarizing strength", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
     ops = [np.sqrt(1.0 - 3.0 * p / 4.0) * pauli(0)]
@@ -125,6 +127,7 @@ def depolarizing(p: float) -> QuantumChannel:
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
     """Amplitude damping: decay |1> -> |0> with probability gamma."""
+    _check_real("damping strength", gamma)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"damping strength must be in [0, 1], got {gamma}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)

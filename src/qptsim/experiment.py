@@ -14,14 +14,19 @@ Both give the same events.
 
 Events: a run's coincidences are one 1-D ``np.uint8`` array of cell codes
 ``c = 4*k + o``, where ``k`` indexes the setting in ``SETTINGS`` and ``o``
-the joint outcome in ``OUTCOMES``, so ``c`` runs over 0..35.  Samplers emit
-the codes in setting order; the (9, 4) table of per-setting outcome counts,
-their sufficient statistic, is ``bincount(codes).reshape(9, 4)``.
+the joint outcome in ``OUTCOMES``, so ``c`` runs over 0..35.  The sampler
+emits the codes in setting order together with the (9, 4) table of
+per-setting outcome counts, their sufficient statistic, which it counts
+while it inverts the uniforms; for codes from elsewhere the table is
+``bincount(codes).reshape(9, 4)`` (``events_to_counts``).
 
 Event log format (the ingestion boundary for offline analysis): a header
 line ``# total=<N> seed=<seed> eta=<eta>`` followed by one line per
 coincidence, ``axis1,axis2,s1,s2`` with axes as letters x|y|z and signs as
-+1|-1; these 36 spellings are the only ones read back.
++1|-1; these 36 spellings are the only ones read back.  The writer renders
+the lines two at a time, gathering each pair of codes from a table of all
+1,296 two-line strings, and the reader re-encodes what it decodes through
+the same renderer.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ SETTINGS = tuple(MeasurementSetting(a1, a2) for a1 in AXES for a2 in AXES)
 OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _N_CELLS = len(SETTINGS) * len(OUTCOMES)
 
-# Event-log line of each cell code; the writer indexes it, the reader inverts it.
+# Event-log line of each cell code; the tables below render it, the line parser inverts it.
 _LINES = tuple(
     f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n"
     for a1, a2 in SETTINGS
@@ -63,6 +68,12 @@ _LINE_CODES = {line.strip(): c for c, line in enumerate(_LINES)}
 # The same lines as a (36, 10) byte table, one row per cell code.
 _LINE_BYTES = np.frombuffer("".join(_LINES).encode("ascii"), dtype=np.uint8)
 _LINE_BYTES = _LINE_BYTES.reshape(_N_CELLS, -1)
+# Every two consecutive lines as one 20-byte item, indexed by 36*a + b for
+# codes a then b: one gather renders two lines.
+_PAIR_LINES = np.frombuffer(
+    "".join(a + b for a in _LINES for b in _LINES).encode("ascii"),
+    dtype=f"V{2 * _LINE_BYTES.shape[1]}",
+)
 # Digit of each byte a valid line holds at its axis and sign columns: x|y|z
 # -> 0|1|2 and +|- -> 0|1, so a line's code is 12*a1 + 4*a2 + 2*s1 + s2.
 # Every other byte maps to 0; the reader's re-encode check rejects it.
@@ -248,7 +259,7 @@ def _setting_probs(state: BipartiteState) -> np.ndarray:
     """
     if state.density.shape != (4, 4):
         raise ValueError(f"the sampler models one pair, got a {state.density.shape} state")
-    t = exact_correlations(state).entries
+    t = pauli_coefficients(state.density)  # exact_correlations' entries; (0, 0) is not read
     m1 = t[_A1, 0][:, None]
     m2 = t[0, _A2][:, None]
     c12 = t[_A1, _A2][:, None]
@@ -268,16 +279,22 @@ def joint_probs(state: BipartiteState, setting: MeasurementSetting) -> dict[tupl
     return {o: float(p) for o, p in zip(OUTCOMES, row)}
 
 
-def _invert_cdf(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the outcome each uniform in ``u`` draws from ``cdf``.
+def _invert_cdf(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, reached: list) -> None:
+    """Write into ``out`` the outcome each uniform in ``u`` draws from ``cdf``,
+    and add to ``reached[o]`` how many of them drew outcome o or above, for
+    o = 1, 2, 3.
 
     Generator.choice inverts ``cdf = p.cumsum(); cdf /= cdf[-1]`` from the
     right, i.e. counts the cdf entries ``<= u``; ``cdf[3]`` is exactly 1.0
-    and never ``<= u``, so three comparisons give the same outcome.
+    and never ``<= u``, so three comparisons give the same outcome.  The
+    comparison with ``cdf[o - 1]`` marks the uniforms that reach outcome o.
     """
-    np.less_equal(cdf[0], u, out=out)
-    out += cdf[1] <= u
-    out += cdf[2] <= u
+    # a bool view of out: count_nonzero counts bools faster than bytes
+    reached[1] += np.count_nonzero(np.less_equal(cdf[0], u, out=out.view(np.bool_)))
+    for o in (2, 3):
+        at_least = cdf[o - 1] <= u
+        reached[o] += np.count_nonzero(at_least)
+        out += at_least
 
 
 @functools.cache
@@ -367,8 +384,11 @@ def _jumped_uniforms(s_lo, s_hi, k, jumps) -> np.ndarray:
     return raw * 2.0**-53
 
 
-def _sample_lossy(rng: np.random.Generator, cdf: np.ndarray, eta: float, out: np.ndarray) -> None:
-    """Fill ``out`` with the codes the three-row loss loop draws.
+def _sample_lossy(
+    rng: np.random.Generator, cdf: np.ndarray, eta: float, out: np.ndarray, reached: list
+) -> None:
+    """Fill ``out`` with the outcomes the three-row loss loop draws, counted
+    into ``reached`` as ``_invert_cdf`` counts them.
 
     A loss chunk's rows are read at a known share of its trials: the beam-1
     row at all of them, the beam-2 row at eta and the outcome row at eta**2.
@@ -425,7 +445,7 @@ def _sample_lossy(rng: np.random.Generator, cdf: np.ndarray, eta: float, out: np
         if n_held >= _CHUNK_LINES or filled + n_held >= n:
             parts = [np.concatenate(p)[: n - filled] for p in zip(*held)]
             u = _jumped_uniforms(*parts, jumps) if first else parts[0]
-            _invert_cdf(cdf, u, out[filled : filled + u.size])
+            _invert_cdf(cdf, u, out[filled : filled + u.size], reached)
             filled += u.size
             held, n_held = [], 0
 
@@ -446,12 +466,26 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
     read at fewer than 1 in _JUMP_COST of its trials is jumped, any other
     drawn (``_sample_lossy``).
     """
+    return _sample(state, plan)[0]
+
+
+def _sample(state: BipartiteState, plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
+    """``run_experiment``'s codes and their (9, 4) counts table, counted as drawn.
+
+    Row k of ``reached`` holds how many of setting k's events drew outcome
+    o or above, for o = 0..4; differenced once it is the row of counts.
+    """
     eta = plan.eta
-    probs = _setting_probs(state)
+    # each row is Generator.choice's cdf of that setting's probabilities
+    cdfs = _setting_probs(state).cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
     codes = np.empty(plan.total, dtype=np.uint8)
+    reached = []
     end = 0
     for idx, setting in enumerate(SETTINGS):
         n = plan.allocation.get(setting, 0)
+        row = [n] + [0] * len(OUTCOMES)
+        reached.append(row)
         if n == 0:
             continue
         out = codes[end : end + n]
@@ -460,16 +494,16 @@ def run_experiment(state: BipartiteState, plan: ExperimentPlan) -> np.ndarray:
         # because the lossy sampler relies on PCG64's state arithmetic;
         # numpy.random is loaded on this first use, not at import
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([plan.seed, idx])))
-        cdf = probs[idx].cumsum()
-        cdf /= cdf[-1]
+        cdf = cdfs[idx]
         if eta >= 1.0:
             for a in range(0, n, _CHUNK_LINES):
                 u = rng.random(min(_CHUNK_LINES, n - a))
-                _invert_cdf(cdf, u, out[a : a + u.size])
+                _invert_cdf(cdf, u, out[a : a + u.size], row)
         else:
-            _sample_lossy(rng, cdf, eta, out)
+            _sample_lossy(rng, cdf, eta, out, row)
         out += 4 * idx
-    return codes
+    reached = np.array(reached, dtype=np.int64)
+    return codes, reached[:, :-1] - reached[:, 1:]
 
 
 def _cell_codes(events) -> np.ndarray:
@@ -534,6 +568,9 @@ def correlations_from_events(events: np.ndarray) -> CorrelationTable:
 def write_file(path, first: bytes, rest: Iterable[bytes] = ()) -> None:
     """Make ``first`` (non-empty) and then the ``rest`` chunks the content of ``path``.
 
+    Each chunk is written before the next is taken from ``rest``, so the
+    chunks may share one buffer.
+
     An existing file is overwritten in place and cut to length, not truncated
     to zero first: ext4 writes a file that was truncated to zero and
     rewritten back to disk as soon as it is closed, and truncating it again
@@ -555,12 +592,32 @@ def write_file(path, first: bytes, rest: Iterable[bytes] = ()) -> None:
             fh.write(first[:1])
 
 
+def _render_lines(codes: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The event-log lines of ``codes``, rendered into the start of the byte
+    array ``buf`` and returned as that slice of it.
+
+    Each pair of consecutive codes is one gather from ``_PAIR_LINES``; an
+    odd last code takes its own row of ``_LINE_BYTES``.  The writer and the
+    reader render a chunk at a time into one buffer they reuse.
+    """
+    even, width = codes.size & ~1, _LINE_BYTES.shape[1]
+    pair = np.multiply(codes[0:even:2], _N_CELLS, dtype=np.uint16)
+    pair += codes[1:even:2]
+    out = buf[: codes.size * width]
+    # mode="clip" gathers straight into out; "raise" would gather into a buffer first
+    _PAIR_LINES.take(pair, out=out[: even * width].view(_PAIR_LINES.dtype), mode="clip")
+    if even < codes.size:
+        out[even * width :] = _LINE_BYTES[codes[-1]]
+    return out
+
+
 def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> None:
-    codes = _cell_codes(events)
+    codes = _cell_codes(events).astype(np.uint8, copy=False)  # checked to be 0..35
     header = f"# total={codes.size} seed={seed} eta={eta!r}\n".encode("ascii")
+    buf = np.empty(_CHUNK_LINES * _LINE_BYTES.shape[1], dtype=np.uint8)
+    # each chunk is written before the next is rendered over it
     body = (
-        _LINE_BYTES.take(codes[a : a + _CHUNK_LINES], axis=0)
-        for a in range(0, codes.size, _CHUNK_LINES)
+        _render_lines(codes[a : a + _CHUNK_LINES], buf) for a in range(0, codes.size, _CHUNK_LINES)
     )
     write_file(path, header, body)
 
@@ -621,6 +678,7 @@ def _decode_event_log(path, fh) -> Optional[tuple[np.ndarray, dict]]:
     except (UnicodeDecodeError, DataError):
         return None
     width = _LINE_BYTES.shape[1]
+    buf = np.empty(_CHUNK_LINES * width, dtype=np.uint8)
     chunks: list[np.ndarray] = []
     while chunk := fh.read(_CHUNK_LINES * width):
         if len(chunk) % width:
@@ -628,7 +686,7 @@ def _decode_event_log(path, fh) -> Optional[tuple[np.ndarray, dict]]:
         lines = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, width)
         a1, a2, s1, s2 = (_BYTE_DIGITS.take(lines[:, col]) for col in (0, 2, 4, 7))
         codes = 12 * a1 + 4 * a2 + 2 * s1 + s2
-        if not np.array_equal(_LINE_BYTES.take(codes, axis=0), lines):
+        if not np.array_equal(_render_lines(codes, buf), lines.reshape(-1)):
             return None
         chunks.append(codes)
     codes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)

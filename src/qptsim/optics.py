@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import dagger, pauli
+from .algebra import _check_real, dagger, pauli
 from .channels import QuantumChannel
 
 TWO_PI = 2.0 * np.pi
@@ -59,8 +59,12 @@ class DeviceSpec:
 
     @classmethod
     def from_config(cls, items: Sequence[dict], label: Optional[str] = None) -> "DeviceSpec":
+        """Plates from config entries, angles in units of pi; a non-real angle,
+        a bool or a string among them, is a ValueError."""
         plates = []
         for it in items:
+            for key in ("phi_over_pi", "theta_over_pi"):
+                _check_real(key, it[key])
             plates.append(
                 WavePlate(
                     phi=float(it["phi_over_pi"]) * np.pi,

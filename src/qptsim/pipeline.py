@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import BipartiteState, bell_state, pairs
+from .algebra import BipartiteState, _check_real, bell_state, pairs
 from .channels import (
     QuantumChannel,
     amplitude_damping,
@@ -39,10 +39,10 @@ from .experiment import (
     AXIS_LETTERS,
     ExperimentPlan,
     LossModel,
+    _sample,
     events_to_counts,
     exact_correlations,
     read_event_log,
-    run_experiment,
     table_from_counts,
     write_event_log,
     write_file,
@@ -50,6 +50,7 @@ from .experiment import (
 from .optics import DeviceSpec, compile_device
 from .tomography import (
     CNOT,
+    MAX_RESAMPLES,
     MIN_RESAMPLES,
     SWAP,
     _bootstrap_counts,
@@ -99,6 +100,8 @@ class PipelineConfig:
 def _complex_entry(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"complex entries must be [re, im] pairs, got {v!r}")
+    for part in v:
+        _check_real("the parts of a complex entry", part)
     return complex(float(v[0]), float(v[1]))
 
 
@@ -133,9 +136,9 @@ def _parse_device(spec) -> QuantumChannel:
         if kind == "identity":
             return identity_channel()
         if kind == "depolarizing":
-            return depolarizing(float(spec["p"]))
+            return depolarizing(spec["p"])
         if kind == "amplitude_damping":
-            return amplitude_damping(float(spec["gamma"]))
+            return amplitude_damping(spec["gamma"])
         if kind == "kraus":
             ops = [
                 np.array([[_complex_entry(v) for v in row] for row in op])
@@ -199,12 +202,15 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _int_field(where: str, v, low: int) -> int:
-    """An integer config entry, required to be at least ``low``."""
+def _int_field(where: str, v, low: int, high: Optional[int] = None) -> int:
+    """An integer config entry, required to be at least ``low`` and, given
+    ``high``, at most that."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}: expected an integer, got {v!r}")
     if v < low:
         raise ConfigError(f"{where}: must be at least {low}, got {v}")
+    if high is not None and v > high:
+        raise ConfigError(f"{where}: must be at most {high}, got {v}")
     return v
 
 
@@ -280,7 +286,7 @@ def parse_config(doc: dict) -> PipelineConfig:
         estimator=estimator,
         plan=plan,
         bootstrap_resamples=_int_field(
-            "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES
+            "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES, MAX_RESAMPLES
         ),
         bootstrap_seed=_int_field("bootstrap.seed", boot.get("seed", 0), 0),
         out_events=_name_field("outputs.events", outputs.get("events", f"{label}_events.csv")),
@@ -300,6 +306,8 @@ def load_config(path) -> PipelineConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer over Python's digit limit for int()
+        raise ConfigError(f"{path}: unreadable JSON: {exc}") from None
     return parse_config(doc)
 
 
@@ -338,18 +346,19 @@ def _output_state(cfg: PipelineConfig) -> BipartiteState:
 
 
 def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
-    """Draw coincidence events and write the event log; returns its path and the events."""
+    """Draw coincidence events and write the event log; returns its path and
+    the events' (9, 4) counts table, which the sampler counted as it drew them."""
     plan = cfg.plan
     if plan is None:
         raise ConfigError("exact-statistics configs have no event log to simulate")
-    events = run_experiment(_output_state(cfg), plan)
+    codes, counts = _sample(_output_state(cfg), plan)
     path = _resolve(out_dir, cfg.out_events)
-    _write_output(path, lambda p: write_event_log(p, events, seed=plan.seed, eta=plan.eta))
+    _write_output(path, lambda p: write_event_log(p, codes, seed=plan.seed, eta=plan.eta))
     for setting in SETTINGS:
         n = plan.allocation.get(setting, 0)
         _say(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
-    _say(f"wrote {len(events)} events to {path}")
-    return path, events
+    _say(f"wrote {codes.size} events to {path}")
+    return path, counts
 
 
 def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
@@ -420,14 +429,14 @@ def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
-    """Estimate the configured quantity from the events (None for exact
-    statistics) and write the result document; returns its path and text."""
+def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
+    """Estimate the configured quantity from the (9, 4) counts table (None
+    for exact statistics) and write the result document; returns its path
+    and text.  The bootstrap resamples the same counts."""
     psi_in = cfg.input_state
-    if events is None:
+    if counts is None:
         table = exact_correlations(_output_state(cfg))
     else:
-        counts = events_to_counts(events)  # counted once; the bootstrap resamples them
         table = table_from_counts(counts)
 
     if cfg.estimator == "state_only":
@@ -446,7 +455,7 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
         result = reconstruct_choi(table, psi_in, truth=truth)
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 
-    if events is not None:
+    if counts is not None:
         result.errors = _bootstrap_counts(
             counts, estimate, n_resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed
         )
@@ -460,7 +469,7 @@ def _reconstruct(cfg: PipelineConfig, out_dir, events) -> tuple[Path, str]:
 
 def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
     """Estimate the configured quantity and write the result document."""
-    events, plan = None, cfg.plan
+    counts, plan = None, cfg.plan
     if plan is not None:
         events_path = _resolve(out_dir, cfg.out_events)
         if not events_path.exists():
@@ -473,7 +482,8 @@ def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
                     f"{events_path}: header {field}={header[field]!r} does not match "
                     f"the config's {field} {value!r}"
                 )
-    return _reconstruct(cfg, out_dir, events)[0]
+        counts = events_to_counts(events)
+    return _reconstruct(cfg, out_dir, counts)[0]
 
 
 def _plotdata(cfg: PipelineConfig, out_dir, result_path: Path, text: str) -> Path:
@@ -508,14 +518,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir=".") -> dict[str, Path]:
     """simulate (unless exact), reconstruct, plotdata; one seed end to end.
 
     Each stage hands its product to the next in memory: reconstruct takes
-    the events simulate drew, and plotdata the document reconstruct
-    formatted.  Every file is still written, with the bytes the standalone
-    commands write from each other's files.
+    the counts simulate's sampler tallied, and plotdata the document
+    reconstruct formatted.  Every file is still written, with the bytes the
+    standalone commands write from each other's files.
     """
     paths = {}
-    events = None
+    counts = None
     if cfg.plan is not None:
-        paths["events"], events = _simulate(cfg, out_dir)
-    paths["result"], text = _reconstruct(cfg, out_dir, events)
+        paths["events"], counts = _simulate(cfg, out_dir)
+    paths["result"], text = _reconstruct(cfg, out_dir, counts)
     paths["plotdata"] = _plotdata(cfg, out_dir, paths["result"], text)
     return paths

@@ -35,6 +35,7 @@ from qptsim.experiment import (
     _LINE_BYTES,
     _LOSS_BLOCK_DOUBLES,
     _LOSS_CHUNK,
+    _LINES,
     AXIS_LETTERS,
     OUTCOMES,
     SETTINGS,
@@ -42,6 +43,7 @@ from qptsim.experiment import (
     _invert_cdf,
     _jumped_uniforms,
     _parse_event_log,
+    _sample,
     _setting_probs,
     _stream_jumps,
     events_to_counts,
@@ -324,9 +326,34 @@ def test_cdf_inversion_counts_entries_at_or_below_u():
     cdf /= cdf[-1]
     u = np.array([0.0, 0.1, 0.25, np.nextafter(0.25, 0), np.nextafter(0.25, 1), 0.9, 1 - 2**-53])
     out = np.empty(u.size, dtype=np.uint8)
-    _invert_cdf(cdf, u, out)
-    assert out.tolist() == cdf.searchsorted(u, side="right").tolist()
+    reached = [5, 6, 7, 8, 9]  # entries 1..3 gain their counts; 0 and 4 are untouched
+    _invert_cdf(cdf, u, out, reached)
+    expected = cdf.searchsorted(u, side="right")
+    assert out.tolist() == expected.tolist()
     assert set(out.tolist()) <= {1, 3}
+    assert reached == [5] + [r + sum(expected >= o) for r, o in ((6, 1), (7, 2), (8, 3))] + [9]
+
+
+SAMPLER_ALLOCATIONS = {
+    "total-1": [0, 0, 0, 1, 0, 0, 0, 0, 0],
+    "chunk-edges": [_CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1, 1, 0, 2, 0, 5, 0],
+}
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.42, 0.1, 0.03])
+@pytest.mark.parametrize("sizes", sorted(SAMPLER_ALLOCATIONS))
+def test_sampler_counts_are_the_counts_of_its_codes(eta, sizes):
+    # the table the sampler tallies while inverting, whether every loss row is
+    # drawn (0.42), the outcome row jumped (0.1) or the beam-2 row too (0.03);
+    # settings allocated nothing get a row of zeros
+    alloc = dict(zip(SETTINGS, SAMPLER_ALLOCATIONS[sizes]))
+    state = BipartiteState.from_coeffs(unitary_group.rvs(2, random_state=5) / np.sqrt(2))
+    loss = LossModel(eta) if eta < 1.0 else None
+    plan = ExperimentPlan(total=sum(alloc.values()), allocation=alloc, seed=31, loss=loss)
+    codes, counts = _sample(state, plan)
+    assert counts.dtype == np.int64 and counts.shape == (len(SETTINGS), len(OUTCOMES))
+    assert np.array_equal(counts, events_to_counts(codes))
+    assert counts.sum(axis=1).tolist() == SAMPLER_ALLOCATIONS[sizes]
 
 
 def test_lossy_uniform_of_zero_draws_an_allowed_outcome(monkeypatch):
@@ -601,6 +628,20 @@ def test_writer_and_counter_work_in_bounded_chunks(tmp_path):
     assert body == _LINE_BYTES[codes].tobytes()
 
 
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 7, 36, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1, 2 * _CHUNK_LINES + 3]
+)
+def test_event_log_lines_rendered_in_pairs(tmp_path, n):
+    # pairs of codes gathered two lines at a time, an odd code at the end of
+    # the log (or of a chunk) from its own line
+    codes = np.random.default_rng(n).integers(0, len(_LINES), size=n, dtype=np.uint8)
+    expected = f"# total={n} seed=0 eta=1.0\n" + "".join(_LINES[c] for c in codes)
+    path = tmp_path / "events.csv"
+    for dtype in (np.uint8, np.int64):  # any integer array of cell codes
+        write_event_log(path, codes.astype(dtype), seed=0)
+        assert path.read_bytes() == expected.encode("ascii")
+
+
 def test_interrupted_rewrite_leaves_a_rejected_log(tmp_path):
     # outputs are rewritten in place; until the first byte goes in last,
     # line 1 is blank, so no mix of the old and new logs reads as valid
@@ -696,6 +737,11 @@ READER_CASES = {
         log_header(C + 6) + log_body(C) + b"x,q,+1,-1\n" + log_body(5), False
     ),
     "unsigned-sign-in-second-chunk": (log_header(C + 1) + log_body(C) + b"x,z,+1,-2\n", False),
+    # the writer renders lines in pairs; the bad line is the second of one
+    "bad-second-line-of-a-pair": (log_header(4) + log_body(1) + b"x,z,+1,+2\n" + log_body(2), False),
+    "bad-second-line-of-a-chunk-end": (
+        log_header(C + 1) + log_body(C - 1) + b"y,q,-1,+1\n" + log_body(1, seed=1), False
+    ),
     "blank-line": (log_header(5) + log_body(3) + b"\n" + log_body(2, seed=1), False),
     # 20 lines of 11 bytes: a whole number of 10-byte lines that do not re-encode
     "crlf-body": (log_header(20) + log_body(20).replace(b"\n", b"\r\n"), False),

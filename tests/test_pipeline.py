@@ -1,5 +1,6 @@
 """Config parsing, pipeline stages, result documents and the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from qptsim import (
 from qptsim.cli import main
 from qptsim.errors import ConfigError, DataError
 from qptsim.experiment import MAX_TOTAL, MAX_TRIALS, SETTINGS, ExperimentPlan, LossModel
+from qptsim.tomography import MAX_RESAMPLES, MIN_RESAMPLES
 from qptsim.pipeline import (
     PRESETS,
     load_config,
@@ -151,7 +153,7 @@ def test_run_caps(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(qptsim.pipeline, "run_experiment", no_sampling)
+    monkeypatch.setattr(qptsim.pipeline, "_sample", no_sampling)
     for plan, fields in (
         ({"total": MAX_TOTAL + 1}, "plan.total:"),
         ({"total": 10**6, "eta": 0.03}, "plan.total, plan.eta:"),
@@ -239,6 +241,77 @@ def test_plan_types_fuzz():
                 assert 0 < result.total <= MAX_TOTAL
                 assert result.total / result.eta**2 <= MAX_TRIALS
     assert made > 0 and refused > 0
+
+
+# Values a fuzzed bootstrap entry takes; the accepted resample counts are cheap.
+BOOTSTRAP_POOL = (
+    True, False, "abc", "", None, [], {}, 1.5, float("nan"), float("inf"), -1, 0, 1,
+    MIN_RESAMPLES - 1, MIN_RESAMPLES, 150, 2**64, 10**30, MAX_RESAMPLES + 1, -(10**30),
+)
+
+
+def test_cli_bootstrap_fuzz(tmp_path, capsys, monkeypatch):
+    # the bootstrap section, one or both entries drawn from BOOTSTRAP_POOL:
+    # each config runs, or is refused with one line before sampling starts
+    rng = np.random.default_rng(614)
+    cfg_path = tmp_path / "fuzz.json"
+    sample = qptsim.pipeline._sample
+    sampled = []
+    monkeypatch.setattr(
+        qptsim.pipeline, "_sample", lambda *args: sampled.append(1) or sample(*args)
+    )
+    codes = {0: 0, 2: 0}
+    for _ in range(120):
+        boot = {}
+        for key in rng.choice(("resamples", "seed"), size=rng.integers(1, 3), replace=False):
+            boot[str(key)] = BOOTSTRAP_POOL[rng.integers(len(BOOTSTRAP_POOL))]
+        cfg_path.write_text(json.dumps(base_config(plan={"total": 900, "seed": 3}, bootstrap=boot)))
+        sampled.clear()
+        start = time.perf_counter()
+        code = main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 5.0, boot
+        err = capsys.readouterr().err
+        assert code in codes and "Traceback" not in err, (boot, err)
+        assert err.count("\n") == (code != 0) and len(sampled) == (code == 0), (boot, err)
+        codes[code] += 1
+    assert all(codes.values()), codes
+
+
+def test_bootstrap_resamples_capped(tmp_path, capsys):
+    # a cap on the (B, 9, 4) resampled counts, in the config and in the library
+    cfg = parse_config(base_config(bootstrap={"resamples": MAX_RESAMPLES}))
+    assert cfg.bootstrap_resamples == MAX_RESAMPLES
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(base_config(bootstrap={"resamples": 10**30})))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert one_line_error(capsys).startswith("config error: bootstrap.resamples: must be at most")
+    assert not any(tmp_path.glob("t_*"))
+    events = np.arange(36, dtype=np.uint8)
+    with pytest.raises(ValueError, match="at most"):
+        bootstrap_errors(events, lambda t: t.entries, n_resamples=MAX_RESAMPLES + 1)
+
+
+@pytest.mark.parametrize(
+    "device",
+    [
+        {"type": "depolarizing", "p": True},
+        {"type": "depolarizing", "p": "0.3"},
+        {"type": "depolarizing", "p": None},
+        {"type": "amplitude_damping", "gamma": False},
+        {"type": "amplitude_damping", "gamma": [0.1]},
+        {"type": "waveplates", "plates": [{"phi_over_pi": "0.45", "theta_over_pi": -0.138}]},
+        {"type": "waveplates", "plates": [{"phi_over_pi": True, "theta_over_pi": -0.138}]},
+        {"type": "waveplates", "plates": [{"phi_over_pi": 0.45, "theta_over_pi": False}]},
+        {"type": "waveplates", "plates": [{"phi_over_pi": 0.45, "theta_over_pi": "-0.138"}]},
+        {"type": "kraus", "ops": [[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+    ],
+)
+def test_device_parameters_must_be_real_numbers(tmp_path, capsys, device):
+    # a bool or a string is not read as a number
+    cfg_path = tmp_path / "device.json"
+    cfg_path.write_text(json.dumps(base_config(device=device, estimator="choi")))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "must be a real number" in one_line_error(capsys)
 
 
 def test_parse_missing_required_field():
@@ -510,6 +583,34 @@ def test_pipeline_writes_the_bytes_of_the_staged_commands(tmp_path, make_cfg):
         assert (tmp_path / "pipeline" / name).read_bytes() == (staged / name).read_bytes()
 
 
+def test_events_counted_once_per_staged_reconstruct_never_in_pipeline(tmp_path, monkeypatch):
+    # the pipeline takes the counts the sampler tallied; reconstruct counts the log it reads
+    calls = []
+    count = qptsim.pipeline.events_to_counts
+    monkeypatch.setattr(
+        qptsim.pipeline, "events_to_counts", lambda events: calls.append(1) or count(events)
+    )
+    cfg = parse_config(base_config())
+    run_pipeline(cfg, tmp_path)
+    assert calls == []
+    run_reconstruct(cfg, tmp_path)
+    assert calls == [1]
+
+
+# sha256 of the preset event logs; the first eight digits are in ROADMAP.md
+PRESET_EVENT_LOGS = {
+    "fig3": "aeddf6565d32b118c39f92e5ef41be7d3ffd0dcad7b3803d3c3ed19380afa8ca",
+    "fig4": "82358201d0e317d4876b8046e9d6cdf6975845ce08fd871a58f3713cdd2bc4b0",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_EVENT_LOGS))
+def test_preset_event_logs_keep_their_bytes(tmp_path, preset):
+    assert main(["pipeline", "--preset", preset, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / f"{preset}_events.csv").read_bytes()).hexdigest()
+    assert digest == PRESET_EVENT_LOGS[preset]
+
+
 def test_simulate_then_reconstruct_roundtrip_never_errors(tmp_path):
     # any quorum-complete plan must reconstruct without errors
     for seed in (1, 2, 3):
@@ -544,6 +645,12 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "line" in str(err.value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # an integer longer than int() reads is a config error, not a traceback
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"bootstrap": {"seed": ' + "1" * (limit + 1) + "}}")
+        with pytest.raises(ConfigError, match="unreadable JSON"):
+            load_config(huge)
 
 
 def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
