@@ -67,6 +67,12 @@ def pauli(i: int) -> np.ndarray:
 # _PAULI_STACK[i, r, c] is element (r, c) of sigma_i.
 _PAULI_STACK = np.stack(_PAULI)
 _PAULI_STACK.setflags(write=False)
+# The stack as the right operand of each contraction below, in the layout
+# np.tensordot would build: rows i and columns (r, c) to expand, rows (c, r)
+# and columns i to take coefficients.
+_PAULI_ROWS = _PAULI_STACK.reshape(4, 4)
+_PAULI_COLS = _PAULI_STACK.transpose(2, 1, 0).reshape(4, 4)
+_PAULI_COLS.setflags(write=False)
 
 
 def pauli_expand(coeffs: np.ndarray, batched: bool = False) -> np.ndarray:
@@ -78,14 +84,17 @@ def pauli_expand(coeffs: np.ndarray, batched: bool = False) -> np.ndarray:
     """
     t = np.asarray(coeffs)
     lead = t.shape[:1] if batched else ()
-    k = t.ndim - len(lead)
-    if t.shape[len(lead) :] != (4,) * k:
+    n = len(lead)
+    k = t.ndim - n
+    if t.shape[n:] != (4,) * k:
         raise ValueError(f"Pauli coefficients must have shape (4,)*k, got {t.shape}")
     for _ in range(k):
         # contract the leading Pauli index; its (row, col) pair moves to the end
-        t = np.tensordot(t, _PAULI_STACK, axes=([len(lead)], [0]))
-    axes = list(range(len(lead))) + [len(lead) + a for a in range(0, 2 * k, 2)]
-    axes += [len(lead) + a for a in range(1, 2 * k, 2)]
+        rest = t.shape[:n] + t.shape[n + 1 :]
+        axes = [*range(n), *range(n + 1, t.ndim), n]
+        t = np.dot(t.transpose(axes).reshape(-1, 4), _PAULI_ROWS).reshape(rest + (2, 2))
+    axes = list(range(n)) + [n + a for a in range(0, 2 * k, 2)]
+    axes += [n + a for a in range(1, 2 * k, 2)]
     return t.transpose(axes).reshape(lead + (2**k, 2**k))
 
 
@@ -99,7 +108,9 @@ def pauli_coefficients(op: np.ndarray) -> np.ndarray:
     t = op.reshape([2] * (2 * k)).transpose(axes)
     for _ in range(k):
         # Tr picks op[r, c] sigma[c, r] for the leading qubit's (r, c) pair
-        t = np.tensordot(t, _PAULI_STACK, axes=([0, 1], [2, 1]))
+        rest = t.shape[2:]
+        t = np.dot(t.transpose([*range(2, t.ndim), 0, 1]).reshape(-1, 4), _PAULI_COLS)
+        t = t.reshape(rest + (4,))
     return t.real
 
 
@@ -109,11 +120,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
+    """Kronecker product of two matrices: the products np.kron forms, as one
+    broadcast multiply."""
     a, b = np.asarray(a), np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("tensor expects two matrices")
-    return np.kron(a, b)
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def mat_close(a: np.ndarray, b: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
@@ -218,7 +231,7 @@ def pairs(*states: BipartiteState) -> BipartiteState:
         raise ValueError("pairs needs at least one state")
     if not all(s.pure for s in states):
         raise ValueError("pairs combines pure states only")
-    return BipartiteState.from_coeffs(reduce(np.kron, [s.coeffs for s in states]))
+    return BipartiteState.from_coeffs(reduce(tensor, [s.coeffs for s in states]))
 
 
 def bell_state(j: int) -> BipartiteState:

@@ -9,6 +9,7 @@ The occurrence probability of a non-deterministic channel is Tr[E(rho)].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,8 +65,9 @@ class QuantumChannel:
             )
         return cls(kraus_ops=ops, choi=_frozen(choi))
 
-    @property
+    @cached_property
     def is_unitary(self) -> bool:
+        """Whether the channel is one unitary Kraus operator; checked once."""
         if len(self.kraus_ops) != 1:
             return False
         k = self.kraus_ops[0]

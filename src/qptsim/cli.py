@@ -71,9 +71,10 @@ def main(argv=None) -> int:
             if cfg.plan is None:
                 raise ConfigError("--seed: an exact-statistics config has no plan seed")
             try:
-                cfg.plan = dataclasses.replace(cfg.plan, seed=args.seed)
+                plan = dataclasses.replace(cfg.plan, seed=args.seed)
             except PlanError as exc:
                 raise ConfigError(f"--seed: {exc.problem}") from None
+            cfg = dataclasses.replace(cfg, plan=plan)
         _COMMANDS[args.command](cfg, out_dir=args.out)
     except (ConfigError, DataError) as exc:
         kind, code = ("config", 2) if isinstance(exc, ConfigError) else ("data", 3)

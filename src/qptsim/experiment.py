@@ -116,6 +116,9 @@ _MASK128 = (1 << 128) - 1
 # through the CLI on a 2-core host, and wrote a 100 MB log.
 MAX_TOTAL = 10**7
 MAX_TRIALS = 10**9
+# Largest plan or bootstrap seed: seeds fit in 64 unsigned bits, so a huge
+# integer is refused rather than hashed in full by SeedSequence.
+MAX_SEED = 2**64 - 1
 
 
 def _check_integer(field: str, what: str, v) -> None:
@@ -154,7 +157,7 @@ class ExperimentPlan:
         _check_integer("seed", "the seed", self.seed)
         if not 0 < self.total <= MAX_TOTAL:
             raise PlanError(("total",), f"must be 1 to {MAX_TOTAL} coincidences, got {self.total}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= self.seed <= MAX_SEED:
             raise PlanError(("seed",), f"must fit in 64 unsigned bits, got {self.seed}")
         if not isinstance(self.allocation, Mapping):
             raise PlanError(("allocation",), f"expected a mapping, got {self.allocation!r}")

@@ -13,6 +13,7 @@ on its own.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from .errors import ConfigError, DataError, NullEventError, PlanError
 from .experiment import (
     SETTINGS,
     AXIS_LETTERS,
+    MAX_SEED,
     ExperimentPlan,
     LossModel,
     _sample,
@@ -75,15 +77,17 @@ _SECTION_KEYS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """A parsed run.  ``input_state`` is the probe: for a two-qubit device,
-    the two pairs ``pairs(input_state, input_state_b)``.  ``plan`` is None
-    for exact statistics."""
+    the two pairs ``pairs(input_state, input_state_b)``.  ``output_state`` is
+    the probe sent through the channel, propagated once when the config is
+    parsed.  ``plan`` is None for exact statistics."""
 
     label: str
     input_state: BipartiteState
     channel: QuantumChannel
+    output_state: BipartiteState
     estimator: str
     plan: Optional[ExperimentPlan]
     bootstrap_resamples: int
@@ -249,7 +253,7 @@ def parse_config(doc: dict) -> PipelineConfig:
     first = states["input_state"]
     probe = pairs(first, states.get("input_state_b", first)) if two_qubit else first
     try:
-        propagate(channel, probe)
+        output = propagate(channel, probe)
     except NullEventError as exc:
         raise ConfigError(f"device: the channel annihilates the input state ({exc})") from None
     for field, state in states.items():
@@ -283,12 +287,13 @@ def parse_config(doc: dict) -> PipelineConfig:
         label=label,
         input_state=probe,
         channel=channel,
+        output_state=output,
         estimator=estimator,
         plan=plan,
         bootstrap_resamples=_int_field(
             "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES, MAX_RESAMPLES
         ),
-        bootstrap_seed=_int_field("bootstrap.seed", boot.get("seed", 0), 0),
+        bootstrap_seed=_int_field("bootstrap.seed", boot.get("seed", 0), 0, MAX_SEED),
         out_events=_name_field("outputs.events", outputs.get("events", f"{label}_events.csv")),
         out_result=_name_field("outputs.result", outputs.get("result", f"{label}_result.txt")),
         out_plotdata=_name_field(
@@ -341,17 +346,13 @@ def _say(line: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _output_state(cfg: PipelineConfig) -> BipartiteState:
-    return propagate(cfg.channel, cfg.input_state)
-
-
 def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
     """Draw coincidence events and write the event log; returns its path and
     the events' (9, 4) counts table, which the sampler counted as it drew them."""
     plan = cfg.plan
     if plan is None:
         raise ConfigError("exact-statistics configs have no event log to simulate")
-    codes, counts = _sample(_output_state(cfg), plan)
+    codes, counts = _sample(cfg.output_state, plan)
     path = _resolve(out_dir, cfg.out_events)
     _write_output(path, lambda p: write_event_log(p, codes, seed=plan.seed, eta=plan.eta))
     for setting in SETTINGS:
@@ -366,19 +367,21 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
     return _simulate(cfg, out_dir)[0]
 
 
-def _element_labels(kind: str, shape) -> list[str]:
-    n = shape[0]
-    if kind == "input_state":
-        return [f"Psi{r}{c}" for r in range(n) for c in range(n)]
-    if kind == "device_unitary":
-        return [f"U{r}{c}" for r in range(n) for c in range(n)]
-    if n <= 9:
-        return [f"C{r}{c}" for r in range(n) for c in range(n)]
-    return [f"C{r}_{c}" for r in range(n) for c in range(n)]
+@functools.cache
+def _row_heads(kind: str, n: int) -> tuple[str, ...]:
+    """The ``element,part`` cells of an n x n matrix's table rows, in row order."""
+    name = {"input_state": "Psi{}{}", "device_unitary": "U{}{}"}.get(kind)
+    if name is None:
+        name = "C{}{}" if n <= 9 else "C{}_{}"
+    return tuple(
+        f"{name.format(r, c)},{part}" for r in range(n) for c in range(n) for part in ("re", "im")
+    )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _row_values(a) -> list[float]:
+    """Real and imaginary part of every element of a matrix, or of the
+    bootstrap errors, as Python floats in row order."""
+    return np.stack([a.real, a.imag], axis=-1).reshape(-1).tolist()
 
 
 def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
@@ -400,7 +403,7 @@ def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
     lines.append(f"gauge: {result.gauge}")
     for key, val in result.diagnostics.items():
         if isinstance(val, float):
-            lines.append(f"{key}: {_fmt(val)}")
+            lines.append(f"{key}: {val:.12g}")
         else:
             lines.append(f"{key}: {val}")
     lines.append("")
@@ -412,20 +415,11 @@ def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
         overlap = np.sum(np.conj(truth) * m)
         if abs(overlap) > 1e-12:
             truth = np.asarray(truth) * np.exp(1j * np.angle(overlap))
-    labels = _element_labels(kind, m.shape)
-
-    def parts(a) -> tuple[list, list]:
-        """Real and imaginary parts of every element, as Python floats."""
-        return a.real.reshape(-1).tolist(), a.imag.reshape(-1).tolist()
-
-    est = parts(m)
-    err = parts(result.errors) if result.errors is not None else None
-    theory = parts(np.asarray(truth)) if truth is not None else None
-    for k, label in enumerate(labels):
-        for p, part in enumerate(("re", "im")):
-            err_s = _fmt(err[p][k]) if err is not None else ""
-            truth_s = _fmt(theory[p][k]) if theory is not None else ""
-            lines.append(f"{label},{part},{_fmt(est[p][k])},{err_s},{truth_s}")
+    # one format call per row; a column without values stays empty
+    err, cell = result.errors, "{:.12g}"
+    row = ",".join(("{}", cell, "" if err is None else cell, "" if truth is None else cell))
+    columns = [_row_values(v) for v in (m, err, truth) if v is not None]
+    lines += map(row.format, _row_heads(kind, m.shape[0]), *columns)
     return "\n".join(lines) + "\n"
 
 
@@ -433,14 +427,10 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
     """Estimate the configured quantity from the (9, 4) counts table (None
     for exact statistics) and write the result document; returns its path
     and text.  The bootstrap resamples the same counts."""
-    psi_in = cfg.input_state
-    if counts is None:
-        table = exact_correlations(_output_state(cfg))
-    else:
-        table = table_from_counts(counts)
+    psi_in, out = cfg.input_state, cfg.output_state
+    table = exact_correlations(out) if counts is None else table_from_counts(counts)
 
     if cfg.estimator == "state_only":
-        out = _output_state(cfg)
         truth = out.coeffs if out.pure else None
         ref = select_reference(table)
         result = reconstruct_state(table, ref, truth=truth)

@@ -34,6 +34,7 @@ from .algebra import (
     pauli_coefficients,
     pauli_expand,
     permute_qubits,
+    tensor,
 )
 from .channels import propagate, unitary_channel
 from .errors import (
@@ -43,6 +44,7 @@ from .errors import (
     UnfaithfulInputError,
 )
 from .experiment import (
+    MAX_SEED,
     SETTINGS,
     CorrelationTable,
     events_to_counts,
@@ -340,7 +342,7 @@ def reconstruct_choi(
     if rho.shape[-1] != d * d:
         raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
     eye, inv = np.eye(d), np.linalg.inv  # full rank is checked above, by singular values
-    choi = _hermitize(np.kron(eye, inv(psi.T)) @ rho @ np.kron(eye, inv(psi.conj())))
+    choi = _hermitize(tensor(eye, inv(psi.T)) @ rho @ tensor(eye, inv(psi.conj())))
     tr = np.trace(choi, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):
         raise QptError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")
@@ -415,7 +417,8 @@ def bootstrap_errors(
     ascending order, is redrawn until a one-row call succeeds, and the
     redraws are counted.  That consumes the random stream exactly as
     resampling one table at a time would.  ``n_resamples`` outside
-    MIN_RESAMPLES..MAX_RESAMPLES is a ValueError.
+    MIN_RESAMPLES..MAX_RESAMPLES, or ``seed`` outside 0..MAX_SEED, is a
+    ValueError.
     """
     return _bootstrap_counts(events_to_counts(events), estimator, n_resamples, seed)
 
@@ -433,6 +436,8 @@ def _bootstrap_counts(
         )
     if n_resamples > MAX_RESAMPLES:
         raise ValueError(f"at most {MAX_RESAMPLES} resamples are drawn, got {n_resamples}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"the bootstrap seed must fit in 64 unsigned bits, got {seed}")
     totals = counts.sum(axis=1)
     if np.any(totals == 0):
         raise IncompleteQuorumError(

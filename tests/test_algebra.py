@@ -14,7 +14,7 @@ from qptsim import (
     permute_qubits,
     tensor,
 )
-from qptsim.algebra import pauli_coefficients, pauli_expand
+from qptsim.algebra import _PAULI_STACK, pauli_coefficients, pauli_expand
 
 RT2 = np.sqrt(2.0)
 
@@ -93,6 +93,27 @@ def test_tensor_expectation_triplet():
 def test_tensor_rejects_vectors():
     with pytest.raises(ValueError):
         tensor(np.ones(2), np.eye(2))
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, shape and dtype, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_tensor_is_np_kron_bit_for_bit():
+    # the same products np.kron forms: real x complex, eye x complex, non-square
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        real = rng.normal(size=(2, 2))
+        cplx = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        tall = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+        wide = rng.normal(size=(1, 2))
+        for a, b in (
+            (real, cplx), (cplx, real), (cplx, cplx), (np.eye(4), cplx), (cplx, np.eye(2)),
+            (tall, wide), (wide, tall), (tall, cplx), (-real, np.zeros((2, 3))),
+        ):
+            assert same_bits(tensor(a, b), np.kron(a, b))
 
 
 def test_coeffs_inverse_of_a_faithful_pure_state_only():
@@ -187,6 +208,40 @@ def test_pauli_coefficients_match_kron_basis(k):
     rng = np.random.default_rng(200 + k)
     h = random_hermitian(rng, k)
     assert np.max(np.abs(pauli_coefficients(h) - kron_basis_coefficients(h, k))) < 1e-12
+
+
+def tensordot_expand(coeffs, batched=False):
+    """Reference: the Pauli expansion as a chain of np.tensordot contractions."""
+    t = np.asarray(coeffs)
+    lead = 1 if batched else 0
+    k = t.ndim - lead
+    for _ in range(k):
+        t = np.tensordot(t, _PAULI_STACK, axes=([lead], [0]))
+    axes = list(range(lead)) + [lead + a for a in range(0, 2 * k, 2)]
+    axes += [lead + a for a in range(1, 2 * k, 2)]
+    return t.transpose(axes).reshape(t.shape[:lead] + (2**k, 2**k))
+
+
+def tensordot_coefficients(op):
+    """Reference: the Pauli coefficients as a chain of np.tensordot contractions."""
+    k = op.shape[0].bit_length() - 1
+    t = op.reshape([2] * (2 * k)).transpose([a for q in range(k) for a in (q, k + q)])
+    for _ in range(k):
+        t = np.tensordot(t, _PAULI_STACK, axes=([0, 1], [2, 1]))
+    return t.real
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_pauli_transforms_are_the_tensordot_chain_bit_for_bit(k):
+    rng = np.random.default_rng(300 + k)
+    for _ in range(5):
+        coeffs = rng.normal(size=(4,) * k)
+        assert same_bits(pauli_expand(coeffs), tensordot_expand(coeffs))
+        batch = rng.normal(size=(3,) + (4,) * k)
+        assert same_bits(pauli_expand(batch, batched=True), tensordot_expand(batch, batched=True))
+        op = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        for m in (op, op.T, random_hermitian(rng, k)):
+            assert same_bits(pauli_coefficients(m), tensordot_coefficients(m))
 
 
 def test_pauli_transform_shape_checks():

@@ -22,7 +22,14 @@ from qptsim import (
 )
 from qptsim.cli import main
 from qptsim.errors import ConfigError, DataError
-from qptsim.experiment import MAX_TOTAL, MAX_TRIALS, SETTINGS, ExperimentPlan, LossModel
+from qptsim.experiment import (
+    MAX_SEED,
+    MAX_TOTAL,
+    MAX_TRIALS,
+    SETTINGS,
+    ExperimentPlan,
+    LossModel,
+)
 from qptsim.tomography import MAX_RESAMPLES, MIN_RESAMPLES
 from qptsim.pipeline import (
     PRESETS,
@@ -291,6 +298,20 @@ def test_bootstrap_resamples_capped(tmp_path, capsys):
         bootstrap_errors(events, lambda t: t.entries, n_resamples=MAX_RESAMPLES + 1)
 
 
+def test_bootstrap_seed_capped(tmp_path, capsys):
+    # the bootstrap seed fits in 64 unsigned bits, as plan.seed and --seed do
+    assert parse_config(base_config(bootstrap={"seed": MAX_SEED})).bootstrap_seed == 2**64 - 1
+    cfg_path = tmp_path / "big.json"
+    for seed in (2**64, 10**4000):
+        cfg_path.write_text(json.dumps(base_config(bootstrap={"seed": seed})))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert one_line_error(capsys).startswith("config error: bootstrap.seed: must be at most")
+    assert not any(tmp_path.glob("t_*"))
+    events = np.arange(36, dtype=np.uint8)
+    with pytest.raises(ValueError, match="64 unsigned bits"):
+        bootstrap_errors(events, lambda t: t.entries, seed=2**64)
+
+
 @pytest.mark.parametrize(
     "device",
     [
@@ -548,10 +569,20 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, close):
         assert proc.returncode == code and proc.stdout == b""
 
 
+def preset_doc(name):
+    return json.loads((resources.files("qptsim") / "presets" / f"{name}.json").read_text("utf-8"))
+
+
 def lossy_fig3():
-    doc = json.loads((resources.files("qptsim") / "presets" / "fig3.json").read_text("utf-8"))
+    doc = preset_doc("fig3")
     doc["plan"]["eta"] = 0.42
     return parse_config(doc)
+
+
+# exact statistics on a mixed output: no event log, and an empty theory column
+STATE_ONLY_EXACT = base_config(
+    estimator="state_only", device={"type": "depolarizing", "p": 0.3}, plan={"exact": True}
+)
 
 
 @pytest.mark.parametrize(
@@ -565,20 +596,25 @@ def lossy_fig3():
             "allocation": {"xx": 390, "xy": 10, "xz": 100, "yx": 300, "yy": 200,
                            "yz": 150, "zx": 250, "zy": 350, "zz": 250},
         })),
+        lambda: load_preset("depol"),
+        lambda: load_preset("cnot"),
+        lambda: parse_config(STATE_ONLY_EXACT),
     ],
-    ids=["fig3", "fig4", "fig3-eta0.42", "allocation"],
+    ids=["fig3", "fig4", "fig3-eta0.42", "allocation", "depol", "cnot", "state_only-exact"],
 )
 def test_pipeline_writes_the_bytes_of_the_staged_commands(tmp_path, make_cfg):
     # the pipeline hands events and the result document on in memory; the
-    # commands read each other's files
+    # commands read each other's files.  Exact statistics have no log to simulate.
     cfg = make_cfg()
     run_pipeline(cfg, tmp_path / "pipeline")
     staged = tmp_path / "staged"
-    run_simulate(cfg, staged)
+    if cfg.plan is not None:
+        run_simulate(cfg, staged)
     run_reconstruct(cfg, staged)
     run_plotdata(cfg, staged)
     names = sorted(p.name for p in (tmp_path / "pipeline").iterdir())
-    assert names == sorted(p.name for p in staged.iterdir()) and len(names) == 3
+    assert names == sorted(p.name for p in staged.iterdir())
+    assert len(names) == (2 if cfg.plan is None else 3)
     for name in names:
         assert (tmp_path / "pipeline" / name).read_bytes() == (staged / name).read_bytes()
 
@@ -594,6 +630,22 @@ def test_events_counted_once_per_staged_reconstruct_never_in_pipeline(tmp_path, 
     run_pipeline(cfg, tmp_path)
     assert calls == []
     run_reconstruct(cfg, tmp_path)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [preset_doc("depol"), STATE_ONLY_EXACT, preset_doc("fig3")],
+    ids=["depol", "state_only-exact", "fig3"],
+)
+def test_one_propagation_per_run(tmp_path, monkeypatch, doc):
+    # parse_config propagates the probe; the stages read the output state it keeps
+    calls = []
+    propagate = qptsim.pipeline.propagate
+    monkeypatch.setattr(
+        qptsim.pipeline, "propagate", lambda *args: calls.append(1) or propagate(*args)
+    )
+    run_pipeline(parse_config(doc), tmp_path)
     assert calls == [1]
 
 
