@@ -63,6 +63,7 @@ from .tomography import (
     CNOT,
     SWAP,
     BootstrapErrors,
+    BootstrapPlan,
     FaithfulnessReport,
     ReconstructionResult,
     bootstrap_errors,

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import shown
 
 # Absolute tolerances: equality of normalizations, and slack of hermiticity
 # and positivity checks.
@@ -32,7 +33,7 @@ def _check_real(what: str, v) -> None:
     """Refuse ``v`` with ValueError unless it is a real number; numpy reals
     pass, bools and strings do not."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {v!r}")
+        raise ValueError(f"{what} must be a real number, got {shown(v)}")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -60,7 +61,7 @@ def pauli(i: int) -> np.ndarray:
     standard [[0,-i],[i,0]].
     """
     if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or i not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be an integer in 0..3, got {i!r}")
+        raise ValueError(f"Pauli index must be an integer in 0..3, got {shown(i)}")
     return _PAULI[i]
 
 
@@ -156,16 +157,16 @@ def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
     return m.reshape([2] * (2 * n)).transpose(axes).reshape(2**n, 2**n)
 
 
-def is_density_matrix(rho: np.ndarray, tol: float = PSD_SLACK) -> bool:
-    """Hermitian, unit trace, eigenvalues >= -tol."""
+def is_density_matrix(rho: np.ndarray) -> bool:
+    """Hermitian, unit trace, eigenvalues >= -PSD_SLACK."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         return False
-    if np.max(np.abs(rho - dagger(rho))) > tol:
+    if np.max(np.abs(rho - dagger(rho))) > PSD_SLACK:
         return False
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > tol:
+    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > PSD_SLACK:
         return False
-    return bool(np.min(np.linalg.eigvalsh(rho)) >= -tol)
+    return bool(np.min(np.linalg.eigvalsh(rho)) >= -PSD_SLACK)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from .algebra import (
     _check_real,
     _frozen,
 )
-from .errors import NullEventError
+from .errors import NullEventError, shown
 
 # Outcome probabilities below this are treated as impossible events.
 NULL_EVENT_PROB = 1e-15
@@ -121,7 +121,7 @@ def depolarizing(p: float) -> QuantumChannel:
     """Depolarizing channel E(rho) = (1-p) rho + p I/2."""
     _check_real("depolarizing strength", p)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
+        raise ValueError(f"depolarizing strength must be in [0, 1], got {shown(p)}")
     ops = [np.sqrt(1.0 - 3.0 * p / 4.0) * pauli(0)]
     ops += [np.sqrt(p / 4.0) * pauli(a) for a in (1, 2, 3)]
     return QuantumChannel.from_kraus(ops)
@@ -131,7 +131,7 @@ def amplitude_damping(gamma: float) -> QuantumChannel:
     """Amplitude damping: decay |1> -> |0> with probability gamma."""
     _check_real("damping strength", gamma)
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping strength must be in [0, 1], got {gamma}")
+        raise ValueError(f"damping strength must be in [0, 1], got {shown(gamma)}")
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return QuantumChannel.from_kraus([k0, k1])

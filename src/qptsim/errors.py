@@ -33,6 +33,16 @@ class UnfaithfulInputError(QptError):
         )
 
 
+def shown(v) -> str:
+    """A refused value as an error line shows it: its repr, but a long integer by
+    its digit count and any other long repr cut short."""
+    if isinstance(v, int) and not -(10**24) < v < 10**24:
+        digits = int(abs(v).bit_length() * 0.30102999566398120)  # log10(2); low by at most one
+        return f"a{' negative' if v < 0 else ''} {digits + (abs(v) >= 10**digits)}-digit integer"
+    text = repr(v)
+    return text if len(text) <= 60 else f"{text[:50]}... ({len(text)} characters)"
+
+
 class PlanError(QptError, ValueError):
     """An experiment plan that cannot run; ``fields`` names the arguments at fault."""
 

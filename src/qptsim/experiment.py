@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .algebra import BipartiteState, pauli_coefficients
-from .errors import DataError, IncompleteQuorumError, PlanError
+from .errors import DataError, IncompleteQuorumError, PlanError, shown
 
 
 class MeasurementSetting(NamedTuple):
@@ -124,7 +124,15 @@ MAX_SEED = 2**64 - 1
 def _check_integer(field: str, what: str, v) -> None:
     """Refuse ``v`` unless it is an integer; numpy integers pass, bools do not."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise PlanError((field,), f"{what} must be an integer, got {v!r}")
+        raise PlanError((field,), f"{what} must be an integer, got {shown(v)}")
+
+
+def _check_seed(field: str, seed) -> None:
+    """Refuse ``seed`` unless it is an integer from 0 to MAX_SEED."""
+    _check_integer(field, "the seed", seed)
+    if not 0 <= seed <= MAX_SEED:
+        bound = "least 0" if seed < 0 else f"most {MAX_SEED} (64 unsigned bits)"
+        raise PlanError((field,), f"must be at {bound}, got {shown(seed)}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +142,10 @@ class LossModel:
     eta: float
 
     def __post_init__(self):
-        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
-            raise PlanError(("eta",), f"detector efficiency must be a number, got {self.eta!r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise PlanError(("eta",), f"detector efficiency must be in (0, 1], got {self.eta}")
-        object.__setattr__(self, "eta", float(self.eta))
+        eta = self.eta
+        if isinstance(eta, bool) or not isinstance(eta, numbers.Real) or not 0.0 < eta <= 1.0:
+            raise PlanError(("eta",), f"efficiency must be a number in (0, 1], got {shown(eta)}")
+        object.__setattr__(self, "eta", float(eta))
 
 
 @dataclass(frozen=True)
@@ -154,25 +161,23 @@ class ExperimentPlan:
 
     def __post_init__(self):
         _check_integer("total", "the coincidence count", self.total)
-        _check_integer("seed", "the seed", self.seed)
+        _check_seed("seed", self.seed)
         if not 0 < self.total <= MAX_TOTAL:
-            raise PlanError(("total",), f"must be 1 to {MAX_TOTAL} coincidences, got {self.total}")
-        if not 0 <= self.seed <= MAX_SEED:
-            raise PlanError(("seed",), f"must fit in 64 unsigned bits, got {self.seed}")
+            raise PlanError(("total",), f"must be 1 to {MAX_TOTAL}, got {shown(self.total)}")
         if not isinstance(self.allocation, Mapping):
-            raise PlanError(("allocation",), f"expected a mapping, got {self.allocation!r}")
+            raise PlanError(("allocation",), f"expected a mapping, got {shown(self.allocation)}")
         alloc = dict(self.allocation)
         for s, n in alloc.items():
             if s not in SETTINGS:
-                raise PlanError(("allocation",), f"unknown setting {s!r}")
+                raise PlanError(("allocation",), f"unknown setting {shown(s)}")
             what = f"the count of setting {AXIS_LETTERS[s[0]]}{AXIS_LETTERS[s[1]]}"
             _check_integer("allocation", what, n)
             if n < 0:
-                raise PlanError(("allocation",), f"{what} must be at least 0, got {n}")
+                raise PlanError(("allocation",), f"{what} must be at least 0, got {shown(n)}")
         if sum(alloc.values()) != self.total:
             raise PlanError(("allocation",), f"the counts must sum to total ({self.total})")
         if self.loss is not None and not isinstance(self.loss, LossModel):
-            raise PlanError(("loss",), f"expected a LossModel or None, got {self.loss!r}")
+            raise PlanError(("loss",), f"expected a LossModel or None, got {shown(self.loss)}")
         trials = self.total / self.eta / self.eta  # eta**2 can underflow to 0.0
         if trials > MAX_TRIALS:
             raise PlanError(

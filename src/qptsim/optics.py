@@ -58,7 +58,7 @@ class DeviceSpec:
             raise ValueError("device needs at least one wave-plate")
 
     @classmethod
-    def from_config(cls, items: Sequence[dict], label: Optional[str] = None) -> "DeviceSpec":
+    def from_config(cls, items: Sequence[dict]) -> "DeviceSpec":
         """Plates from config entries, angles in units of pi; a non-real angle,
         a bool or a string among them, is a ValueError."""
         plates = []
@@ -71,7 +71,7 @@ class DeviceSpec:
                     theta=float(it["theta_over_pi"]) * np.pi,
                 )
             )
-        return cls(plates=tuple(plates), label=label)
+        return cls(plates=tuple(plates))
 
 
 def waveplate_jones(p: WavePlate) -> np.ndarray:

@@ -34,11 +34,10 @@ from .channels import (
     propagate,
     unitary_channel,
 )
-from .errors import ConfigError, DataError, NullEventError, PlanError
+from .errors import ConfigError, DataError, NullEventError, PlanError, shown
 from .experiment import (
     SETTINGS,
     AXIS_LETTERS,
-    MAX_SEED,
     ExperimentPlan,
     LossModel,
     _sample,
@@ -52,9 +51,8 @@ from .experiment import (
 from .optics import DeviceSpec, compile_device
 from .tomography import (
     CNOT,
-    MAX_RESAMPLES,
-    MIN_RESAMPLES,
     SWAP,
+    BootstrapPlan,
     _bootstrap_counts,
     reconstruct_choi,
     reconstruct_state,
@@ -90,8 +88,7 @@ class PipelineConfig:
     output_state: BipartiteState
     estimator: str
     plan: Optional[ExperimentPlan]
-    bootstrap_resamples: int
-    bootstrap_seed: int
+    bootstrap: BootstrapPlan
     out_events: str
     out_result: str
     out_plotdata: str
@@ -103,7 +100,7 @@ class PipelineConfig:
 
 def _complex_entry(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"complex entries must be [re, im] pairs, got {v!r}")
+        raise ConfigError(f"complex entries must be [re, im] pairs, got {shown(v)}")
     for part in v:
         _check_real("the parts of a complex entry", part)
     return complex(float(v[0]), float(v[1]))
@@ -124,7 +121,7 @@ def _parse_state(field: str, spec) -> BipartiteState:
             if m.shape != (2, 2):
                 raise ValueError(f"coefficient matrix must be 2x2, got {m.shape}")
             return BipartiteState.from_coeffs(m)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{field}.coeffs: {exc}") from None
     raise ConfigError(f"{field}: needs either 'bell' or 'coeffs'")
 
@@ -154,46 +151,48 @@ def _parse_device(spec) -> QuantumChannel:
             return QuantumChannel.from_kraus(ops)
         if kind in TWO_QUBIT_DEVICES:
             return unitary_channel(TWO_QUBIT_DEVICES[kind])
-    except ConfigError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"device ({kind}): {exc}") from None
     raise ConfigError(
-        f"device.type: unknown type {kind!r}; expected waveplates, identity, "
+        f"device.type: unknown type {shown(kind)}; expected waveplates, identity, "
         f"depolarizing, amplitude_damping, kraus, cnot or swap"
     )
 
 
+def _checked(section: str, make):
+    """``make()``, whose PlanError becomes a config error naming ``section``'s fields."""
+    try:
+        return make()
+    except PlanError as exc:
+        fields = ", ".join(f"{section}.{f}" for f in exc.fields)
+        raise ConfigError(f"{fields}: {exc.problem}") from None
+
+
 def _parse_plan(spec: dict) -> Optional[ExperimentPlan]:
-    """The plan of a ``plan`` section, None for exact statistics.  The library
-    types check it; a plan they refuse is a config error naming its fields."""
+    """The plan of a ``plan`` section, None for exact statistics."""
     exact = spec.get("exact", False)
     if not isinstance(exact, bool):
-        raise ConfigError(f"plan.exact: expected true or false, got {exact!r}")
+        raise ConfigError(f"plan.exact: expected true or false, got {shown(exact)}")
     if exact:
         if len(spec) > 1:
-            others = ", ".join(repr(k) for k in spec if k != "exact")
+            others = ", ".join(shown(k) for k in spec if k != "exact")
             raise ConfigError(f"plan: an exact-statistics plan takes no other key, got {others}")
         return None
     total, seed, alloc = spec.get("total", 0), spec.get("seed", 0), spec.get("allocation")
     if isinstance(alloc, dict):  # keys name settings by their axis letters, such as 'xz'
         names = {AXIS_LETTERS[s.axis1] + AXIS_LETTERS[s.axis2]: s for s in SETTINGS}
         alloc = {names.get(key, key): n for key, n in alloc.items()}
-    try:
-        loss = LossModel(spec.get("eta", 1.0))
-        if "allocation" not in spec:
-            return ExperimentPlan.uniform(total, seed, loss=loss)
-        return ExperimentPlan(total, alloc, seed, loss)
-    except PlanError as exc:
-        fields = ", ".join(f"plan.{f}" for f in exc.fields)
-        raise ConfigError(f"{fields}: {exc.problem}") from None
+    loss = _checked("plan", lambda: LossModel(spec.get("eta", 1.0)))
+    if "allocation" not in spec:
+        return _checked("plan", lambda: ExperimentPlan.uniform(total, seed, loss=loss))
+    return _checked("plan", lambda: ExperimentPlan(total, alloc, seed, loss))
 
 
 def _check_keys(where: str, doc: dict, allowed) -> None:
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(
-            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"{where}: unknown key(s) {', '.join(map(shown, unknown))}; "
             f"expected some of {', '.join(allowed)}"
         )
 
@@ -206,27 +205,15 @@ def _section(doc: dict, name: str) -> dict:
     return sec
 
 
-def _int_field(where: str, v, low: int, high: Optional[int] = None) -> int:
-    """An integer config entry, required to be at least ``low`` and, given
-    ``high``, at most that."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}: expected an integer, got {v!r}")
-    if v < low:
-        raise ConfigError(f"{where}: must be at least {low}, got {v}")
-    if high is not None and v > high:
-        raise ConfigError(f"{where}: must be at most {high}, got {v}")
-    return v
-
-
 def _name_field(where: str, v) -> str:
     """A config string that names output files and is written into UTF-8 documents."""
     text = str(v)
     if "\0" in text:
-        raise ConfigError(f"{where}: {text!r} contains a NUL character")
+        raise ConfigError(f"{where}: {shown(text)} contains a NUL character")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ConfigError(f"{where}: {text!r} cannot be encoded as UTF-8 ({exc.reason})") from None
+        raise ConfigError(f"{where}: {shown(text)} has no UTF-8 encoding ({exc.reason})") from None
     return text
 
 
@@ -240,38 +227,30 @@ def parse_config(doc: dict) -> PipelineConfig:
 
     estimator = doc["estimator"]
     if estimator not in ESTIMATORS:
-        raise ConfigError(f"estimator: expected one of {ESTIMATORS}, got {estimator!r}")
+        raise ConfigError(f"estimator: expected one of {ESTIMATORS}, got {shown(estimator)}")
 
-    states = {"input_state": _parse_state("input_state", doc["input_state"])}
-    if "input_state_b" in doc:
-        states["input_state_b"] = _parse_state("input_state_b", doc["input_state_b"])
+    # one pair per device qubit; the second pair defaults to the first's state
+    first = _parse_state("input_state", doc["input_state"])
+    has_b = "input_state_b" in doc
+    second = _parse_state("input_state_b", doc["input_state_b"]) if has_b else first
     channel = _parse_device(doc["device"])
     two_qubit = channel.choi.shape == (16, 16)
-    if not two_qubit and "input_state_b" in states:
+    if two_qubit and estimator != "choi":
+        raise ConfigError("two-qubit devices require the choi estimator")
+    if not two_qubit and has_b:
         raise ConfigError("input_state_b: only two-qubit devices take a second pair")
-    # one pair per device qubit; the second pair defaults to the first's state
-    first = states["input_state"]
-    probe = pairs(first, states.get("input_state_b", first)) if two_qubit else first
+    probe = pairs(first, second) if two_qubit else first
     try:
         output = propagate(channel, probe)
     except NullEventError as exc:
         raise ConfigError(f"device: the channel annihilates the input state ({exc})") from None
-    for field, state in states.items():
-        if estimator != "state_only" and not state.full_rank:
-            raise ConfigError(
-                f"{field}: the {estimator} estimator needs a faithful probe "
-                f"(a full-rank coefficient matrix)"
-            )
+    if estimator != "state_only" and not probe.full_rank:  # the pairs' product, for two qubits
+        names = "input_state and input_state_b" if two_qubit else "input_state"
+        raise ConfigError(f"{names}: the {estimator} estimator needs a faithful (full-rank) probe")
 
     plan = _parse_plan(_section(doc, "plan"))
-    if two_qubit:
-        if estimator != "choi":
-            raise ConfigError("two-qubit devices require the choi estimator")
-        if plan is not None:
-            raise ConfigError("two-qubit devices support exact statistics only (plan.exact = true)")
-        if not probe.full_rank:  # each pair can be faithful while their product is not
-            names = " and ".join(states)
-            raise ConfigError(f"{names}: the product of the two pairs is not full rank")
+    if two_qubit and plan is not None:
+        raise ConfigError("two-qubit devices support exact statistics only (plan.exact = true)")
     if estimator == "unitary" and not channel.is_unitary:
         warnings.warn(
             "unitary estimator configured for a non-unitary device; "
@@ -281,6 +260,7 @@ def parse_config(doc: dict) -> PipelineConfig:
         )
 
     boot = _section(doc, "bootstrap")
+    bootstrap = _checked("bootstrap", lambda: BootstrapPlan(**boot))
     outputs = _section(doc, "outputs")
     label = _name_field("label", doc.get("label", "run"))
     return PipelineConfig(
@@ -290,10 +270,7 @@ def parse_config(doc: dict) -> PipelineConfig:
         output_state=output,
         estimator=estimator,
         plan=plan,
-        bootstrap_resamples=_int_field(
-            "bootstrap.resamples", boot.get("resamples", 1000), MIN_RESAMPLES, MAX_RESAMPLES
-        ),
-        bootstrap_seed=_int_field("bootstrap.seed", boot.get("seed", 0), 0, MAX_SEED),
+        bootstrap=bootstrap,
         out_events=_name_field("outputs.events", outputs.get("events", f"{label}_events.csv")),
         out_result=_name_field("outputs.result", outputs.get("result", f"{label}_result.txt")),
         out_plotdata=_name_field(
@@ -397,8 +374,8 @@ def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
             f"n_events: {plan.total}",
             f"seed: {plan.seed}",
             f"eta: {plan.eta!r}",
-            f"bootstrap_resamples: {cfg.bootstrap_resamples}",
-            f"bootstrap_seed: {cfg.bootstrap_seed}",
+            f"bootstrap_resamples: {cfg.bootstrap.resamples}",
+            f"bootstrap_seed: {cfg.bootstrap.seed}",
         ]
     lines.append(f"gauge: {result.gauge}")
     for key, val in result.diagnostics.items():
@@ -446,9 +423,7 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 
     if counts is not None:
-        result.errors = _bootstrap_counts(
-            counts, estimate, n_resamples=cfg.bootstrap_resamples, seed=cfg.bootstrap_seed
-        )
+        result.errors = _bootstrap_counts(counts, estimate, cfg.bootstrap)
 
     text = _format_result(result.kind, cfg, result, truth)
     path = _resolve(out_dir, cfg.out_result)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .algebra import (
     _PAULI_STACK,
-    FULL_RANK_MIN_SV,
     BipartiteState,
     dagger,
     pairs,
@@ -40,13 +39,16 @@ from .channels import propagate, unitary_channel
 from .errors import (
     DegenerateReferenceError,
     IncompleteQuorumError,
+    PlanError,
     QptError,
     UnfaithfulInputError,
+    shown,
 )
 from .experiment import (
-    MAX_SEED,
     SETTINGS,
     CorrelationTable,
+    _check_integer,
+    _check_seed,
     events_to_counts,
     table_from_counts,
 )
@@ -58,6 +60,24 @@ MIN_RESAMPLES = 100
 # at B = 1e5, and fig3 with that many resamples took 1.1 s and 147 MB peak RSS
 # through the CLI (1.9 s and 184 MB with the Choi estimator) on a 2-core host.
 MAX_RESAMPLES = 10**5
+
+
+@dataclass(frozen=True)
+class BootstrapPlan:
+    """How many bootstrap resamples to draw, and with which seed.  Resamples outside
+    MIN_RESAMPLES..MAX_RESAMPLES or a seed outside 0..MAX_SEED raise PlanError."""
+
+    resamples: int = 1000
+    seed: int = 0
+
+    def __post_init__(self):
+        n = self.resamples
+        _check_integer("resamples", "the resample count", n)
+        if not MIN_RESAMPLES <= n <= MAX_RESAMPLES:
+            bound = f"least {MIN_RESAMPLES}" if n < MIN_RESAMPLES else f"most {MAX_RESAMPLES}"
+            raise PlanError(("resamples",), f"must be at {bound}, got {shown(n)}")
+        _check_seed("seed", self.seed)
+
 
 _REF_LABEL = {(n, m): f"|{n}{m}>" for n in (0, 1) for m in (0, 1)}
 
@@ -221,11 +241,9 @@ def _state_overlap(a: np.ndarray, b: np.ndarray) -> float:
 
 def faithfulness_check(psi: BipartiteState):
     """Full-rank flag and condition number of a pure probe state."""
-    if not psi.pure:
-        raise ValueError("faithfulness is defined for pure states")
     sv = psi.singular_values
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return FaithfulnessReport(full_rank=bool(sv[-1] > FULL_RANK_MIN_SV), condition_number=cond)
+    return FaithfulnessReport(full_rank=psi.full_rank, condition_number=cond)
 
 
 @dataclass(frozen=True)
@@ -416,35 +434,24 @@ def bootstrap_errors(
     DegenerateReferenceError with the failing rows; each of them, in
     ascending order, is redrawn until a one-row call succeeds, and the
     redraws are counted.  That consumes the random stream exactly as
-    resampling one table at a time would.  ``n_resamples`` outside
-    MIN_RESAMPLES..MAX_RESAMPLES, or ``seed`` outside 0..MAX_SEED, is a
-    ValueError.
+    resampling one table at a time would.  ``n_resamples`` and ``seed``
+    that BootstrapPlan refuses raise its PlanError, a ValueError.
     """
-    return _bootstrap_counts(events_to_counts(events), estimator, n_resamples, seed)
+    return _bootstrap_counts(events_to_counts(events), estimator, BootstrapPlan(n_resamples, seed))
 
 
 def _bootstrap_counts(
     counts: np.ndarray,
     estimator: Callable[[CorrelationTable], np.ndarray],
-    n_resamples: int,
-    seed: int,
+    plan: BootstrapPlan,
 ) -> BootstrapErrors:
     """``bootstrap_errors`` of the events whose (9, 4) count table is ``counts``."""
-    if n_resamples < MIN_RESAMPLES:
-        raise ValueError(
-            f"need at least {MIN_RESAMPLES} resamples for stable error bars, got {n_resamples}"
-        )
-    if n_resamples > MAX_RESAMPLES:
-        raise ValueError(f"at most {MAX_RESAMPLES} resamples are drawn, got {n_resamples}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"the bootstrap seed must fit in 64 unsigned bits, got {seed}")
+    n_resamples = plan.resamples
     totals = counts.sum(axis=1)
     if np.any(totals == 0):
-        raise IncompleteQuorumError(
-            [SETTINGS[k] for k in range(len(SETTINGS)) if totals[k] == 0]
-        )
+        raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(totals == 0)])
     probs = counts / totals[:, None]
-    rng = np.random.default_rng([seed])
+    rng = np.random.default_rng([plan.seed])
     draws = np.stack(
         [rng.multinomial(totals[k], probs[k], size=n_resamples) for k in range(len(SETTINGS))],
         axis=1,

@@ -21,7 +21,7 @@ from qptsim import (
     select_reference,
 )
 from qptsim.cli import main
-from qptsim.errors import ConfigError, DataError
+from qptsim.errors import ConfigError, DataError, PlanError
 from qptsim.experiment import (
     MAX_SEED,
     MAX_TOTAL,
@@ -30,7 +30,7 @@ from qptsim.experiment import (
     ExperimentPlan,
     LossModel,
 )
-from qptsim.tomography import MAX_RESAMPLES, MIN_RESAMPLES
+from qptsim.tomography import MAX_RESAMPLES, MIN_RESAMPLES, BootstrapPlan
 from qptsim.pipeline import (
     PRESETS,
     load_config,
@@ -45,6 +45,8 @@ from qptsim.pipeline import (
 
 # coefficient matrix [[1, 0], [0, 0]]: the product state |00>, not a faithful probe
 UNFAITHFUL = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+# an integer too large for a float, as a wave-plate angle or a complex entry
+HUGE = 10**400
 # the 4x4 identity in [re, im] entries: config kraus devices take 2x2 operators only
 EYE4 = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
 # a faithful pair (smallest singular value 1e-6) whose two-pair product, at 1e-12, is not
@@ -137,6 +139,7 @@ def test_parse_minimal_defaults():
         {"device": {"type": "kraus", "ops": [EYE4]}},
         {"input_state": {"coeffs": [[[0.5 * (r == c), 0.0] for c in range(4)] for r in range(4)]}},
         SINGULAR_PAIR_PRODUCT,
+        {**SINGULAR_PAIR_PRODUCT, "input_state_b": {"coeffs": UNFAITHFUL}},
         {"plan": {"total": MAX_TOTAL + 1}},
         {"plan": {"total": MAX_TRIALS // 1000, "eta": 0.0316}},
         {"plan": {"total": 100, "eta": 1e-200}},
@@ -145,11 +148,23 @@ def test_parse_minimal_defaults():
         {"outputs": {"result": "r\udcff.txt"}},
         {"plan": {"total": 100, "allocation": {"xx": 99, "yy": True}}},
         {"plan": {"exact": True, "total": 100}},
+        {"device": {"type": "waveplates", "plates": [{"phi_over_pi": HUGE, "theta_over_pi": 0.0}]}},
+        {"input_state": {"coeffs": [[[HUGE, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}},
+        {"device": {"type": "kraus", "ops": [[[[HUGE, 0], [0, 0]], [[0, 0], [1, 0]]]]}},
     ],
 )
 def test_parse_rejects_bad_configs(mutation):
     with pytest.raises(ConfigError):
         parse_config(base_config(**mutation))
+
+
+@pytest.mark.parametrize(
+    "pairs", [{}, {"input_state_b": {"coeffs": UNFAITHFUL}}], ids=["product", "second_pair"]
+)
+def test_two_pair_probe_refusal_names_both_pairs(pairs):
+    # a two-qubit device's probe is the product of the two pairs, checked once
+    with pytest.raises(ConfigError, match="^input_state and input_state_b: the choi estimator"):
+        parse_config(base_config(**SINGULAR_PAIR_PRODUCT, **pairs))
 
 
 def test_run_caps(tmp_path, capsys, monkeypatch):
@@ -287,7 +302,7 @@ def test_cli_bootstrap_fuzz(tmp_path, capsys, monkeypatch):
 def test_bootstrap_resamples_capped(tmp_path, capsys):
     # a cap on the (B, 9, 4) resampled counts, in the config and in the library
     cfg = parse_config(base_config(bootstrap={"resamples": MAX_RESAMPLES}))
-    assert cfg.bootstrap_resamples == MAX_RESAMPLES
+    assert cfg.bootstrap.resamples == MAX_RESAMPLES
     cfg_path = tmp_path / "big.json"
     cfg_path.write_text(json.dumps(base_config(bootstrap={"resamples": 10**30})))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
@@ -300,7 +315,7 @@ def test_bootstrap_resamples_capped(tmp_path, capsys):
 
 def test_bootstrap_seed_capped(tmp_path, capsys):
     # the bootstrap seed fits in 64 unsigned bits, as plan.seed and --seed do
-    assert parse_config(base_config(bootstrap={"seed": MAX_SEED})).bootstrap_seed == 2**64 - 1
+    assert parse_config(base_config(bootstrap={"seed": MAX_SEED})).bootstrap.seed == 2**64 - 1
     cfg_path = tmp_path / "big.json"
     for seed in (2**64, 10**4000):
         cfg_path.write_text(json.dumps(base_config(bootstrap={"seed": seed})))
@@ -310,6 +325,52 @@ def test_bootstrap_seed_capped(tmp_path, capsys):
     events = np.arange(36, dtype=np.uint8)
     with pytest.raises(ValueError, match="64 unsigned bits"):
         bootstrap_errors(events, lambda t: t.entries, seed=2**64)
+
+
+# A 4001-digit integer in each integer entry a run checks: the refused field,
+# the config entries and the command-line arguments.
+LONG_INTEGERS = [
+    ("plan.total", {"plan": {"total": 10**4000}}, []),
+    ("plan.seed", {"plan": {"total": 3000, "seed": 10**4000}}, []),
+    ("plan.allocation", {"plan": {"total": 3000, "allocation": {"xx": -(10**4000)}}}, []),
+    ("bootstrap.resamples", {"bootstrap": {"resamples": 10**4000}}, []),
+    ("bootstrap.seed", {"bootstrap": {"seed": 10**4000}}, []),
+    ("--seed", {}, ["--seed", str(10**4000)]),
+    ("input_state.bell", {"input_state": {"bell": 10**4000}}, []),
+    ("device (depolarizing)", {"device": {"type": "depolarizing", "p": 10**4000}}, []),
+]
+
+
+@pytest.mark.parametrize("field, config, argv", LONG_INTEGERS, ids=[c[0] for c in LONG_INTEGERS])
+def test_long_integer_refusal_is_one_short_line(tmp_path, capsys, field, config, argv):
+    # a refused 4001-digit integer is shown by its digit count, not in full
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(base_config(**config)))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path), *argv]) == 2
+    err = one_line_error(capsys)
+    assert err.startswith(f"config error: {field}: ") and len(err) < 200, err
+    assert "4001-digit integer" in err, err
+    assert not any(tmp_path.glob("t_*"))
+
+
+def test_bootstrap_config_and_library_agree():
+    # every pool value: parse_config refuses it exactly when BootstrapPlan does,
+    # with its wording under the config field, and bootstrap_errors raises ValueError
+    events = np.arange(36, dtype=np.uint8)
+    for key, arg in (("resamples", "n_resamples"), ("seed", "seed")):
+        for value in BOOTSTRAP_POOL:
+            doc = base_config(bootstrap={key: value})
+            try:
+                BootstrapPlan(**{key: value})
+            except PlanError as exc:
+                with pytest.raises(ConfigError) as refusal:
+                    parse_config(doc)
+                assert str(refusal.value) == f"bootstrap.{key}: {exc.problem}"
+                with pytest.raises(ValueError) as library:
+                    bootstrap_errors(events, lambda t: t.entries, **{arg: value})
+                assert str(library.value) == str(exc)
+            else:
+                assert getattr(parse_config(doc).bootstrap, key) == value
 
 
 @pytest.mark.parametrize(
@@ -428,8 +489,8 @@ def test_unitary_result_document(tmp_path):
     errors = bootstrap_errors(
         events,
         lambda t: reconstruct_unitary(t, cfg.input_state, ref).matrix,
-        cfg.bootstrap_resamples,
-        seed=cfg.bootstrap_seed,
+        cfg.bootstrap.resamples,
+        seed=cfg.bootstrap.seed,
     )
     parts = zip(errors.real.ravel().tolist(), errors.imag.ravel().tolist())
     assert [row[3] for row in table] == [f"{x:.12g}" for pair in parts for x in pair]
