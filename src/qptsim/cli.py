@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"bundled config: {', '.join(PRESETS)}")
         p.add_argument("--out", metavar="DIR", default=".",
                        help="directory for outputs (default: current directory)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", default=None,
                        help="override the plan seed from the config")
     return parser
 
@@ -71,7 +71,11 @@ def main(argv=None) -> int:
             if cfg.plan is None:
                 raise ConfigError("--seed: an exact-statistics config has no plan seed")
             try:
-                plan = dataclasses.replace(cfg.plan, seed=args.seed)
+                seed = int(args.seed)
+            except ValueError:  # no integer, or too long for int(): the plan refuses the text
+                seed = args.seed
+            try:
+                plan = dataclasses.replace(cfg.plan, seed=seed)
             except PlanError as exc:
                 raise ConfigError(f"--seed: {exc.problem}") from None
             cfg = dataclasses.replace(cfg, plan=plan)

@@ -24,9 +24,9 @@ Event log format (the ingestion boundary for offline analysis): a header
 line ``# total=<N> seed=<seed> eta=<eta>`` followed by one line per
 coincidence, ``axis1,axis2,s1,s2`` with axes as letters x|y|z and signs as
 +1|-1; these 36 spellings are the only ones read back.  The writer renders
-the lines two at a time, gathering each pair of codes from a table of all
-1,296 two-line strings, and the reader re-encodes what it decodes through
-the same renderer.
+the lines two at a time from a table of all 1,296 two-line strings; the
+reader reads the file once, in chunks, with a text-mode read's grammar, and
+decodes a chunk that re-encodes through that table as one byte array.
 """
 
 from __future__ import annotations
@@ -58,13 +58,14 @@ SETTINGS = tuple(MeasurementSetting(a1, a2) for a1 in AXES for a2 in AXES)
 OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _N_CELLS = len(SETTINGS) * len(OUTCOMES)
 
-# Event-log line of each cell code; the tables below render it, the line parser inverts it.
+# Event-log line of each cell code; the tables below render it, _LINE_CODES inverts it.
 _LINES = tuple(
     f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n"
     for a1, a2 in SETTINGS
     for s1, s2 in OUTCOMES
 )
-_LINE_CODES = {line.strip(): c for c, line in enumerate(_LINES)}
+_LINE_CODES = {line.strip().encode("ascii"): c for c, line in enumerate(_LINES)}
+_SPACE = bytes(c for c in range(128) if chr(c).isspace())  # the ASCII bytes str.strip() strips
 # The same lines as a (36, 10) byte table, one row per cell code.
 _LINE_BYTES = np.frombuffer("".join(_LINES).encode("ascii"), dtype=np.uint8)
 _LINE_BYTES = _LINE_BYTES.reshape(_N_CELLS, -1)
@@ -631,25 +632,45 @@ def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> No
 
 
 def read_event_log(path) -> tuple[np.ndarray, dict]:
-    """Parse an event log into cell codes.
+    """Parse an event log into cell codes and its header, reading the file once.
 
-    Every failure is a DataError naming the file: an unreadable path, a
-    non-ASCII byte, or a malformed line (reported with its number).  A log
-    as the writer emits it is decoded as byte arrays; any other file is
-    read by the line parser, which also words every error.
-    """
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` and are ``str.strip``-ped, as in a
+    text-mode read; blank lines are skipped.  Every failure is a DataError naming
+    the file: an unreadable path, a non-ASCII byte (first, when its chunk of about
+    _CHUNK_LINES lines also holds a malformed line), or a malformed line, by number."""
+    buf = np.empty(_CHUNK_LINES * _LINE_BYTES.shape[1], dtype=np.uint8)
+    chunks, header, lineno, rest = [], None, 1, b""
     try:
         with open(path, "rb") as fh:
-            parsed = _decode_event_log(path, fh)
-        if parsed is not None:
-            return parsed
-        with open(path, "r", encoding="ascii") as fh:
-            return _parse_event_log(path, fh)
+            # the header line and a chunk, so that the writer's lines fill every later read
+            data = fh.readline(buf.size) + fh.read(buf.size)
+            while True:
+                block = rest + data
+                if not block.isascii():
+                    bad = next(b for b in block if b > 0x7F)
+                    raise DataError(f"{path}: non-ASCII byte 0x{bad:02x} in event log")
+                held = b"\r" if data and block.endswith(b"\r") else b""  # may be half a \r\n
+                if b"\r" in block:
+                    block = block[: len(block) - len(held)].replace(b"\r\n", b"\n")
+                    block = block.replace(b"\r", b"\n")
+                if not data:
+                    block += b"\n"  # ends a last line that has no line end; a blank line is skipped
+                end = block.rfind(b"\n") + 1
+                rest, start = block[end:] + held, 0
+                if header is None and end:
+                    start = block.index(b"\n") + 1
+                    header = _parse_header(path, block[:start].decode("ascii"))
+                codes, lineno = _line_codes(path, memoryview(block)[start:end], lineno, buf)
+                chunks.append(codes)
+                if not data:
+                    break
+                data = fh.read(buf.size)
     except OSError as exc:
         raise DataError(f"{path}: cannot read event log: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        # exc.start counts from the decoder's buffer, not the file, so only the byte is named
-        raise DataError(f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log") from None
+    codes = np.concatenate(chunks)
+    if codes.size != (total := header["total"]):
+        raise DataError(f"{path}: header announces {total} events but {codes.size} were read")
+    return codes, header
 
 
 def _parse_header(path, line: str) -> dict:
@@ -660,65 +681,32 @@ def _parse_header(path, line: str) -> dict:
         for tok in line[1:].split():
             key, val = tok.split("=", 1)
             header[key] = val
-        return {
-            "total": int(header["total"]),
-            "seed": int(header["seed"]),
-            "eta": float(header["eta"]),
-        }
+        return {"total": int(header["total"]), "seed": int(header["seed"]),
+                "eta": float(header["eta"])}
     except (KeyError, ValueError) as exc:
         raise DataError(f"{path}: line 1: malformed header ({exc})") from None
 
 
-def _decode_event_log(path, fh) -> Optional[tuple[np.ndarray, dict]]:
-    """Decode a binary handle in chunks of fixed-width lines, or return None.
-
-    Only a log the line parser would read the same way is accepted: an
-    ASCII header without a carriage return (which the text reader takes as
-    a line end), a body of whole 10-byte lines each of which re-encodes to
-    itself, and as many lines as the header announces.  Anything else
-    returns None, so the line parser is the one place that words errors.
-    """
-    line = fh.readline()
-    if b"\r" in line:
-        return None
-    try:
-        header = _parse_header(path, line.decode("ascii"))
-    except (UnicodeDecodeError, DataError):
-        return None
+def _line_codes(path, text: memoryview, lineno: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
+    """The codes of ``text``, ASCII lines ended by ``\\n`` that follow line ``lineno``,
+    and the number of its last line.  Lines that re-encode to themselves through
+    the writer's renderer are decoded as one byte array; others one at a time."""
     width = _LINE_BYTES.shape[1]
-    buf = np.empty(_CHUNK_LINES * width, dtype=np.uint8)
-    chunks: list[np.ndarray] = []
-    while chunk := fh.read(_CHUNK_LINES * width):
-        if len(chunk) % width:
-            return None
-        lines = np.frombuffer(chunk, dtype=np.uint8).reshape(-1, width)
-        a1, a2, s1, s2 = (_BYTE_DIGITS.take(lines[:, col]) for col in (0, 2, 4, 7))
+    lines = np.frombuffer(text, dtype=np.uint8)
+    # text longer than buf (after a long line, or a first read with no \n) goes line by line
+    if lines.size % width == 0 and lines.size <= buf.size:
+        rows = lines.reshape(-1, width)
+        a1, a2, s1, s2 = (_BYTE_DIGITS.take(rows[:, col]) for col in (0, 2, 4, 7))
         codes = 12 * a1 + 4 * a2 + 2 * s1 + s2
-        if not np.array_equal(_render_lines(codes, buf), lines.reshape(-1)):
-            return None
-        chunks.append(codes)
-    codes = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.uint8)
-    if codes.size != header["total"]:
-        return None
-    return codes, header
-
-
-def _parse_event_log(path, fh) -> tuple[np.ndarray, dict]:
+        if np.array_equal(_render_lines(codes, buf), lines):
+            return codes, lineno + codes.size
     codes = bytearray()
-    header = _parse_header(path, fh.readline())
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            codes.append(_LINE_CODES[line])
-        except KeyError:
-            raise DataError(
-                f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
-                f"and signs +1|-1: {line!r}"
-            ) from None
-    if header["total"] != len(codes):
-        raise DataError(
-            f"{path}: header announces {header['total']} events but {len(codes)} were read"
-        )
-    return np.frombuffer(codes, dtype=np.uint8), header
+    for lineno, line in enumerate(bytes(text).splitlines(), start=lineno + 1):
+        if line := line.strip(_SPACE):
+            if (code := _LINE_CODES.get(line)) is None:
+                raise DataError(
+                    f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
+                    f"and signs +1|-1: {line.decode('ascii')!r}"
+                )
+            codes.append(code)
+    return np.frombuffer(codes, dtype=np.uint8), lineno

@@ -100,7 +100,7 @@ class PipelineConfig:
 
 def _complex_entry(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"complex entries must be [re, im] pairs, got {shown(v)}")
+        raise ValueError(f"complex entries must be [re, im] pairs, got {shown(v)}")
     for part in v:
         _check_real("the parts of a complex entry", part)
     return complex(float(v[0]), float(v[1]))

@@ -39,10 +39,9 @@ from qptsim.experiment import (
     AXIS_LETTERS,
     OUTCOMES,
     SETTINGS,
-    _decode_event_log,
     _invert_cdf,
     _jumped_uniforms,
-    _parse_event_log,
+    _parse_header,
     _sample,
     _setting_probs,
     _stream_jumps,
@@ -686,36 +685,80 @@ def test_event_log_malformed_line(tmp_path):
         assert "line 3" in str(err.value)
 
 
+def line_parser_reference(path):
+    """The reader's grammar as a text-mode read, one Python line at a time:
+    (codes, header), or the error text of the first fault it meets."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = _parse_header(path, fh.readline())
+            codes = bytearray()
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                if line not in LINE_SPELLINGS:
+                    raise DataError(
+                        f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
+                        f"and signs +1|-1: {line!r}"
+                    )
+                codes.append(LINE_SPELLINGS.index(line))
+    except DataError as exc:
+        return str(exc)
+    except UnicodeDecodeError as exc:
+        return f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log"
+    if header["total"] != len(codes):
+        return f"{path}: header announces {header['total']} events but {len(codes)} were read"
+    return np.frombuffer(codes, dtype=np.uint8), header
+
+
+LINE_SPELLINGS = [line.strip() for line in _LINES]
+
+
+def read_or_error(path):
+    try:
+        return read_event_log(path)
+    except DataError as exc:
+        return str(exc)
+
+
+def assert_same_read(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got[0].dtype == np.uint8 and np.array_equal(got[0], expected[0])
+        assert got[1] == expected[1]
+
+
 def test_event_log_reader_fuzz(tmp_path):
-    # random bodies after a valid header, non-ASCII bytes included, read back
-    # as cell codes or fail as a one-line DataError, never as anything else
-    valid = [
-        f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n".encode("ascii")
-        for a1, a2 in SETTINGS
-        for s1, s2 in OUTCOMES
-    ]
+    # random bodies after a valid header, with junk that includes line ends,
+    # str.strip() whitespace and non-ASCII bytes: each is read exactly as the
+    # text-mode reference reads it, codes or one-line error
+    valid = [line.encode("ascii") for line in _LINES]
+    pool = np.frombuffer(b"\r\r\n  \t\x0b\x0c\x1c\x1f,+-1xyzq\x00\xe9\xff", dtype=np.uint8)
     rng = np.random.default_rng(404)
     path = tmp_path / "events.csv"
     read_back = failed = 0
-    for trial in range(200):
+    for trial in range(400):
         codes = rng.integers(0, len(valid), size=rng.integers(0, 20))
         body = b"".join(valid[c] for c in codes)
         if trial % 2:
-            junk = rng.integers(0, 256, size=rng.integers(1, 12), dtype=np.uint8).tobytes()
+            size = rng.integers(1, 12)
+            junk = rng.integers(0, 256, size=size, dtype=np.uint8)
+            junk = np.where(rng.random(size) < 0.8, rng.choice(pool, size=size), junk).tobytes()
             at = int(rng.integers(0, len(body) + 1))
             body = body[:at] + junk + body[at:]
         path.write_bytes(f"# total={codes.size} seed=0 eta=1.0\n".encode("ascii") + body)
-        try:
-            back, header = read_event_log(path)
-        except DataError as exc:
-            assert "\n" not in str(exc)
+        got = read_or_error(path)
+        assert_same_read(got, line_parser_reference(path))
+        if isinstance(got, str):
+            assert "\n" not in got
             failed += 1
             continue
-        assert back.dtype == np.uint8 and back.shape == (header["total"],)
         if trial % 2 == 0:
-            assert np.array_equal(back, codes)
+            assert np.array_equal(got[0], codes)
         read_back += 1
-    assert read_back >= 100 and failed > 0
+    assert read_back >= 200 and failed > 0
 
 
 def log_header(total):
@@ -729,63 +772,99 @@ def log_body(n, seed=0):
 
 
 C = _CHUNK_LINES
-# (log bytes, whether the array decoder reads it); the rest are read, or
-# refused, by the line parser
+# Bytes of one read: the reader's first chunk is the header line and one read.
+CHUNK_BYTES = C * _LINE_BYTES.shape[1]
+
+
+def across_first_chunk_end(header, before, after):
+    """A log whose first chunk ends after ``before``: its first line is
+    indented with spaces so that ``before`` fills the read."""
+    assert len(before) <= CHUNK_BYTES
+    return header + b" " * (CHUNK_BYTES - len(before)) + before + after
+
+
+def crlf_across_first_chunk_end(n, after=b""):
+    """A CRLF log of n lines, then ``after``, with a CRLF split by the first chunk's end."""
+    body = log_body(n).replace(b"\n", b"\r\n")
+    cut = CHUNK_BYTES // 11 * 11 - 1
+    header = log_header(n).replace(b"\n", b"\r\n")
+    return across_first_chunk_end(header, body[:cut], body[cut:] + after)
+
+
 READER_CASES = {
-    **{f"valid-{n}": (log_header(n) + log_body(n), True) for n in (0, 1, C - 1, C, C + 1, 3 * C + 7)},
-    "bad-line-in-second-chunk": (
-        log_header(C + 6) + log_body(C) + b"x,q,+1,-1\n" + log_body(5), False
-    ),
-    "unsigned-sign-in-second-chunk": (log_header(C + 1) + log_body(C) + b"x,z,+1,-2\n", False),
+    **{f"valid-{n}": log_header(n) + log_body(n) for n in (0, 1, C - 1, C, C + 1, 3 * C + 7)},
+    "bad-line-in-second-chunk": log_header(C + 6) + log_body(C) + b"x,q,+1,-1\n" + log_body(5),
+    "unsigned-sign-in-second-chunk": log_header(C + 1) + log_body(C) + b"x,z,+1,-2\n",
     # the writer renders lines in pairs; the bad line is the second of one
-    "bad-second-line-of-a-pair": (log_header(4) + log_body(1) + b"x,z,+1,+2\n" + log_body(2), False),
+    "bad-second-line-of-a-pair": log_header(4) + log_body(1) + b"x,z,+1,+2\n" + log_body(2),
     "bad-second-line-of-a-chunk-end": (
-        log_header(C + 1) + log_body(C - 1) + b"y,q,-1,+1\n" + log_body(1, seed=1), False
+        log_header(C + 1) + log_body(C - 1) + b"y,q,-1,+1\n" + log_body(1, seed=1)
     ),
-    "blank-line": (log_header(5) + log_body(3) + b"\n" + log_body(2, seed=1), False),
-    # 20 lines of 11 bytes: a whole number of 10-byte lines that do not re-encode
-    "crlf-body": (log_header(20) + log_body(20).replace(b"\n", b"\r\n"), False),
-    "crlf-everywhere": ((log_header(20) + log_body(20)).replace(b"\n", b"\r\n"), False),
-    "no-final-newline": (log_header(5) + log_body(5)[:-1], False),
+    "blank-line": log_header(5) + log_body(3) + b"\n" + log_body(2, seed=1),
+    # 20 lines of 11 bytes, 10 once their line ends are turned into \n
+    "crlf-body": log_header(20) + log_body(20).replace(b"\n", b"\r\n"),
+    "crlf-everywhere": (log_header(20) + log_body(20)).replace(b"\n", b"\r\n"),
+    "crlf-split-at-chunk-end": crlf_across_first_chunk_end(C + 7),
+    # the bad line's number counts the split \r\n as one line end
+    "crlf-split-then-bad-line": crlf_across_first_chunk_end(C + 7, b"x,q,+1,-1\r\n"),
+    "lone-cr": (log_header(3 * C) + log_body(3 * C)).replace(b"\n", b"\r"),
+    # the first chunk ends in a blank line, and the second opens with a padded one
+    "blank-and-padded-at-chunk-end": across_first_chunk_end(
+        log_header(C + 5), log_body(C - 1) + b"\n", b" \tx,z,+1,-1\x0b\x1c \n" + log_body(5)
+    ),
+    "no-final-newline": log_header(5) + log_body(5)[:-1],
+    "malformed-last-line-no-final-newline": log_header(5) + log_body(4) + b"x,z,+1",
     "non-ascii-in-third-chunk": (
-        log_header(2 * C + 4) + log_body(2 * C + 1) + b"x,z,+1,-\xe9\n" + log_body(2, seed=1),
-        False,
+        log_header(2 * C + 4) + log_body(2 * C + 1) + b"x,z,+1,-\xe9\n" + log_body(2, seed=1)
     ),
-    "count-mismatch": (log_header(C + 4) + log_body(C + 3), False),
-    "cr-in-header": (b"# total=1\rseed=0 eta=1.0\nx,z,+1,-1\n", False),
-    "no-header": (log_body(3), False),
+    # a malformed line, then a non-ASCII byte: the reader reports the first
+    # chunk that holds either, and the byte when one chunk holds both; the
+    # text-mode reference decided per 8 KB block
+    "malformed-then-non-ascii-in-one-chunk": (
+        log_header(1006) + log_body(3) + b"x,q,+1,-1\n"
+        + log_body(1000) + b"x,z,\xb11,-1\n" + log_body(1)
+    ),
+    "malformed-then-non-ascii-in-the-next-chunk": (
+        log_header(C + 2) + log_body(C - 1) + b"x,q,+1,-1\n" + b"x,z,\xb11,-1\n" + log_body(1)
+    ),
+    "count-mismatch": log_header(C + 4) + log_body(C + 3),
+    "cr-in-header": b"# total=1\rseed=0 eta=1.0\nx,z,+1,-1\n",
+    "header-longer-than-a-chunk": b"#" + b" " * (2 * CHUNK_BYTES) + log_header(1)[1:] + log_body(1),
+    "no-header": log_body(3),
 }
-
-
-def line_parser_reference(path):
-    """The line parser on a text handle: (codes, header) or the error text."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return _parse_event_log(path, fh)
-    except DataError as exc:
-        return str(exc)
-    except UnicodeDecodeError as exc:
-        return f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log"
+# The two-fault cases where the reader and the text-mode reference differ, with the reader's error.
+READER_PRECEDENCE = {
+    "malformed-then-non-ascii-in-one-chunk": "non-ASCII byte 0xb1 in event log",
+    "malformed-then-non-ascii-in-the-next-chunk": (
+        f"line {C + 1}: expected axis1,axis2,s1,s2 with axes x|y|z and signs +1|-1: 'x,q,+1,-1'"
+    ),
+}
 
 
 @pytest.mark.parametrize("case", sorted(READER_CASES))
 def test_event_log_reader_matches_line_parser(tmp_path, case):
-    data, decoded = READER_CASES[case]
     path = tmp_path / "events.csv"
-    path.write_bytes(data)
-    with open(path, "rb") as fh:
-        assert (_decode_event_log(path, fh) is not None) == decoded
+    path.write_bytes(READER_CASES[case])
     expected = line_parser_reference(path)
+    if case in READER_PRECEDENCE:
+        assert isinstance(expected, str) and expected != f"{path}: {READER_PRECEDENCE[case]}"
+        expected = f"{path}: {READER_PRECEDENCE[case]}"
+    assert_same_read(read_or_error(path), expected)
+
+
+def test_event_log_reader_works_in_bounded_chunks(tmp_path):
+    # 1e6 events are a 10 MB log and 1 MB of codes; the log may not be held whole
+    codes = np.random.default_rng(5).integers(0, len(_LINE_BYTES), size=1_000_000, dtype=np.uint8)
+    path = tmp_path / "events.csv"
+    write_event_log(path, codes, seed=5)
+    tracemalloc.start()
     try:
-        got = read_event_log(path)
-    except DataError as exc:
-        got = str(exc)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert not isinstance(got, str), got
-        assert got[0].dtype == np.uint8 and np.array_equal(got[0], expected[0])
-        assert got[1] == expected[1]
+        back, header = read_event_log(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+    assert np.array_equal(back, codes) and header == {"total": codes.size, "seed": 5, "eta": 1.0}
 
 
 def test_event_log_bad_header(tmp_path):

@@ -158,6 +158,18 @@ def test_parse_rejects_bad_configs(mutation):
         parse_config(base_config(**mutation))
 
 
+def test_complex_entry_refusal_names_its_field():
+    # a complex entry that is not an [re, im] pair is refused under its field's name
+    kraus = {"type": "kraus", "ops": [[[[1, 0], 0], [[0, 0], [1, 0]]]]}
+    for mutation, prefix in (
+        ({"input_state": {"coeffs": [[1, [0, 0]], [[0, 0], [1, 0]]]}}, "input_state.coeffs: "),
+        ({"device": kraus}, "device (kraus): "),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(base_config(**mutation))
+        assert str(err.value).startswith(prefix + "complex entries must be [re, im] pairs, got ")
+
+
 @pytest.mark.parametrize(
     "pairs", [{}, {"input_state_b": {"coeffs": UNFAITHFUL}}], ids=["product", "second_pair"]
 )
@@ -823,13 +835,17 @@ def test_cli_seed_override(tmp_path, capsys):
     assert (a / "t_events.csv").read_bytes() != (b / "t_events.csv").read_bytes()
     assert "seed=99" in (b / "t_events.csv").read_text().splitlines()[0]
     capsys.readouterr()
-    # the seed goes through the plan's own check; an exact config has no plan to seed
+    # the seed goes through the plan's own check, digits that int() refuses
+    # too; an exact config has no plan to seed
     for argv in (
         ["--config", str(cfg_path), "--seed", str(2**64)],
+        ["--config", str(cfg_path), "--seed", "1" + "0" * 5000],
+        ["--config", str(cfg_path), "--seed", "abc"],
         ["--preset", "depol", "--seed", "5"],
     ):
         assert main(["pipeline", *argv, "--out", str(tmp_path)]) == 2
-        assert one_line_error(capsys).startswith("config error: --seed: ")
+        err = one_line_error(capsys)
+        assert err.startswith("config error: --seed: ") and len(err) < 200
 
 
 def test_cli_preset_and_malformed_log(tmp_path, capsys):
