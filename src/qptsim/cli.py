@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 
 from .errors import ConfigError, DataError, PlanError
@@ -63,6 +64,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _seed(text: str):
+    """The integer that ``--seed`` spells, else the text, for the plan to refuse.  A digit
+    string too long for int() stands in as a power of ten with as many digits."""
+    try:
+        return int(text)
+    except ValueError:
+        if not (spelled := re.fullmatch(r"\s*([+-]?)0*(\d+)\s*", text)):
+            return text
+    sign, digits = spelled.groups()
+    # int() converts 640 digits under any limit; the plan shows a longer seed by its length
+    return int(sign + digits) if len(digits) <= 640 else int(sign + "1") * 10 ** (len(digits) - 1)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -71,11 +85,7 @@ def main(argv=None) -> int:
             if cfg.plan is None:
                 raise ConfigError("--seed: an exact-statistics config has no plan seed")
             try:
-                seed = int(args.seed)
-            except ValueError:  # no integer, or too long for int(): the plan refuses the text
-                seed = args.seed
-            try:
-                plan = dataclasses.replace(cfg.plan, seed=seed)
+                plan = dataclasses.replace(cfg.plan, seed=_seed(args.seed))
             except PlanError as exc:
                 raise ConfigError(f"--seed: {exc.problem}") from None
             cfg = dataclasses.replace(cfg, plan=plan)

@@ -639,29 +639,32 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
     the file: an unreadable path, a non-ASCII byte (first, when its chunk of about
     _CHUNK_LINES lines also holds a malformed line), or a malformed line, by number."""
     buf = np.empty(_CHUNK_LINES * _LINE_BYTES.shape[1], dtype=np.uint8)
-    chunks, header, lineno, rest = [], None, 1, b""
+    chunks, header, lineno, rest, held = [], None, 1, [], b""
     try:
         with open(path, "rb") as fh:
             # the header line and a chunk, so that the writer's lines fill every later read
             data = fh.readline(buf.size) + fh.read(buf.size)
             while True:
-                block = rest + data
-                if not block.isascii():
-                    bad = next(b for b in block if b > 0x7F)
+                if not data.isascii():
+                    bad = next(b for b in data if b > 0x7F)
                     raise DataError(f"{path}: non-ASCII byte 0x{bad:02x} in event log")
+                block = held + data
                 held = b"\r" if data and block.endswith(b"\r") else b""  # may be half a \r\n
                 if b"\r" in block:
                     block = block[: len(block) - len(held)].replace(b"\r\n", b"\n")
                     block = block.replace(b"\r", b"\n")
                 if not data:
                     block += b"\n"  # ends a last line that has no line end; a blank line is skipped
-                end = block.rfind(b"\n") + 1
-                rest, start = block[end:] + held, 0
-                if header is None and end:
-                    start = block.index(b"\n") + 1
-                    header = _parse_header(path, block[:start].decode("ascii"))
-                codes, lineno = _line_codes(path, memoryview(block)[start:end], lineno, buf)
-                chunks.append(codes)
+                rest.append(block)  # after the pieces of a line that earlier reads began
+                if end := block.rfind(b"\n") + 1:
+                    block = b"".join(rest)  # once per line end; no copy for a lone piece
+                    end += len(block) - len(rest[-1])
+                    rest, start = [block[end:]] if end < len(block) else [], 0
+                    if header is None:
+                        start = block.index(b"\n") + 1
+                        header = _parse_header(path, block[:start].decode("ascii"))
+                    codes, lineno = _line_codes(path, memoryview(block)[start:end], lineno, buf)
+                    chunks.append(codes)
                 if not data:
                     break
                 data = fh.read(buf.size)
@@ -706,7 +709,7 @@ def _line_codes(path, text: memoryview, lineno: int, buf: np.ndarray) -> tuple[n
             if (code := _LINE_CODES.get(line)) is None:
                 raise DataError(
                     f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
-                    f"and signs +1|-1: {line.decode('ascii')!r}"
+                    f"and signs +1|-1: {shown(line.decode('ascii'))}"
                 )
             codes.append(code)
     return np.frombuffer(codes, dtype=np.uint8), lineno

@@ -93,10 +93,6 @@ class PipelineConfig:
     out_result: str
     out_plotdata: str
 
-    @property
-    def truth_unitary(self) -> Optional[np.ndarray]:
-        return self.channel.unitary_matrix
-
 
 def _complex_entry(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
@@ -413,7 +409,7 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
         result = reconstruct_state(table, ref, truth=truth)
         estimate = lambda t: reconstruct_state(t, ref).matrix
     elif cfg.estimator == "unitary":
-        truth = cfg.truth_unitary
+        truth = cfg.channel.unitary_matrix
         ref = select_reference(table)
         result = reconstruct_unitary(table, psi_in, ref, truth=truth)
         estimate = lambda t: reconstruct_unitary(t, psi_in, ref).matrix

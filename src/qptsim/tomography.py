@@ -99,8 +99,9 @@ class ReconstructionResult:
     kind is one of input_state (2x2 coefficients), device_unitary (2x2) or
     device_choi (d^2 x d^2 for an n-qubit device, d = 2^n, trace normalized
     to the deterministic-channel convention).  From a batch of B tables the
-    matrix has shape (B, ...) and each numeric diagnostic is a per-row array;
-    from a single table the diagnostics are Python floats and strings.
+    matrix has shape (B, ...) and diagnostics is empty.  Diagnostics, Python
+    floats and strings, and the comparison with a given truth describe the
+    estimate of a single table.
     """
 
     kind: str
@@ -117,19 +118,12 @@ def _check_reference(reference) -> tuple[int, int]:
     return ref
 
 
-def _diagnostics(batched: bool, **values) -> dict:
-    """Per-row arrays for a batch of tables; Python floats for a single one."""
-    if batched:
-        return values
-    scalar = (np.ndarray, np.floating)
-    return {k: float(v) if isinstance(v, scalar) else v for k, v in values.items()}
-
-
-def _per_row(metric, estimate: np.ndarray, truth: np.ndarray):
-    """A comparison with the truth for one estimate, or per row of a stack."""
-    if estimate.ndim == 2:
-        return metric(estimate, truth)
-    return np.array([metric(m, truth) for m in estimate])
+def _diagnosed(table: CorrelationTable, truth) -> bool:
+    """Whether the estimate of ``table`` gets diagnostics: a single table's
+    does, a batch's does not, and a batch given a truth is a ValueError."""
+    if table.batched and truth is not None:
+        raise ValueError("a batch of tables has no diagnostics to compare with a truth")
+    return not table.batched
 
 
 def _column_terms(ref: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,26 +160,26 @@ def _reference_column(table: CorrelationTable, ref: tuple[int, int]):
     return col, np.minimum(np.maximum(col[(..., *ref)].real, 0.0), 1.0)
 
 
-def _checked_column(table: CorrelationTable, ref: tuple[int, int], floor: float):
+def _checked_column(table: CorrelationTable, ref: tuple[int, int]):
     col, p = _reference_column(table, ref)
-    low = p < floor
+    low = p < P_FLOOR
     if table.batched and low.any():
         rows = np.flatnonzero(low)
         raise DegenerateReferenceError(
             f"reference element {_REF_LABEL[ref]} has population below the floor "
-            f"{floor:.1e} in {rows.size} of {low.size} rows, first row {rows[0]}; "
+            f"{P_FLOOR:.1e} in {rows.size} of {low.size} rows, first row {rows[0]}; "
             f"use another reference pair",
             rows=rows,
         )
     if low.any():
         raise DegenerateReferenceError(
             f"reference element {_REF_LABEL[ref]} has population {p:.3e} "
-            f"below the floor {floor:.1e}; use another reference pair"
+            f"below the floor {P_FLOOR:.1e}; use another reference pair"
         )
     return col, p
 
 
-def select_reference(table: CorrelationTable, floor: float = P_FLOOR) -> tuple[int, int]:
+def select_reference(table: CorrelationTable) -> tuple[int, int]:
     """First non-degenerate reference pair in the order |01>, |10>, |11>, |00>.
 
     A batch of tables is a ValueError: its rows must share one reference,
@@ -194,7 +188,7 @@ def select_reference(table: CorrelationTable, floor: float = P_FLOOR) -> tuple[i
     if table.batched:
         raise ValueError("a batch of tables needs an explicit reference pair")
     for ref in REFERENCE_ORDER:
-        if _reference_column(table, ref)[1] >= floor:
+        if _reference_column(table, ref)[1] >= P_FLOOR:
             return ref
     raise DegenerateReferenceError("all candidate reference pairs are degenerate")
 
@@ -202,7 +196,6 @@ def select_reference(table: CorrelationTable, floor: float = P_FLOOR) -> tuple[i
 def reconstruct_state(
     table: CorrelationTable,
     reference: Optional[tuple[int, int]] = None,
-    p_floor: float = P_FLOOR,
     truth: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Coefficient matrix of a pure two-qubit state by linear inversion.
@@ -212,24 +205,19 @@ def reconstruct_state(
     reference.  The output is not renormalized; its norm is reported as a
     consistency diagnostic.
     """
-    ref = select_reference(table, p_floor) if reference is None else _check_reference(reference)
-    col, p = _checked_column(table, ref, p_floor)
+    diagnose = _diagnosed(table, truth)
+    ref = select_reference(table) if reference is None else _check_reference(reference)
+    col, p = _checked_column(table, ref)
     # psi[ref] = sqrt(p) > 0, since Pauli diagonals are real: the gauge needs no rotation
     psi = col / np.sqrt(p)[..., None, None]
-    diagnostics = _diagnostics(
-        table.batched,
-        p=p,
-        reference=_REF_LABEL[ref],
-        norm=np.sum(np.abs(psi) ** 2, axis=(-2, -1)),
-    )
-    if truth is not None:
-        diagnostics["fidelity"] = _per_row(_state_overlap, psi, truth)
-    return ReconstructionResult(
-        kind="input_state",
-        matrix=psi,
-        gauge=f"global phase fixed: element {_REF_LABEL[ref]} real non-negative",
-        diagnostics=diagnostics,
-    )
+    diagnostics = {}
+    if diagnose:
+        norm = float(np.sum(np.abs(psi) ** 2))
+        diagnostics = dict(p=float(p), reference=_REF_LABEL[ref], norm=norm)
+        if truth is not None:
+            diagnostics["fidelity"] = _state_overlap(psi, truth)
+    gauge = f"global phase fixed: element {_REF_LABEL[ref]} real non-negative"
+    return ReconstructionResult("input_state", psi, gauge, diagnostics)
 
 
 def _state_overlap(a: np.ndarray, b: np.ndarray) -> float:
@@ -278,12 +266,13 @@ def reconstruct_unitary(
     a batch chooses per row.  Unitarity of the result is reported as a
     diagnostic, never enforced.
     """
+    diagnose = _diagnosed(t_out, truth)
     cond = _require_faithful(psi_in)
     if psi_in.coeffs.shape != (2, 2):
         raise ValueError(f"the unitary estimator takes a one-pair probe, got {psi_in.coeffs.shape}")
     state = reconstruct_state(t_out, reference)
-    # U = M Psi^{-1}, det U and ||U^dag U - I|| in closed form on a (B, 2, 2)
-    # stack, one row for a single table, so no step falls to scalar arithmetic
+    # U = M Psi^{-1} and det U in closed form on a (B, 2, 2) stack, one row for
+    # a single table, so no step falls to scalar arithmetic
     m, inv = state.matrix.reshape(-1, 2, 2), psi_in.coeffs_inverse
     u = m[:, :, :1] * inv[0] + m[:, :, 1:] * inv[1]
     # det U by one pivoted elimination step, the pivot the larger |re| + |im|
@@ -302,25 +291,22 @@ def reconstruct_unitary(
         phase = np.where(by_det, phase, big_phase)
         gauge = _GAUGE_MAX if not by_det.any() else _GAUGE_MIXED
     u = u * phase[:, None, None]
-    # ||U^dag U - I||: the columns' squared norms less 1, and twice their squared overlap
-    sq = u.real**2 + u.imag**2
-    norms = sq[:, 0] + sq[:, 1] - 1.0
-    overlap = u[:, 0, 0].conj() * u[:, 0, 1] + u[:, 1, 0].conj() * u[:, 1, 1]
-    overlap_sq = overlap.real**2 + overlap.imag**2
-    deviation = np.sqrt(norms[:, 0] ** 2 + norms[:, 1] ** 2 + 2.0 * overlap_sq)
-    u, deviation = u.reshape(state.matrix.shape), deviation.reshape(state.matrix.shape[:-2])
-    diagnostics = _diagnostics(
-        t_out.batched,
-        p=state.diagnostics["p"],
-        reference=state.diagnostics["reference"],
-        condition_number=cond,
-        unitarity_deviation=deviation,
-    )
-    if truth is not None:
-        diagnostics["fidelity"] = _per_row(fidelity_unitary, u, truth)
-    return ReconstructionResult(
-        kind="device_unitary", matrix=u, gauge=gauge, diagnostics=diagnostics
-    )
+    diagnostics = {}
+    if diagnose:
+        # ||U^dag U - I|| of the one row: columns' squared norms less 1, twice their squared overlap
+        sq = u.real**2 + u.imag**2
+        norms = sq[:, 0] + sq[:, 1] - 1.0
+        overlap = u[:, 0, 0].conj() * u[:, 0, 1] + u[:, 1, 0].conj() * u[:, 1, 1]
+        overlap_sq = overlap.real**2 + overlap.imag**2
+        deviation = np.sqrt(norms[:, 0] ** 2 + norms[:, 1] ** 2 + 2.0 * overlap_sq)
+        diagnostics = dict(
+            p=state.diagnostics["p"], reference=state.diagnostics["reference"],
+            condition_number=cond, unitarity_deviation=float(deviation[0]),
+        )
+        if truth is not None:
+            diagnostics["fidelity"] = fidelity_unitary(u[0], truth)
+    u = u.reshape(state.matrix.shape)
+    return ReconstructionResult("device_unitary", u, gauge, diagnostics)
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
@@ -353,6 +339,7 @@ def reconstruct_choi(
     cannot recover the occurrence probability of a trace-decreasing device,
     so that scale is reported as unknown.
     """
+    diagnose = _diagnosed(t_out, truth)
     cond = _require_faithful(psi_in)
     psi = psi_in.coeffs
     d = len(psi)
@@ -365,30 +352,18 @@ def reconstruct_choi(
     if np.any(tr <= 0.0):
         raise QptError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")
     choi *= (d / tr)[..., None, None]
-    eigs = np.linalg.eigvalsh(choi)
-    diagnostics = _diagnostics(
-        t_out.batched,
-        condition_number=cond,
-        choi_eigenvalues=eigs if t_out.batched else ", ".join(f"{v:.12g}" for v in eigs),
-        min_eigenvalue=eigs[..., 0],
-        # a single table sums only its negative eigenvalues, in numpy's
-        # pairwise order; a batch row also adds zeros, which can move the
-        # last bit once there are more than eight eigenvalues
-        negativity=(
-            np.abs(np.minimum(eigs, 0.0)).sum(axis=-1)
-            if t_out.batched
-            else np.abs(eigs[eigs < 0.0]).sum()
-        ),
-        occurrence_scale="unrecoverable from coincidence-normalized data",
-    )
-    if truth is not None:
-        diagnostics["choi_distance"] = _per_row(distance_choi, choi, truth)
-    return ReconstructionResult(
-        kind="device_choi",
-        matrix=choi,
-        gauge=f"Choi rescaled to trace {d} (deterministic-channel convention)",
-        diagnostics=diagnostics,
-    )
+    diagnostics = {}
+    if diagnose:
+        eigs = np.linalg.eigvalsh(choi)
+        diagnostics = dict(
+            condition_number=cond, choi_eigenvalues=", ".join(f"{v:.12g}" for v in eigs),
+            min_eigenvalue=float(eigs[0]), negativity=float(np.abs(eigs[eigs < 0.0]).sum()),
+            occurrence_scale="unrecoverable from coincidence-normalized data",
+        )
+        if truth is not None:
+            diagnostics["choi_distance"] = distance_choi(choi, truth)
+    gauge = f"Choi rescaled to trace {d} (deterministic-channel convention)"
+    return ReconstructionResult("device_choi", choi, gauge, diagnostics)
 
 
 def fidelity_unitary(a: np.ndarray, b: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from qptsim import (
     write_event_log,
 )
 import qptsim.experiment
-from qptsim.errors import DataError
+from qptsim.errors import DataError, shown
 from qptsim.experiment import (
     _CHUNK_LINES,
     _JUMP_COST,
@@ -699,7 +700,7 @@ def line_parser_reference(path):
                 if line not in LINE_SPELLINGS:
                     raise DataError(
                         f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
-                        f"and signs +1|-1: {line!r}"
+                        f"and signs +1|-1: {shown(line)}"
                     )
                 codes.append(LINE_SPELLINGS.index(line))
     except DataError as exc:
@@ -865,6 +866,18 @@ def test_event_log_reader_works_in_bounded_chunks(tmp_path):
         tracemalloc.stop()
     assert peak < 3_000_000
     assert np.array_equal(back, codes) and header == {"total": codes.size, "seed": 5, "eta": 1.0}
+
+
+def test_event_log_line_longer_than_a_read_is_refused_in_linear_time(tmp_path, monkeypatch):
+    # with 10-byte reads a 400 KB line spans 40,000 of them: its pieces are
+    # joined once, at its line end, not re-joined and re-checked on every read
+    monkeypatch.setattr(qptsim.experiment, "_CHUNK_LINES", 1)
+    path = tmp_path / "events.csv"
+    path.write_bytes(log_header(1) + b"x" * 400_000 + b"\n")
+    start = time.perf_counter()
+    with pytest.raises(DataError, match=r"line 2: .* \(400002 characters\)$"):
+        read_event_log(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_event_log_bad_header(tmp_path):

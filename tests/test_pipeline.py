@@ -105,7 +105,7 @@ def test_parse_minimal_defaults():
     assert cfg.estimator == "unitary"
     assert cfg.plan.total == 3000 and cfg.plan.seed == 11 and cfg.plan.eta == 1.0
     assert cfg.out_events == "t_events.csv"
-    assert cfg.truth_unitary is not None
+    assert cfg.channel.unitary_matrix is not None
 
 
 @pytest.mark.parametrize(
@@ -837,15 +837,26 @@ def test_cli_seed_override(tmp_path, capsys):
     capsys.readouterr()
     # the seed goes through the plan's own check, digits that int() refuses
     # too; an exact config has no plan to seed
-    for argv in (
-        ["--config", str(cfg_path), "--seed", str(2**64)],
-        ["--config", str(cfg_path), "--seed", "1" + "0" * 5000],
-        ["--config", str(cfg_path), "--seed", "abc"],
-        ["--preset", "depol", "--seed", "5"],
+    for argv, problem in (
+        (["--config", str(cfg_path), "--seed", str(2**64)], "must be at most"),
+        (["--config", str(cfg_path), "--seed", "1" + "0" * 5000], "must be at most "
+         f"{2**64 - 1} (64 unsigned bits), got a 5001-digit integer"),
+        (["--config", str(cfg_path), "--seed", "-1" + "0" * 5000],
+         "must be at least 0, got a negative 5001-digit integer"),
+        (["--config", str(cfg_path), "--seed", "abc"], "the seed must be an integer"),
+        (["--preset", "depol", "--seed", "5"], "an exact-statistics config has no plan seed"),
     ):
         assert main(["pipeline", *argv, "--out", str(tmp_path)]) == 2
         err = one_line_error(capsys)
-        assert err.startswith("config error: --seed: ") and len(err) < 200
+        assert err.startswith(f"config error: --seed: {problem}") and len(err) < 200
+
+
+def test_cli_long_malformed_line_is_one_short_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig3_events.csv").write_bytes(b"# total=1 seed=0 eta=1.0\n" + b"x" * 2**20 + b"\n")
+    assert main(["reconstruct", "--preset", "fig3", "--out", "."]) == 3
+    err = one_line_error(capsys)
+    assert err.startswith("data error: fig3_events.csv: line 2: ") and len(err) < 200
 
 
 def test_cli_preset_and_malformed_log(tmp_path, capsys):

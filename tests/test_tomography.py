@@ -37,7 +37,7 @@ from qptsim import (
     unitary_channel,
 )
 from qptsim.algebra import _PAULI_STACK, dagger, pauli_coefficients, permute_qubits
-from qptsim.tomography import _reference_column
+from qptsim.tomography import P_FLOOR, _reference_column
 
 TRIPLET = bell_state(1)
 RT2 = np.sqrt(2.0)
@@ -75,17 +75,19 @@ def test_state_estimate_is_reference_column_of_density():
     for w in (0.2, 0.5, 1.0):
         mixed = w * np.eye(4) / 4 + (1 - w) * states[0].density
         states.append(BipartiteState.from_density(mixed))
+    states.append(bell_state(0))  # |01> and |10> have no population: below the floor
     for state in states:
         table = exact_correlations(state)
         rho = density_from_correlations(table)
         for ref in ((0, 1), (1, 0), (1, 1), (0, 0)):
             r = 2 * ref[0] + ref[1]
             p = min(max(rho[r, r].real, 0.0), 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 divides by 0
-                res = reconstruct_state(table, ref, p_floor=0.0)
-            assert res.diagnostics["p"] == pytest.approx(p, abs=1e-12)
-            if p < 1e-6:
+            if p < P_FLOOR:
+                with pytest.raises(DegenerateReferenceError):
+                    reconstruct_state(table, ref)
                 continue
+            res = reconstruct_state(table, ref)
+            assert res.diagnostics["p"] == pytest.approx(p, abs=1e-12)
             psi = res.matrix
             col = rho[:, r].reshape(2, 2) / np.sqrt(rho[r, r].real)
             phase = np.vdot(col, psi)
@@ -417,7 +419,7 @@ def assert_ulps(a, b, scale, ulps=4):
 @pytest.mark.parametrize("ref", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_reference_column_and_unitary_match_the_matrix_formulas(ref):
     # references: rho[:, ref] as a product of Pauli columns, U = M Psi^-1 by
-    # numpy's inverse, det U by np.linalg.det and the deviation by norm()
+    # numpy's inverse, det U by np.linalg.det and a single table's deviation by norm()
     n0, m0 = ref
     rng = np.random.default_rng(71 + 2 * n0 + m0)
     tables = rng.uniform(-1.0, 1.0, size=(300, 4, 4))
@@ -434,7 +436,6 @@ def test_reference_column_and_unitary_match_the_matrix_formulas(ref):
         u = single.matrix
         assert u.tobytes() == res.matrix[k].tobytes()
         deviation = single.diagnostics["unitarity_deviation"]
-        assert deviation == res.diagnostics["unitarity_deviation"][k]
         # the estimate is M Psi^-1 rotated by a phase that makes det U real positive
         expected = col / np.sqrt(p) @ np.linalg.inv(probe.coeffs)
         d = np.linalg.det(expected)
