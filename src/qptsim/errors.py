@@ -9,18 +9,6 @@ class NullEventError(QptError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
-class DegenerateReferenceError(QptError):
-    """The reference matrix element is too small to normalize against.
-
-    On a batch of tables, ``rows`` holds the failing row indices in
-    ascending order; it is None for a single table.
-    """
-
-    def __init__(self, message: str, rows=None):
-        self.rows = None if rows is None else tuple(int(r) for r in rows)
-        super().__init__(message)
-
-
 class UnfaithfulInputError(QptError):
     """The probe state is not full-rank, so the device map cannot be inverted."""
 
@@ -41,6 +29,13 @@ def shown(v) -> str:
         return f"a{' negative' if v < 0 else ''} {digits + (abs(v) >= 10**digits)}-digit integer"
     text = repr(v)
     return text if len(text) <= 60 else f"{text[:50]}... ({len(text)} characters)"
+
+
+def shown_path(path) -> str:
+    """A file path as an error line names it: whole up to 60 characters, else its
+    last 57 after '...', which keep the file name."""
+    text = str(path)
+    return text if len(text) <= 60 else f"...{text[-57:]}"
 
 
 class PlanError(QptError, ValueError):
@@ -66,3 +61,8 @@ class IncompleteQuorumError(DataError):
         self.missing = sorted(missing)
         pairs = ", ".join(f"({a},{b})" for a, b in self.missing)
         super().__init__(f"incomplete quorum: no events for settings {pairs}")
+
+
+class DegenerateReferenceError(DataError):
+    """The reference population is too small to normalize against, in a single
+    table or in some row of a batch, such as a bootstrap's resamples."""

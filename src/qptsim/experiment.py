@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 import numpy as np
 
 from .algebra import BipartiteState, pauli_coefficients
-from .errors import DataError, IncompleteQuorumError, PlanError, shown
+from .errors import DataError, IncompleteQuorumError, PlanError, shown, shown_path
 
 
 class MeasurementSetting(NamedTuple):
@@ -226,8 +226,8 @@ class CorrelationTable:
             )
         if np.any(np.abs(entries[(..., *(0,) * k)] - 1.0) > 1e-12):
             raise ValueError("entry (0,..,0) of a correlation table must be 1")
-        if np.max(np.abs(entries)) > 1.0 + 1e-9:
-            raise ValueError("correlation entries must lie in [-1, 1]")
+        if not np.all(np.abs(entries) <= 1.0 + 1e-9):  # False for NaN as well
+            raise ValueError("correlation entries must be finite and lie in [-1, 1]")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -647,7 +647,7 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
             while True:
                 if not data.isascii():
                     bad = next(b for b in data if b > 0x7F)
-                    raise DataError(f"{path}: non-ASCII byte 0x{bad:02x} in event log")
+                    raise DataError(f"{shown_path(path)}: non-ASCII byte 0x{bad:02x} in event log")
                 block = held + data
                 held = b"\r" if data and block.endswith(b"\r") else b""  # may be half a \r\n
                 if b"\r" in block:
@@ -669,16 +669,21 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
                     break
                 data = fh.read(buf.size)
     except OSError as exc:
-        raise DataError(f"{path}: cannot read event log: {exc.strerror or exc}") from None
+        reason = exc.strerror or exc
+        raise DataError(f"{shown_path(path)}: cannot read event log: {reason}") from None
     codes = np.concatenate(chunks)
     if codes.size != (total := header["total"]):
-        raise DataError(f"{path}: header announces {total} events but {codes.size} were read")
+        raise DataError(
+            f"{shown_path(path)}: header announces {total} events but {codes.size} were read"
+        )
     return codes, header
 
 
 def _parse_header(path, line: str) -> dict:
     if not line.startswith("#"):
-        raise DataError(f"{path}: line 1: missing '# total=... seed=... eta=...' header")
+        raise DataError(
+            f"{shown_path(path)}: line 1: missing '# total=... seed=... eta=...' header"
+        )
     header = {}
     try:
         for tok in line[1:].split():
@@ -687,7 +692,7 @@ def _parse_header(path, line: str) -> dict:
         return {"total": int(header["total"]), "seed": int(header["seed"]),
                 "eta": float(header["eta"])}
     except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: line 1: malformed header ({exc})") from None
+        raise DataError(f"{shown_path(path)}: line 1: malformed header ({exc})") from None
 
 
 def _line_codes(path, text: memoryview, lineno: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
@@ -708,8 +713,8 @@ def _line_codes(path, text: memoryview, lineno: int, buf: np.ndarray) -> tuple[n
         if line := line.strip(_SPACE):
             if (code := _LINE_CODES.get(line)) is None:
                 raise DataError(
-                    f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
-                    f"and signs +1|-1: {shown(line.decode('ascii'))}"
+                    f"{shown_path(path)}: line {lineno}: expected x|y|z,x|y|z,+1|-1,+1|-1: "
+                    f"{shown(line.decode('ascii'))}"
                 )
             codes.append(code)
     return np.frombuffer(codes, dtype=np.uint8), lineno

@@ -34,7 +34,7 @@ from .channels import (
     propagate,
     unitary_channel,
 )
-from .errors import ConfigError, DataError, NullEventError, PlanError, shown
+from .errors import ConfigError, DataError, NullEventError, PlanError, shown, shown_path
 from .experiment import (
     SETTINGS,
     AXIS_LETTERS,
@@ -279,13 +279,15 @@ def load_config(path) -> PipelineConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read config {shown_path(path)}: {reason}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        where = f"{shown_path(path)}: invalid JSON at line {exc.lineno}"
+        raise ConfigError(f"{where}: {exc.msg}") from None
     except ValueError as exc:  # an integer over Python's digit limit for int()
-        raise ConfigError(f"{path}: unreadable JSON: {exc}") from None
+        raise ConfigError(f"{shown_path(path)}: unreadable JSON: {exc}") from None
     return parse_config(doc)
 
 
@@ -308,7 +310,7 @@ def _write_output(path: Path, write) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"cannot write {shown_path(path)}: {exc.strerror or exc}") from None
 
 
 def _say(line: str) -> None:
@@ -434,13 +436,13 @@ def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
     if plan is not None:
         events_path = _resolve(out_dir, cfg.out_events)
         if not events_path.exists():
-            raise DataError(f"event log {events_path} does not exist; run simulate first")
+            raise DataError(f"no event log {shown_path(events_path)}; run simulate first")
         events, header = read_event_log(events_path)
         # the result document reports the config's values; the log must share them
         for field, value in (("total", plan.total), ("seed", plan.seed), ("eta", plan.eta)):
             if header[field] != value:
                 raise DataError(
-                    f"{events_path}: header {field}={header[field]!r} does not match "
+                    f"{shown_path(events_path)}: header {field}={header[field]!r} does not match "
                     f"the config's {field} {value!r}"
                 )
         counts = events_to_counts(events)
@@ -453,10 +455,10 @@ def _plotdata(cfg: PipelineConfig, out_dir, result_path: Path, text: str) -> Pat
     try:
         start = lines.index("") + 1
     except ValueError:
-        raise DataError(f"{result_path}: no element table found") from None
+        raise DataError(f"{shown_path(result_path)}: no element table found") from None
     table = lines[start:]
     if not table or table[0] != "element,part,estimate,error,theory":
-        raise DataError(f"{result_path}: malformed element table header")
+        raise DataError(f"{shown_path(result_path)}: malformed element table header")
     path = _resolve(out_dir, cfg.out_plotdata)
     _write_output(path, lambda p: write_file(p, ("\n".join(table) + "\n").encode("utf-8")))
     _say(f"wrote {len(table) - 1} plot rows to {path}")
@@ -467,11 +469,13 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
     """Extract the element table of a result document as a standalone CSV."""
     result_path = _resolve(out_dir, cfg.out_result)
     if not result_path.exists():
-        raise DataError(f"result document {result_path} does not exist; run reconstruct first")
+        raise DataError(f"no result document {shown_path(result_path)}; run reconstruct first")
     try:
         text = result_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{result_path}: cannot read result document: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc
+        name = shown_path(result_path)
+        raise DataError(f"{name}: cannot read result document: {reason}") from None
     return _plotdata(cfg, out_dir, result_path, text)
 
 

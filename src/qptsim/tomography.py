@@ -19,7 +19,6 @@ positivity projection.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,10 +36,10 @@ from .algebra import (
 )
 from .channels import propagate, unitary_channel
 from .errors import (
+    DataError,
     DegenerateReferenceError,
     IncompleteQuorumError,
     PlanError,
-    QptError,
     UnfaithfulInputError,
     shown,
 )
@@ -54,6 +53,8 @@ from .experiment import (
 )
 
 REFERENCE_ORDER = ((0, 1), (1, 0), (1, 1), (0, 0))
+# the least population select_reference takes; of four that sum to 1, one is at least 1/4
+_REFERENCE_MIN = 1 / 8
 P_FLOOR = 1e-6
 MIN_RESAMPLES = 100
 # Bounds a bootstrap's memory: the (B, 9, 4) int64 resampled counts take 29 MB
@@ -89,7 +90,6 @@ class BootstrapErrors:
     real: np.ndarray
     imag: np.ndarray
     n_resamples: int
-    redraws: int
 
 
 @dataclass(eq=False)
@@ -162,35 +162,25 @@ def _reference_column(table: CorrelationTable, ref: tuple[int, int]):
 
 def _checked_column(table: CorrelationTable, ref: tuple[int, int]):
     col, p = _reference_column(table, ref)
-    low = p < P_FLOOR
-    if table.batched and low.any():
-        rows = np.flatnonzero(low)
+    if low := np.count_nonzero(p < P_FLOOR):
         raise DegenerateReferenceError(
             f"reference element {_REF_LABEL[ref]} has population below the floor "
-            f"{P_FLOOR:.1e} in {rows.size} of {low.size} rows, first row {rows[0]}; "
-            f"use another reference pair",
-            rows=rows,
-        )
-    if low.any():
-        raise DegenerateReferenceError(
-            f"reference element {_REF_LABEL[ref]} has population {p:.3e} "
-            f"below the floor {P_FLOOR:.1e}; use another reference pair"
+            f"{P_FLOOR:.1e} in {low} of {p.size} tables"
         )
     return col, p
 
 
 def select_reference(table: CorrelationTable) -> tuple[int, int]:
-    """First non-degenerate reference pair in the order |01>, |10>, |11>, |00>.
+    """The first pair in the order |01>, |10>, |11>, |00> whose population is
+    at least 1/8.  The four populations of a table sum to 1, so one always
+    qualifies.
 
     A batch of tables is a ValueError: its rows must share one reference,
     chosen by the caller.
     """
     if table.batched:
         raise ValueError("a batch of tables needs an explicit reference pair")
-    for ref in REFERENCE_ORDER:
-        if _reference_column(table, ref)[1] >= P_FLOOR:
-            return ref
-    raise DegenerateReferenceError("all candidate reference pairs are degenerate")
+    return next(r for r in REFERENCE_ORDER if _reference_column(table, r)[1] >= _REFERENCE_MIN)
 
 
 def reconstruct_state(
@@ -200,10 +190,11 @@ def reconstruct_state(
 ) -> ReconstructionResult:
     """Coefficient matrix of a pure two-qubit state by linear inversion.
 
-    With reference=None the pairs |01>, |10>, |11>, |00> are tried in order
-    until one is non-degenerate; a batch of tables needs an explicit
-    reference.  The output is not renormalized; its norm is reported as a
-    consistency diagnostic.
+    With reference=None the reference is ``select_reference(table)``; a
+    batch of tables needs an explicit reference.  A reference whose
+    population is below P_FLOOR, in the table or in any row of a batch,
+    raises DegenerateReferenceError.  The output is not renormalized; its
+    norm is reported as a consistency diagnostic.
     """
     diagnose = _diagnosed(table, truth)
     ref = select_reference(table) if reference is None else _check_reference(reference)
@@ -350,7 +341,7 @@ def reconstruct_choi(
     choi = _hermitize(tensor(eye, inv(psi.T)) @ rho @ tensor(eye, inv(psi.conj())))
     tr = np.trace(choi, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):
-        raise QptError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")
+        raise DataError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")
     choi *= (d / tr)[..., None, None]
     diagnostics = {}
     if diagnose:
@@ -405,12 +396,11 @@ def bootstrap_errors(
     CorrelationTable with a leading batch axis of B rows and returns an
     array of shape (B, ...), one estimate per row, such as
     ``lambda t: reconstruct_unitary(t, psi_in, ref).matrix`` with an
-    explicit reference.  Where it degenerates it raises
-    DegenerateReferenceError with the failing rows; each of them, in
-    ascending order, is redrawn until a one-row call succeeds, and the
-    redraws are counted.  That consumes the random stream exactly as
-    resampling one table at a time would.  ``n_resamples`` and ``seed``
-    that BootstrapPlan refuses raise its PlanError, a ValueError.
+    explicit reference.  Every resample is kept: where the estimator
+    degenerates on any row it raises DegenerateReferenceError, a DataError,
+    and the bootstrap is refused, since replacing resamples would condition
+    them and bias the error bars.  ``n_resamples`` and ``seed`` that
+    BootstrapPlan refuses raise its PlanError, a ValueError.
     """
     return _bootstrap_counts(events_to_counts(events), estimator, BootstrapPlan(n_resamples, seed))
 
@@ -421,56 +411,27 @@ def _bootstrap_counts(
     plan: BootstrapPlan,
 ) -> BootstrapErrors:
     """``bootstrap_errors`` of the events whose (9, 4) count table is ``counts``."""
-    n_resamples = plan.resamples
     totals = counts.sum(axis=1)
     if np.any(totals == 0):
         raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(totals == 0)])
     probs = counts / totals[:, None]
     rng = np.random.default_rng([plan.seed])
     draws = np.stack(
-        [rng.multinomial(totals[k], probs[k], size=n_resamples) for k in range(len(SETTINGS))],
+        [rng.multinomial(totals[k], probs[k], size=plan.resamples) for k in range(len(SETTINGS))],
         axis=1,
     )
-
-    redraws = 0
-    while True:
-        try:
-            stack = np.asarray(estimator(table_from_counts(draws)))
-            break
-        except DegenerateReferenceError as exc:
-            if not exc.rows:
-                raise
-            failed = sorted(exc.rows)
-        for b in failed:
-            while True:
-                redraws += 1
-                if redraws >= 100 * n_resamples:
-                    raise QptError(
-                        "bootstrap exceeded its redraw budget; estimator degenerates too often"
-                    )
-                draws[b] = np.stack(
-                    [rng.multinomial(totals[k], probs[k]) for k in range(len(SETTINGS))]
-                )
-                try:
-                    estimator(table_from_counts(draws[b : b + 1]))
-                    break
-                except DegenerateReferenceError:
-                    pass
-    if stack.shape[:1] != (n_resamples,):
+    try:
+        stack = np.asarray(estimator(table_from_counts(draws)))
+    except DegenerateReferenceError as exc:
+        raise DegenerateReferenceError(f"bootstrap refused: {exc}") from None
+    if stack.shape[:1] != (plan.resamples,):
         raise ValueError(
             f"estimator must return one estimate per resample, got shape {stack.shape}"
-        )
-    if redraws > 0.01 * n_resamples:
-        warnings.warn(
-            f"bootstrap redrew {redraws} of {n_resamples} resamples (>1%)",
-            RuntimeWarning,
-            stacklevel=2,
         )
     return BootstrapErrors(
         real=stack.real.std(axis=0, ddof=1),
         imag=stack.imag.std(axis=0, ddof=1),
-        n_resamples=n_resamples,
-        redraws=redraws,
+        n_resamples=plan.resamples,
     )
 
 

@@ -5,14 +5,13 @@ tests pin that contract and check the batched bootstrap against a loop that
 resamples one table at a time.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
 from qptsim import (
     BipartiteState,
     CorrelationTable,
+    DataError,
     DegenerateReferenceError,
     ExperimentPlan,
     amplitude_damping,
@@ -20,6 +19,7 @@ from qptsim import (
     bootstrap_errors,
     correlations_from_events,
     exact_correlations,
+    identity_channel,
     pairs,
     propagate,
     reconstruct_choi,
@@ -39,8 +39,7 @@ U = np.array(
 
 
 def loop_bootstrap(events, estimator, n_resamples, seed):
-    """Reference: one table and one estimator call per resample, and each
-    degenerate resample redrawn in place until it succeeds."""
+    """Reference: one table and one estimator call per resample."""
     counts = events_to_counts(events)
     totals = counts.sum(axis=1)
     probs = counts / totals[:, None]
@@ -49,20 +48,8 @@ def loop_bootstrap(events, estimator, n_resamples, seed):
         [rng.multinomial(totals[k], probs[k], size=n_resamples) for k in range(len(SETTINGS))],
         axis=1,
     )
-    estimates = []
-    redraws = 0
-    for sample in draws:
-        while True:
-            try:
-                estimates.append(np.asarray(estimator(table_from_counts(sample))))
-                break
-            except DegenerateReferenceError:
-                redraws += 1
-                sample = np.stack(
-                    [rng.multinomial(totals[k], probs[k]) for k in range(len(SETTINGS))]
-                )
-    stack = np.stack(estimates)
-    return stack.real.std(axis=0, ddof=1), stack.imag.std(axis=0, ddof=1), redraws
+    stack = np.stack([np.asarray(estimator(table_from_counts(sample))) for sample in draws])
+    return stack.real.std(axis=0, ddof=1), stack.imag.std(axis=0, ddof=1)
 
 
 def sampled(channel, probe, n, seed):
@@ -86,48 +73,36 @@ def estimators():
 def test_batched_bootstrap_equals_per_resample_loop(case):
     name, events, est = estimators()[case]
     errs = bootstrap_errors(events, est, n_resamples=150, seed=3 + case)
-    real, imag, redraws = loop_bootstrap(events, est, 150, 3 + case)
-    assert errs.redraws == redraws == 0, name
+    real, imag = loop_bootstrap(events, est, 150, 3 + case)
     assert errs.real.tobytes() == real.tobytes(), name
     assert errs.imag.tobytes() == imag.tobytes(), name
 
 
-def test_batched_bootstrap_redraws_like_the_loop():
-    # an estimator that degenerates on rows whose zz correlation exceeds a
-    # fixed cut; the rows are redrawn in ascending order, each by one-row
-    # calls, and then the batch is called again
-    events, table = sampled(unitary_channel(U), PROBE, 3000, 21)
+def test_batched_bootstrap_refuses_a_degenerate_row():
+    # 45 events of a state whose smallest population is 0.15: the single table
+    # takes a populated reference, but some resamples leave it empty, and the
+    # bootstrap is refused after its one estimator call
+    coeffs = np.array([[0.45, 0.39], [0.39, 0.71]])
+    probe = BipartiteState.from_coeffs(coeffs / np.linalg.norm(coeffs))
+    events, table = sampled(identity_channel(), probe, 45, 1)
     ref = select_reference(table)
-    cut = table.entries[3, 3] + 0.02
-    sizes = []
+    calls = []
 
-    def picky(t):
-        rows = np.atleast_1d(t.entries[..., 3, 3] > cut)
-        sizes.append(rows.size if t.batched else None)
-        if rows.any():
-            raise DegenerateReferenceError(
-                "zz above the cut", rows=np.flatnonzero(rows) if t.batched else None
-            )
-        return reconstruct_unitary(t, PROBE, ref).matrix
+    def estimate(t):
+        calls.append(t.entries.shape[0])
+        return reconstruct_state(t, ref).matrix
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        errs = bootstrap_errors(events, picky, n_resamples=200, seed=8)
-        first_batch = sizes.copy()
-        real, imag, redraws = loop_bootstrap(events, picky, 200, 8)
-    batch_calls = [k for k, s in enumerate(first_batch) if s == 200]
-    assert batch_calls == [0, len(first_batch) - 1]
-    assert first_batch.count(1) == errs.redraws
-    assert errs.redraws == redraws
-    assert redraws >= 2  # the order of the redrawn rows matters
-    assert errs.real.tobytes() == real.tobytes()
-    assert errs.imag.tobytes() == imag.tobytes()
+    with pytest.raises(DegenerateReferenceError, match="bootstrap refused: .* of 200") as err:
+        bootstrap_errors(events, estimate, n_resamples=200, seed=1)
+    assert isinstance(err.value, DataError)
+    assert calls == [200]
 
 
 def test_bootstrap_rejects_estimator_without_one_row_per_resample():
-    events, _ = sampled(unitary_channel(U), PROBE, 900, 4)
+    events, table = sampled(unitary_channel(U), PROBE, 900, 4)
+    ref = select_reference(table)
     with pytest.raises(ValueError, match="one estimate per resample"):
-        bootstrap_errors(events, lambda t: reconstruct_state(t, (0, 1)).matrix[0], 100)
+        bootstrap_errors(events, lambda t: reconstruct_state(t, ref).matrix[0], 100)
 
 
 def test_table_from_counts_batch_equals_single_calls():
@@ -195,17 +170,15 @@ def test_batch_without_reference_is_a_value_error():
         reconstruct_unitary(batch, PROBE)
 
 
-def test_degenerate_batch_names_its_rows_in_order():
+def test_degenerate_batch_counts_its_rows():
     # |01> has zero population in the |00>+|11> Bell state
     good = exact_correlations(TRIPLET).entries
     bad = exact_correlations(bell_state(0)).entries
     batch = CorrelationTable(entries=np.stack([good, bad, good, bad]))
-    with pytest.raises(DegenerateReferenceError) as err:
+    with pytest.raises(DegenerateReferenceError, match=r"\|01> .* in 2 of 4 tables"):
         reconstruct_state(batch, (0, 1))
-    assert err.value.rows == (1, 3)
-    with pytest.raises(DegenerateReferenceError) as err:
+    with pytest.raises(DegenerateReferenceError, match="in 1 of 1 tables"):
         reconstruct_state(exact_correlations(bell_state(0)), (0, 1))
-    assert err.value.rows is None
 
 
 def test_unitary_gauge_is_chosen_per_row():

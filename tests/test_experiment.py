@@ -29,7 +29,7 @@ from qptsim import (
     write_event_log,
 )
 import qptsim.experiment
-from qptsim.errors import DataError, shown
+from qptsim.errors import DataError, shown, shown_path
 from qptsim.experiment import (
     _CHUNK_LINES,
     _JUMP_COST,
@@ -584,6 +584,18 @@ def test_correlation_table_validation():
         CorrelationTable(entries=bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", [(0, 0), (3, 3)])
+def test_correlation_table_refuses_non_finite_entries(value, cell):
+    # NaN compares False with every bound, so the range check has to accept
+    # only entries that compare True, not refuse those that exceed it
+    good = exact_correlations(TRIPLET).entries
+    for entries in (good.copy(), np.stack([good] * 3)):
+        entries[(-1, *cell) if entries.ndim == 3 else cell] = value
+        with pytest.raises(ValueError):
+            CorrelationTable(entries=entries)
+
+
 def test_event_log_roundtrip(tmp_path):
     plan = ExperimentPlan.uniform(450, seed=9, loss=LossModel(eta=0.42))
     events = run_experiment(TRIPLET, plan)
@@ -689,6 +701,7 @@ def test_event_log_malformed_line(tmp_path):
 def line_parser_reference(path):
     """The reader's grammar as a text-mode read, one Python line at a time:
     (codes, header), or the error text of the first fault it meets."""
+    name = shown_path(path)
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = _parse_header(path, fh.readline())
@@ -699,16 +712,15 @@ def line_parser_reference(path):
                     continue
                 if line not in LINE_SPELLINGS:
                     raise DataError(
-                        f"{path}: line {lineno}: expected axis1,axis2,s1,s2 with axes x|y|z "
-                        f"and signs +1|-1: {shown(line)}"
+                        f"{name}: line {lineno}: expected x|y|z,x|y|z,+1|-1,+1|-1: {shown(line)}"
                     )
                 codes.append(LINE_SPELLINGS.index(line))
     except DataError as exc:
         return str(exc)
     except UnicodeDecodeError as exc:
-        return f"{path}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log"
+        return f"{name}: non-ASCII byte 0x{exc.object[exc.start]:02x} in event log"
     if header["total"] != len(codes):
-        return f"{path}: header announces {header['total']} events but {len(codes)} were read"
+        return f"{name}: header announces {header['total']} events but {len(codes)} were read"
     return np.frombuffer(codes, dtype=np.uint8), header
 
 
@@ -837,7 +849,7 @@ READER_CASES = {
 READER_PRECEDENCE = {
     "malformed-then-non-ascii-in-one-chunk": "non-ASCII byte 0xb1 in event log",
     "malformed-then-non-ascii-in-the-next-chunk": (
-        f"line {C + 1}: expected axis1,axis2,s1,s2 with axes x|y|z and signs +1|-1: 'x,q,+1,-1'"
+        f"line {C + 1}: expected x|y|z,x|y|z,+1|-1,+1|-1: 'x,q,+1,-1'"
     ),
 }
 
@@ -848,8 +860,9 @@ def test_event_log_reader_matches_line_parser(tmp_path, case):
     path.write_bytes(READER_CASES[case])
     expected = line_parser_reference(path)
     if case in READER_PRECEDENCE:
-        assert isinstance(expected, str) and expected != f"{path}: {READER_PRECEDENCE[case]}"
-        expected = f"{path}: {READER_PRECEDENCE[case]}"
+        expected_error = f"{shown_path(path)}: {READER_PRECEDENCE[case]}"
+        assert isinstance(expected, str) and expected != expected_error
+        expected = expected_error
     assert_same_read(read_or_error(path), expected)
 
 

@@ -859,6 +859,66 @@ def test_cli_long_malformed_line_is_one_short_error(tmp_path, capsys, monkeypatc
     assert err.startswith("data error: fig3_events.csv: line 2: ") and len(err) < 200
 
 
+@pytest.mark.parametrize("malformed", [True, False])
+def test_cli_long_out_path_is_cut_in_the_error_line(tmp_path, capsys, malformed):
+    # a path of 4,000 characters is named by its end, which keeps the file name,
+    # and a 1 MB malformed line by its start and length
+    out = tmp_path
+    while len(str(out / "fig3_events.csv")) < 4000:
+        out = out / ("d" * min(200, 4000 - len(str(out / "fig3_events.csv"))))
+    out.mkdir(parents=True)
+    if malformed:
+        (out / "fig3_events.csv").write_bytes(b"# total=1 seed=0 eta=1.0\n" + b"x" * 2**20 + b"\n")
+    assert len(str(out / "fig3_events.csv")) >= 4000
+    assert main(["reconstruct", "--preset", "fig3", "--out", str(out)]) == 3
+    err = one_line_error(capsys)
+    assert len(err.encode("utf-8")) <= 200 and "fig3_events.csv" in err
+    assert ("fig3_events.csv: line 2: " if malformed else "; run simulate first") in err
+
+
+def test_cli_refuses_a_bootstrap_that_empties_the_reference(tmp_path, capsys):
+    # 45 events leave the reference pair empty in some of the 200 resamples:
+    # the run is refused with one line and writes no result document
+    coeffs = np.array([[0.45, 0.39], [0.39, 0.71]])
+    coeffs /= np.linalg.norm(coeffs)
+    doc = base_config(
+        input_state={"coeffs": [[[v, 0.0] for v in row] for row in coeffs.tolist()]},
+        device={"type": "identity"},
+        estimator="state_only",
+        plan={"total": 45, "seed": 1},
+        bootstrap={"resamples": 200, "seed": 1},
+    )
+    cfg_path = tmp_path / "sparse.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = one_line_error(capsys)
+    assert err.startswith("data error: bootstrap refused: reference element ") and len(err) <= 200
+    assert not (tmp_path / "t_result.txt").exists()
+
+
+def test_cli_choi_with_non_positive_trace_is_a_data_error(tmp_path, capsys):
+    # beam 2 always reads -1, a Bloch vector (-1, -1, -1) that no state has; a
+    # probe whose inverse weights the negative eigenvector of (I - sx - sy - sz)/2
+    # gives the reconstructed Choi matrix a negative trace
+    marginal = np.array([[0.0, -1.0 + 1.0j], [-1.0 - 1.0j, 2.0]]) / 2.0
+    _, v = np.linalg.eigh(marginal)
+    root = np.outer(v[:, 1], v[:, 1].conj()) + 0.3 * np.outer(v[:, 0], v[:, 0].conj())
+    psi = root.conj() / np.linalg.norm(root)
+    doc = base_config(
+        input_state={"coeffs": [[[z.real, z.imag] for z in row] for row in psi.tolist()]},
+        device={"type": "identity"},
+        estimator="choi",
+        plan={"total": 900, "seed": 0},
+    )
+    cfg_path = tmp_path / "crafted.json"
+    cfg_path.write_text(json.dumps(doc))
+    lines = [f"{a},{b},{s:+d},-1" for a in "xyz" for b in "xyz" for s in (1, -1) * 50]
+    (tmp_path / "t_events.csv").write_text("# total=900 seed=0 eta=1.0\n" + "\n".join(lines) + "\n")
+    assert main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = one_line_error(capsys)
+    assert err.startswith("data error: reconstructed Choi matrix has non-positive trace")
+
+
 def test_cli_preset_and_malformed_log(tmp_path, capsys):
     assert main(["simulate", "--preset", "fig3", "--out", str(tmp_path)]) == 0
     log = tmp_path / "fig3_events.csv"

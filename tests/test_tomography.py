@@ -153,6 +153,41 @@ def test_reference_independence_random_states():
             assert up_to_phase(results[0], other, tol=1e-9)
 
 
+def test_select_reference_takes_a_populated_pair():
+    # the chosen pair holds at least 1/8 of the population, for exact tables
+    # and for tables of a few hundred events alike
+    rng = np.random.default_rng(131)
+    for trial in range(60):
+        state = random_full_rank_state(rng, min_sv=0.0)
+        if trial % 2:
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            mixed = g @ dagger(g)
+            mixed /= np.trace(mixed)
+            w = rng.random()
+            state = BipartiteState.from_density(w * state.density + (1 - w) * mixed)
+        for table in (
+            exact_correlations(state),
+            correlations_from_events(run_experiment(state, ExperimentPlan.uniform(300, trial))),
+        ):
+            ref = select_reference(table)
+            assert _reference_column(table, ref)[1] >= 1 / 8, (trial, ref)
+
+
+@pytest.mark.parametrize("bell", [0, 3])
+def test_sampled_phi_probes_reconstruct_the_identity(bell):
+    # Phi+ and Phi- leave |01> and |10> empty; the reference is |11> or |00>
+    # whatever the sampling noise, so both estimators find the identity
+    probe = bell_state(bell)
+    for seed in range(1, 21):
+        events = run_experiment(probe, ExperimentPlan.uniform(8000, seed=seed))
+        table = correlations_from_events(events)
+        state = reconstruct_state(table, truth=probe.coeffs)
+        unitary = reconstruct_unitary(table, probe, truth=np.eye(2))
+        for res in (state, unitary):
+            assert res.diagnostics["p"] >= 1 / 8, (seed, res.diagnostics)
+            assert res.diagnostics["fidelity"] >= 0.99, (seed, res.diagnostics)
+
+
 def test_reconstruct_state_finite_sample_within_3_sigma():
     plan = ExperimentPlan.uniform(8000, seed=20)
     events = run_experiment(TRIPLET, plan)
