@@ -187,6 +187,10 @@ class BipartiteState:
         d = psi.shape[0] if psi.ndim == 2 else 0
         if psi.shape != (d, d) or d < 2 or d & (d - 1):
             raise ValueError(f"coefficient matrix must be 2^n x 2^n, got {psi.shape}")
+        # no entry of a normalized matrix exceeds 1 in modulus; this also refuses NaN,
+        # infinity and entries whose squares overflow
+        if not np.all(np.abs(psi) <= 1.0 + EQUALITY_TOL):
+            raise ValueError("coefficient matrix entries must be finite, of modulus at most 1")
         norm = float(np.sum(np.abs(psi) ** 2))
         if abs(norm - 1.0) > EQUALITY_TOL:
             raise ValueError(f"coefficient matrix is not normalized (sum |Psi|^2 = {norm!r})")

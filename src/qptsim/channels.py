@@ -55,6 +55,10 @@ class QuantumChannel:
     @classmethod
     def from_kraus(cls, ops: Sequence[np.ndarray]) -> "QuantumChannel":
         ops = tuple(_frozen(k) for k in ops)
+        # sum K^dag K <= I bounds each entry's modulus by 1; this also refuses NaN,
+        # infinity and entries whose products overflow in the checks below
+        if not all(np.all(np.abs(k) <= 1.0 + PSD_SLACK) for k in ops):
+            raise ValueError("Kraus operator entries must be finite, of modulus at most 1")
         choi = choi_from_kraus(ops)  # checks that all operators are d x d
         s = sum(dagger(k) @ k for k in ops)
         excess = np.max(np.linalg.eigvalsh(s - np.eye(len(s))))

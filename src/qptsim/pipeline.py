@@ -54,6 +54,9 @@ from .tomography import (
     SWAP,
     BootstrapPlan,
     _bootstrap_counts,
+    _state_overlap,
+    distance_choi,
+    fidelity_unitary,
     reconstruct_choi,
     reconstruct_state,
     reconstruct_unitary,
@@ -359,10 +362,20 @@ def _row_values(a) -> list[float]:
     return np.stack([a.real, a.imag], axis=-1).reshape(-1).tolist()
 
 
-def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
+# The figure of merit that compares each kind of estimate with its truth, last in the header.
+_MERIT = {
+    "input_state": ("fidelity", _state_overlap),
+    "device_unitary": ("fidelity", fidelity_unitary),
+    "device_choi": ("choi_distance", distance_choi),
+}
+
+
+def _format_result(cfg: PipelineConfig, result, truth, errors) -> str:
+    """The document of ``result`` and its bootstrap ``errors`` (None when exact); a
+    ``truth`` adds its figure of merit, last in the header, and the theory column."""
     plan = cfg.plan
     lines = [
-        f"kind: {kind}",
+        f"kind: {result.kind}",
         f"label: {cfg.label}",
         f"estimator: {cfg.estimator}",
         f"exact: {str(plan is None).lower()}",
@@ -376,14 +389,13 @@ def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
             f"bootstrap_seed: {cfg.bootstrap.seed}",
         ]
     lines.append(f"gauge: {result.gauge}")
-    for key, val in result.diagnostics.items():
-        if isinstance(val, float):
-            lines.append(f"{key}: {val:.12g}")
-        else:
-            lines.append(f"{key}: {val}")
+    m, header = result.matrix, dict(result.diagnostics)
+    if truth is not None:
+        name, merit = _MERIT[result.kind]
+        header[name] = merit(m, truth)
+    lines += [f"{k}: {v:.12g}" if isinstance(v, float) else f"{k}: {v}" for k, v in header.items()]
     lines.append("")
     lines.append("element,part,estimate,error,theory")
-    m = result.matrix
     if truth is not None:
         # The global phase is unmeasurable; rotate the theory values into the
         # estimate's gauge so the columns compare element by element.
@@ -391,10 +403,10 @@ def _format_result(kind: str, cfg: PipelineConfig, result, truth) -> str:
         if abs(overlap) > 1e-12:
             truth = np.asarray(truth) * np.exp(1j * np.angle(overlap))
     # one format call per row; a column without values stays empty
-    err, cell = result.errors, "{:.12g}"
-    row = ",".join(("{}", cell, "" if err is None else cell, "" if truth is None else cell))
-    columns = [_row_values(v) for v in (m, err, truth) if v is not None]
-    lines += map(row.format, _row_heads(kind, m.shape[0]), *columns)
+    cell = "{:.12g}"
+    row = ",".join(("{}", cell, "" if errors is None else cell, "" if truth is None else cell))
+    columns = [_row_values(v) for v in (m, errors, truth) if v is not None]
+    lines += map(row.format, _row_heads(result.kind, m.shape[0]), *columns)
     return "\n".join(lines) + "\n"
 
 
@@ -408,22 +420,20 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
     if cfg.estimator == "state_only":
         truth = out.coeffs if out.pure else None
         ref = select_reference(table)
-        result = reconstruct_state(table, ref, truth=truth)
+        result = reconstruct_state(table, ref)
         estimate = lambda t: reconstruct_state(t, ref).matrix
     elif cfg.estimator == "unitary":
         truth = cfg.channel.unitary_matrix
         ref = select_reference(table)
-        result = reconstruct_unitary(table, psi_in, ref, truth=truth)
+        result = reconstruct_unitary(table, psi_in, ref)
         estimate = lambda t: reconstruct_unitary(t, psi_in, ref).matrix
     else:
         truth = cfg.channel.choi
-        result = reconstruct_choi(table, psi_in, truth=truth)
+        result = reconstruct_choi(table, psi_in)
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 
-    if counts is not None:
-        result.errors = _bootstrap_counts(counts, estimate, cfg.bootstrap)
-
-    text = _format_result(result.kind, cfg, result, truth)
+    errors = None if counts is None else _bootstrap_counts(counts, estimate, cfg.bootstrap)
+    text = _format_result(cfg, result, truth, errors)
     path = _resolve(out_dir, cfg.out_result)
     _write_output(path, lambda p: write_file(p, text.encode("utf-8")))
     _say(f"wrote {result.kind} result to {path}")

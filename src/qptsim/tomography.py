@@ -13,8 +13,10 @@ unitary device is recovered as U = M Psi_in^{-1} from the reconstructed
 output coefficients M, and a general channel by undoing the probe state
 on the untouched arms of the full output density matrix.
 
-Estimators report raw linear inversion: no renormalization and no
-positivity projection.
+Estimators see only the data: a table and, for a device, the probe.  They
+report raw linear inversion, with no renormalization and no positivity
+projection.  Comparing an estimate with a known device is the caller's
+step, by ``fidelity_unitary`` or ``distance_choi``.
 """
 
 from __future__ import annotations
@@ -92,23 +94,22 @@ class BootstrapErrors:
     n_resamples: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Estimated matrix plus gauge note, error bars and diagnostics.
+    """Estimated matrix plus gauge note and diagnostics.
 
     kind is one of input_state (2x2 coefficients), device_unitary (2x2) or
     device_choi (d^2 x d^2 for an n-qubit device, d = 2^n, trace normalized
     to the deterministic-channel convention).  From a batch of B tables the
     matrix has shape (B, ...) and diagnostics is empty.  Diagnostics, Python
-    floats and strings, and the comparison with a given truth describe the
-    estimate of a single table.
+    floats and strings, describe the estimate of a single table and read
+    nothing but the data.
     """
 
     kind: str
     matrix: np.ndarray
     gauge: str
     diagnostics: dict
-    errors: Optional[BootstrapErrors] = None
 
 
 def _check_reference(reference) -> tuple[int, int]:
@@ -116,14 +117,6 @@ def _check_reference(reference) -> tuple[int, int]:
     if ref not in _REF_LABEL:
         raise ValueError(f"reference must be a pair of basis indices in 0/1, got {reference!r}")
     return ref
-
-
-def _diagnosed(table: CorrelationTable, truth) -> bool:
-    """Whether the estimate of ``table`` gets diagnostics: a single table's
-    does, a batch's does not, and a batch given a truth is a ValueError."""
-    if table.batched and truth is not None:
-        raise ValueError("a batch of tables has no diagnostics to compare with a truth")
-    return not table.batched
 
 
 def _column_terms(ref: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +179,6 @@ def select_reference(table: CorrelationTable) -> tuple[int, int]:
 def reconstruct_state(
     table: CorrelationTable,
     reference: Optional[tuple[int, int]] = None,
-    truth: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Coefficient matrix of a pure two-qubit state by linear inversion.
 
@@ -196,17 +188,14 @@ def reconstruct_state(
     raises DegenerateReferenceError.  The output is not renormalized; its
     norm is reported as a consistency diagnostic.
     """
-    diagnose = _diagnosed(table, truth)
     ref = select_reference(table) if reference is None else _check_reference(reference)
     col, p = _checked_column(table, ref)
     # psi[ref] = sqrt(p) > 0, since Pauli diagonals are real: the gauge needs no rotation
     psi = col / np.sqrt(p)[..., None, None]
     diagnostics = {}
-    if diagnose:
+    if not table.batched:
         norm = float(np.sum(np.abs(psi) ** 2))
         diagnostics = dict(p=float(p), reference=_REF_LABEL[ref], norm=norm)
-        if truth is not None:
-            diagnostics["fidelity"] = _state_overlap(psi, truth)
     gauge = f"global phase fixed: element {_REF_LABEL[ref]} real non-negative"
     return ReconstructionResult("input_state", psi, gauge, diagnostics)
 
@@ -247,7 +236,6 @@ def reconstruct_unitary(
     t_out: CorrelationTable,
     psi_in: BipartiteState,
     reference: Optional[tuple[int, int]] = None,
-    truth: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Device matrix U from output correlations and a faithful probe state.
 
@@ -257,7 +245,6 @@ def reconstruct_unitary(
     a batch chooses per row.  Unitarity of the result is reported as a
     diagnostic, never enforced.
     """
-    diagnose = _diagnosed(t_out, truth)
     cond = _require_faithful(psi_in)
     if psi_in.coeffs.shape != (2, 2):
         raise ValueError(f"the unitary estimator takes a one-pair probe, got {psi_in.coeffs.shape}")
@@ -283,7 +270,7 @@ def reconstruct_unitary(
         gauge = _GAUGE_MAX if not by_det.any() else _GAUGE_MIXED
     u = u * phase[:, None, None]
     diagnostics = {}
-    if diagnose:
+    if not t_out.batched:
         # ||U^dag U - I|| of the one row: columns' squared norms less 1, twice their squared overlap
         sq = u.real**2 + u.imag**2
         norms = sq[:, 0] + sq[:, 1] - 1.0
@@ -294,30 +281,25 @@ def reconstruct_unitary(
             p=state.diagnostics["p"], reference=state.diagnostics["reference"],
             condition_number=cond, unitarity_deviation=float(deviation[0]),
         )
-        if truth is not None:
-            diagnostics["fidelity"] = fidelity_unitary(u[0], truth)
     u = u.reshape(state.matrix.shape)
     return ReconstructionResult("device_unitary", u, gauge, diagnostics)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + dagger(m))
 
 
 def density_from_correlations(table: CorrelationTable) -> np.ndarray:
     """Output density matrix from the full Pauli expansion of the table.
 
     A (4,)*2n table gives the 4^n x 4^n matrix in the order (device arms,
-    untouched arms); a batch gives one per row.
+    untouched arms); a batch gives one per row.  The matrix is Hermitian bit
+    for bit: element (b, a) sums the conjugates of element (a, b)'s terms,
+    in the same order, since the table is real.
     """
     k = table.entries.ndim - table.batched
-    return _hermitize(pauli_expand(table.entries, batched=table.batched) / 2.0**k)
+    return pauli_expand(table.entries, batched=table.batched) / 2.0**k
 
 
 def reconstruct_choi(
     t_out: CorrelationTable,
     psi_in: BipartiteState,
-    truth: Optional[np.ndarray] = None,
 ) -> ReconstructionResult:
     """Choi matrix of a general (possibly non-unitary) device.
 
@@ -330,7 +312,6 @@ def reconstruct_choi(
     cannot recover the occurrence probability of a trace-decreasing device,
     so that scale is reported as unknown.
     """
-    diagnose = _diagnosed(t_out, truth)
     cond = _require_faithful(psi_in)
     psi = psi_in.coeffs
     d = len(psi)
@@ -338,21 +319,20 @@ def reconstruct_choi(
     if rho.shape[-1] != d * d:
         raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
     eye, inv = np.eye(d), np.linalg.inv  # full rank is checked above, by singular values
-    choi = _hermitize(tensor(eye, inv(psi.T)) @ rho @ tensor(eye, inv(psi.conj())))
+    choi = tensor(eye, inv(psi.T)) @ rho @ tensor(eye, inv(psi.conj()))
+    choi = 0.5 * (choi + dagger(choi))
     tr = np.trace(choi, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):
         raise DataError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")
     choi *= (d / tr)[..., None, None]
     diagnostics = {}
-    if diagnose:
+    if not t_out.batched:
         eigs = np.linalg.eigvalsh(choi)
         diagnostics = dict(
             condition_number=cond, choi_eigenvalues=", ".join(f"{v:.12g}" for v in eigs),
             min_eigenvalue=float(eigs[0]), negativity=float(np.abs(eigs[eigs < 0.0]).sum()),
             occurrence_scale="unrecoverable from coincidence-normalized data",
         )
-        if truth is not None:
-            diagnostics["choi_distance"] = distance_choi(choi, truth)
     gauge = f"Choi rescaled to trace {d} (deterministic-channel convention)"
     return ReconstructionResult("device_choi", choi, gauge, diagnostics)
 

@@ -32,6 +32,7 @@ from qptsim.experiment import (
 )
 from qptsim.tomography import MAX_RESAMPLES, MIN_RESAMPLES, BootstrapPlan
 from qptsim.pipeline import (
+    ESTIMATORS,
     PRESETS,
     load_config,
     load_preset,
@@ -523,15 +524,64 @@ def test_state_only_result(tmp_path):
     assert [row[0] for row in table[::2]] == ["Psi00", "Psi01", "Psi10", "Psi11"]
 
 
-def test_theory_column_empty_without_ground_truth(tmp_path):
-    # a mixed output state has no pure-state truth: the column stays empty
-    cfg = parse_config(
-        base_config(estimator="state_only", device={"type": "depolarizing", "p": 0.5})
-    )
-    run_simulate(cfg, tmp_path)
-    _, _, table = read_result(run_reconstruct(cfg, tmp_path))
-    assert all(row[4] == "" for row in table)
-    assert all(row[3] != "" for row in table)  # bootstrap errors still present
+RUN_KEYS = (
+    "kind", "label", "estimator", "exact", "n_events", "seed", "eta",
+    "bootstrap_resamples", "bootstrap_seed", "gauge",
+)
+STATE_KEYS = ("p", "reference", "norm")
+UNITARY_KEYS = ("p", "reference", "condition_number", "unitarity_deviation")
+CHOI_KEYS = (
+    "condition_number", "choi_eigenvalues", "min_eigenvalue", "negativity", "occurrence_scale",
+)
+
+
+@pytest.mark.filterwarnings("ignore:unitary estimator configured for a non-unitary device")
+@pytest.mark.parametrize(
+    "overrides, diagnostics, merit",
+    [
+        ({"estimator": "state_only"}, STATE_KEYS, "fidelity"),
+        (
+            {"estimator": "state_only", "device": {"type": "depolarizing", "p": 0.5}},
+            STATE_KEYS,
+            None,
+        ),
+        ({}, UNITARY_KEYS, "fidelity"),
+        ({"device": {"type": "amplitude_damping", "gamma": 0.3}}, UNITARY_KEYS, None),
+        ({"estimator": "choi"}, CHOI_KEYS, "choi_distance"),
+    ],
+    ids=["state_pure", "state_mixed", "unitary", "unitary_amplitude_damping", "choi"],
+)
+def test_header_and_theory_column_follow_the_truth(tmp_path, overrides, diagnostics, merit):
+    # a mixed output state has no pure-state truth and a non-unitary device no
+    # unitary one: then the header has no figure of merit and the theory column
+    # stays empty; otherwise the figure of merit comes last
+    cfg = parse_config(base_config(**overrides))
+    head, _, table = read_result(run_pipeline(cfg, tmp_path)["result"])
+    assert list(head) == [*RUN_KEYS, *diagnostics, *([merit] if merit else [])]
+    assert all((row[4] == "") == (merit is None) for row in table)
+    assert all(row[3] != "" for row in table)  # bootstrap errors always present
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second stderr line
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e300], ids=str)
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_non_finite_or_huge_probe_or_kraus_entry_is_a_config_error(
+    tmp_path, capsys, estimator, value
+):
+    # JSON's NaN and Infinity parse as floats, and 1e300 squared overflows; none
+    # may reach the linear algebra, whose failures are tracebacks
+    half = [np.sqrt(0.5), 0.0]
+    coeffs = [[[value, 0.0], half], [half, [0.0, 0.0]]]
+    kraus = {"type": "kraus", "ops": [[[[value, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+    cfg_path = tmp_path / "bad.json"
+    for field, mutation in (
+        ("input_state.coeffs", {"input_state": {"coeffs": coeffs}}),
+        ("device (kraus)", {"device": kraus}),
+    ):
+        cfg_path.write_text(json.dumps(base_config(estimator=estimator, **mutation)))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert one_line_error(capsys).startswith(f"config error: {field}: "), (field, value)
+        assert not (tmp_path / "t_events.csv").exists()
 
 
 def test_choi_result_has_32_rows(tmp_path):
