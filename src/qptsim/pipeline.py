@@ -7,8 +7,9 @@ result documents.
 
 Result document layout: a ``key: value`` header block, one blank line, then
 a comma-delimited element table ``element,part,estimate,error,theory`` in a
-fixed row-major element order.  The plot-data command re-emits that table
-on its own.
+fixed row-major element order.  The table is rendered once, by filling a
+cached template, and the pipeline writes it again as the plot data; the
+standalone plot-data command cuts it back out of the result document.
 """
 
 from __future__ import annotations
@@ -262,6 +263,8 @@ def parse_config(doc: dict) -> PipelineConfig:
     bootstrap = _checked("bootstrap", lambda: BootstrapPlan(**boot))
     outputs = _section(doc, "outputs")
     label = _name_field("label", doc.get("label", "run"))
+    if len(f"x{label}x".splitlines()) > 1:  # the header's label line stays one line
+        raise ConfigError(f"label: {shown(label)} contains a line break")
     return PipelineConfig(
         label=label,
         input_state=probe,
@@ -346,20 +349,17 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
 
 
 @functools.cache
-def _row_heads(kind: str, n: int) -> tuple[str, ...]:
-    """The ``element,part`` cells of an n x n matrix's table rows, in row order."""
+def _table_template(kind: str, n: int, has_errors: bool, has_truth: bool) -> str:
+    """The element table of an n x n matrix as one %-template: the column header
+    and every row's ``element,part`` cells, then a ``%.12g`` slot for each filled
+    cell of the row; a column without values stays empty."""
     name = {"input_state": "Psi{}{}", "device_unitary": "U{}{}"}.get(kind)
     if name is None:
         name = "C{}{}" if n <= 9 else "C{}_{}"
-    return tuple(
-        f"{name.format(r, c)},{part}" for r in range(n) for c in range(n) for part in ("re", "im")
-    )
-
-
-def _row_values(a) -> list[float]:
-    """Real and imaginary part of every element of a matrix, or of the
-    bootstrap errors, as Python floats in row order."""
-    return np.stack([a.real, a.imag], axis=-1).reshape(-1).tolist()
+    cells = ",".join(("%.12g", "%.12g" if has_errors else "", "%.12g" if has_truth else ""))
+    heads = (name.format(r, c) for r in range(n) for c in range(n))
+    rows = "".join(f"{head},{part},{cells}\n" for head in heads for part in ("re", "im"))
+    return "element,part,estimate,error,theory\n" + rows
 
 
 # The figure of merit that compares each kind of estimate with its truth, last in the header.
@@ -370,8 +370,9 @@ _MERIT = {
 }
 
 
-def _format_result(cfg: PipelineConfig, result, truth, errors) -> str:
-    """The document of ``result`` and its bootstrap ``errors`` (None when exact); a
+def _format_result(cfg: PipelineConfig, result, truth, errors) -> tuple[str, str]:
+    """The header block (through its blank line) and the element table of the
+    document of ``result`` and its bootstrap ``errors`` (None when exact); a
     ``truth`` adds its figure of merit, last in the header, and the theory column."""
     plan = cfg.plan
     lines = [
@@ -394,26 +395,24 @@ def _format_result(cfg: PipelineConfig, result, truth, errors) -> str:
         name, merit = _MERIT[result.kind]
         header[name] = merit(m, truth)
     lines += [f"{k}: {v:.12g}" if isinstance(v, float) else f"{k}: {v}" for k, v in header.items()]
-    lines.append("")
-    lines.append("element,part,estimate,error,theory")
     if truth is not None:
         # The global phase is unmeasurable; rotate the theory values into the
         # estimate's gauge so the columns compare element by element.
         overlap = np.sum(np.conj(truth) * m)
         if abs(overlap) > 1e-12:
             truth = np.asarray(truth) * np.exp(1j * np.angle(overlap))
-    # one format call per row; a column without values stays empty
-    cell = "{:.12g}"
-    row = ",".join(("{}", cell, "" if errors is None else cell, "" if truth is None else cell))
-    columns = [_row_values(v) for v in (m, errors, truth) if v is not None]
-    lines += map(row.format, _row_heads(result.kind, m.shape[0]), *columns)
-    return "\n".join(lines) + "\n"
+    # values in row order, (element, re|im, column), fill the template in one operation;
+    # the header, which holds the user's label, stays out of it
+    columns = [np.stack([v.real, v.imag], axis=-1) for v in (m, errors, truth) if v is not None]
+    values = np.stack(columns, axis=-1).reshape(-1).tolist()
+    template = _table_template(result.kind, m.shape[0], errors is not None, truth is not None)
+    return "\n".join(lines) + "\n\n", template % tuple(values)
 
 
 def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
     """Estimate the configured quantity from the (9, 4) counts table (None
     for exact statistics) and write the result document; returns its path
-    and text.  The bootstrap resamples the same counts."""
+    and element table.  The bootstrap resamples the same counts."""
     psi_in, out = cfg.input_state, cfg.output_state
     table = exact_correlations(out) if counts is None else table_from_counts(counts)
 
@@ -426,18 +425,24 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
         truth = cfg.channel.unitary_matrix
         ref = select_reference(table)
         result = reconstruct_unitary(table, psi_in, ref)
-        estimate = lambda t: reconstruct_unitary(t, psi_in, ref).matrix
+
+        def estimate(t):
+            # the gauge fixes U up to a sign that flips where det U crosses the negative axis,
+            # as a half-wave plate's does: keep each resample's sign nearest the point estimate
+            stack = reconstruct_unitary(t, psi_in, ref).matrix
+            flip = np.einsum("ij,bij->b", result.matrix.conj(), stack).real < 0
+            return np.where(flip[:, None, None], -stack, stack)
     else:
         truth = cfg.channel.choi
         result = reconstruct_choi(table, psi_in)
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 
     errors = None if counts is None else _bootstrap_counts(counts, estimate, cfg.bootstrap)
-    text = _format_result(cfg, result, truth, errors)
+    head, elements = _format_result(cfg, result, truth, errors)
     path = _resolve(out_dir, cfg.out_result)
-    _write_output(path, lambda p: write_file(p, text.encode("utf-8")))
+    _write_output(path, lambda p: write_file(p, (head + elements).encode("utf-8")))
     _say(f"wrote {result.kind} result to {path}")
-    return path, text
+    return path, elements
 
 
 def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
@@ -459,19 +464,12 @@ def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
     return _reconstruct(cfg, out_dir, counts)[0]
 
 
-def _plotdata(cfg: PipelineConfig, out_dir, result_path: Path, text: str) -> Path:
-    """Write the element table of a result document's text as the plot data."""
-    lines = text.splitlines()
-    try:
-        start = lines.index("") + 1
-    except ValueError:
-        raise DataError(f"{shown_path(result_path)}: no element table found") from None
-    table = lines[start:]
-    if not table or table[0] != "element,part,estimate,error,theory":
-        raise DataError(f"{shown_path(result_path)}: malformed element table header")
+def _plotdata(cfg: PipelineConfig, out_dir, table: str) -> Path:
+    """Write an element table, column header first, as the plot data."""
     path = _resolve(out_dir, cfg.out_plotdata)
-    _write_output(path, lambda p: write_file(p, ("\n".join(table) + "\n").encode("utf-8")))
-    _say(f"wrote {len(table) - 1} plot rows to {path}")
+    _write_output(path, lambda p: write_file(p, table.encode("utf-8")))
+    rows = table.count("\n") - 1  # after the column header
+    _say(f"wrote {rows} plot rows to {path}")
     return path
 
 
@@ -486,21 +484,29 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
         reason = getattr(exc, "strerror", None) or exc
         name = shown_path(result_path)
         raise DataError(f"{name}: cannot read result document: {reason}") from None
-    return _plotdata(cfg, out_dir, result_path, text)
+    lines = text.splitlines()
+    try:
+        start = lines.index("") + 1
+    except ValueError:
+        raise DataError(f"{shown_path(result_path)}: no element table found") from None
+    table = lines[start:]
+    if not table or table[0] != "element,part,estimate,error,theory":
+        raise DataError(f"{shown_path(result_path)}: malformed element table header")
+    return _plotdata(cfg, out_dir, "\n".join(table) + "\n")
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=".") -> dict[str, Path]:
     """simulate (unless exact), reconstruct, plotdata; one seed end to end.
 
     Each stage hands its product to the next in memory: reconstruct takes
-    the counts simulate's sampler tallied, and plotdata the document
-    reconstruct formatted.  Every file is still written, with the bytes the
+    the counts simulate's sampler tallied, and plotdata the element table
+    reconstruct rendered.  Every file is still written, with the bytes the
     standalone commands write from each other's files.
     """
     paths = {}
     counts = None
     if cfg.plan is not None:
         paths["events"], counts = _simulate(cfg, out_dir)
-    paths["result"], text = _reconstruct(cfg, out_dir, counts)
-    paths["plotdata"] = _plotdata(cfg, out_dir, paths["result"], text)
+    paths["result"], table = _reconstruct(cfg, out_dir, counts)
+    paths["plotdata"] = _plotdata(cfg, out_dir, table)
     return paths

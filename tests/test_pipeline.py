@@ -30,7 +30,13 @@ from qptsim.experiment import (
     ExperimentPlan,
     LossModel,
 )
-from qptsim.tomography import MAX_RESAMPLES, MIN_RESAMPLES, BootstrapPlan
+from qptsim.tomography import (
+    MAX_RESAMPLES,
+    MIN_RESAMPLES,
+    BootstrapErrors,
+    BootstrapPlan,
+    ReconstructionResult,
+)
 from qptsim.pipeline import (
     ESTIMATORS,
     PRESETS,
@@ -157,6 +163,22 @@ def test_parse_minimal_defaults():
 def test_parse_rejects_bad_configs(mutation):
     with pytest.raises(ConfigError):
         parse_config(base_config(**mutation))
+
+
+# every character str.splitlines() breaks a line at
+LINE_BREAKS = ["\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+def test_label_with_a_line_break_is_a_config_error(tmp_path, capsys, brk):
+    # the label is one line of the result document's header, which is read back
+    # line by line; a break in it would leave a line that is not `key: value`
+    cfg_path = tmp_path / "broken.json"
+    cfg_path.write_text(json.dumps(base_config(label=f"a{brk}b")))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    err = one_line_error(capsys)
+    assert err.startswith("config error: label: ") and err.endswith("contains a line break\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json"]
 
 
 def test_complex_entry_refusal_names_its_field():
@@ -509,6 +531,35 @@ def test_unitary_result_document(tmp_path):
     assert [row[3] for row in table] == [f"{x:.12g}" for pair in parts for x in pair]
 
 
+def test_half_wave_plate_error_bars_match_the_spread_across_seeds(tmp_path):
+    # a half-wave plate has det U = -1, on the branch cut of the determinant
+    # gauge, so resamples land on either sign of U; sign-aligned, the mean
+    # bootstrap deviation of each part must match the spread of the
+    # sign-aligned estimates over 40 seeds
+    for theta in (0.0, 0.1, 0.25):
+        for bell in (0, 1):
+            estimates, errors = [], []
+            for seed in range(40):
+                cfg = parse_config(base_config(
+                    input_state={"bell": bell},
+                    device={"type": "waveplates",
+                            "plates": [{"phi_over_pi": 1.0, "theta_over_pi": theta}]},
+                    plan={"total": 8000, "seed": seed},
+                    bootstrap={"resamples": 200, "seed": seed},
+                ))
+                _, _, table = read_result(run_pipeline(cfg, tmp_path)["result"])
+                est = np.array([float(row[2]) for row in table])
+                if estimates and est @ estimates[0] < 0:  # Re Tr(U_0^+ U) < 0
+                    est = -est
+                estimates.append(est)
+                errors.append([float(row[3]) for row in table])
+            spread = np.std(estimates, axis=0, ddof=1)
+            ratio = np.mean(errors, axis=0) / spread
+            where = f"theta_over_pi {theta}, bell {bell}: {np.round(ratio, 2)}"
+            assert 0.7 <= np.mean(errors) / spread.mean() <= 1.4, where
+            assert np.all((0.5 <= ratio) & (ratio <= 2.0)), where
+
+
 def test_theory_column_matches_estimate_gauge(tmp_path):
     cfg = parse_config(base_config(plan={"total": 20000, "seed": 4, "eta": 1.0}))
     run_simulate(cfg, tmp_path)
@@ -582,6 +633,90 @@ def test_non_finite_or_huge_probe_or_kraus_entry_is_a_config_error(
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert one_line_error(capsys).startswith(f"config error: {field}: "), (field, value)
         assert not (tmp_path / "t_events.csv").exists()
+
+
+def format_result_reference(cfg, result, truth, errors) -> str:
+    """The result document rendered one format call per row, as the pipeline
+    once did: the oracle of its one-template renderer."""
+    plan = cfg.plan
+    lines = [f"kind: {result.kind}", f"label: {cfg.label}", f"estimator: {cfg.estimator}",
+             f"exact: {str(plan is None).lower()}"]
+    if plan is not None:
+        lines += [f"n_events: {plan.total}", f"seed: {plan.seed}", f"eta: {plan.eta!r}",
+                  f"bootstrap_resamples: {cfg.bootstrap.resamples}",
+                  f"bootstrap_seed: {cfg.bootstrap.seed}"]
+    lines.append(f"gauge: {result.gauge}")
+    m, header = result.matrix, dict(result.diagnostics)
+    if truth is not None:
+        name, merit = qptsim.pipeline._MERIT[result.kind]
+        header[name] = merit(m, truth)
+    lines += [f"{k}: {v:.12g}" if isinstance(v, float) else f"{k}: {v}" for k, v in header.items()]
+    lines += ["", "element,part,estimate,error,theory"]
+    if truth is not None:
+        overlap = np.sum(np.conj(truth) * m)
+        if abs(overlap) > 1e-12:
+            truth = np.asarray(truth) * np.exp(1j * np.angle(overlap))
+    n = m.shape[0]
+    name = {"input_state": "Psi{}{}", "device_unitary": "U{}{}"}.get(result.kind)
+    if name is None:
+        name = "C{}{}" if n <= 9 else "C{}_{}"
+    heads = [f"{name.format(r, c)},{part}" for r in range(n) for c in range(n) for part in ("re", "im")]
+    cell = "{:.12g}"
+    row = ",".join(("{}", cell, "" if errors is None else cell, "" if truth is None else cell))
+    columns = [
+        np.stack([v.real, v.imag], axis=-1).reshape(-1).tolist()
+        for v in (m, errors, truth) if v is not None
+    ]
+    lines += map(row.format, heads, *columns)
+    return "\n".join(lines) + "\n"
+
+
+# values whose rendering most easily differs between formatters
+SPECIAL_VALUES = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]
+
+
+def planted(rng, n, special: bool) -> np.ndarray:
+    """An n x n complex matrix of values over many decades, with SPECIAL_VALUES
+    planted at random entries of both parts when ``special``."""
+    parts = rng.normal(size=(2, n, n)) * 10.0 ** rng.integers(-30, 30, size=(2, n, n))
+    if special:
+        flat = parts.reshape(-1)
+        flat[rng.choice(flat.size, size=len(SPECIAL_VALUES), replace=False)] = SPECIAL_VALUES
+    z = parts[0].astype(complex)
+    z.imag = parts[1]  # not 1j * parts[1], whose real part is nan where parts[1] is inf
+    return z
+
+
+@pytest.mark.parametrize("has_truth", [False, True], ids=["no-theory", "theory"])
+@pytest.mark.parametrize("has_errors", [False, True], ids=["exact", "errors"])
+@pytest.mark.parametrize(
+    "kind, n",
+    [("input_state", 2), ("device_unitary", 2), ("device_choi", 4), ("device_choi", 9),
+     ("device_choi", 10), ("device_choi", 16)],
+)
+def test_format_result_matches_the_per_row_formatter(monkeypatch, kind, n, has_errors, has_truth):
+    # the merit of a planted truth is beside the point here; a fixed value keeps
+    # NaN and inf out of the eigensolvers
+    monkeypatch.setitem(qptsim.pipeline._MERIT, kind, ("merit", lambda m, t: 0.125))
+    rng = np.random.default_rng([n, has_errors, has_truth])
+    cfg = parse_config(base_config() if has_errors else STATE_ONLY_EXACT)
+    for special in (False, True):
+        result = ReconstructionResult(
+            kind, planted(rng, n, special), "g", {"p": float(rng.random()), "reference": "|01>"}
+        )
+        errors = None
+        if has_errors:
+            err = planted(rng, n, special)
+            errors = BootstrapErrors(real=err.real, imag=err.imag, n_resamples=2)
+        truth = planted(rng, n, special) if has_truth else None
+        with np.errstate(all="ignore"):
+            head, table = qptsim.pipeline._format_result(cfg, result, truth, errors)
+            expected = format_result_reference(cfg, result, truth, errors)
+        assert head.endswith("\n\n") and table.startswith("element,part,estimate,error,theory\n")
+        # the first differing lines, where pytest's diff of the whole text would take minutes
+        same = head + table == expected
+        lines = zip((head + table).splitlines(True), expected.splitlines(True))
+        assert same, next(((a, b) for a, b in lines if a != b), "the texts differ in length")
 
 
 def test_choi_result_has_32_rows(tmp_path):
@@ -740,6 +875,17 @@ def test_pipeline_writes_the_bytes_of_the_staged_commands(tmp_path, make_cfg):
     assert len(names) == (2 if cfg.plan is None else 3)
     for name in names:
         assert (tmp_path / "pipeline" / name).read_bytes() == (staged / name).read_bytes()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_staged_plotdata_of_a_crlf_result_document_writes_the_pipeline_bytes(tmp_path, preset):
+    # the pipeline writes the table it rendered; plotdata reads it back from any line ending
+    cfg = load_preset(preset)
+    paths = run_pipeline(cfg, tmp_path / "pipeline")
+    staged = tmp_path / "crlf"
+    staged.mkdir()
+    (staged / cfg.out_result).write_bytes(paths["result"].read_bytes().replace(b"\n", b"\r\n"))
+    assert run_plotdata(cfg, staged).read_bytes() == paths["plotdata"].read_bytes()
 
 
 def test_events_counted_once_per_staged_reconstruct_never_in_pipeline(tmp_path, monkeypatch):
