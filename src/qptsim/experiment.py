@@ -1,10 +1,11 @@
 """Forward model of the two-beam coincidence experiment.
 
-The nine quorum settings pair one Pauli axis per beam.  For each setting
-the joint outcome distribution follows from the two-point expectations of
-the bipartite state; coincidence events are drawn from it with a seeded,
-per-setting random substream so the output is reproducible and independent
-of how many events the other settings were allocated.
+The nine quorum settings pair one Pauli axis per beam.  One linear map,
+``_CELL_MAP``, takes a correlation table to the joint outcome probabilities
+of every setting, and its transpose takes outcome counts back to a table.
+Coincidence events are drawn with a seeded, per-setting random substream so
+the output is reproducible and independent of how many events the other
+settings were allocated.
 
 With detector loss, each setting's stream is read as chunks of trials, each
 chunk three rows of uniforms (outcome, beam-1, beam-2).  Every row is either
@@ -244,35 +245,24 @@ def exact_correlations(state: BipartiteState) -> CorrelationTable:
     return CorrelationTable(entries=t)
 
 
-# Signs of the four joint outcomes, in OUTCOMES order.
-_S1 = np.array([o[0] for o in OUTCOMES])
-_S2 = np.array([o[1] for o in OUTCOMES])
-_A1 = np.array([s.axis1 for s in SETTINGS])
-_A2 = np.array([s.axis2 for s in SETTINGS])
-# (36, 16) maps from cell counts (row 4*k + o: setting k, outcome o) to the
-# numerators and pooled counts of table entries (column 4*i + j: entry (i, j)):
-# setting (a1, a2) adds s1*s2 to (a1, a2), s1 to (a1, 0), s2 to (0, a2), 1 to (0, 0).
-_SETTING_ENTRIES = 4 * _A1 + _A2
-_TABLE_NUM = np.zeros((len(SETTINGS), len(OUTCOMES), 16))
-for _entries, _signs in zip((_SETTING_ENTRIES, 4 * _A1, _A2, 0), (_S1 * _S2, _S1, _S2, 1)):
-    _TABLE_NUM[np.arange(len(SETTINGS)), :, _entries] = _signs
-_TABLE_NUM = _TABLE_NUM.reshape(_N_CELLS, 16)
-_TABLE_DEN = np.abs(_TABLE_NUM)
+# The measurement, as one (36, 16) map from table entries (column 4*i + j:
+# entry (i, j)) to cells (row 4*k + o: setting k, outcome o): setting (a1, a2)
+# with outcome (s1, s2) adds 1 to (0, 0), s1 to (a1, 0), s2 to (0, a2) and
+# s1*s2 to (a1, a2).  A table t has the cell probabilities _CELL_MAP @ t / 4;
+# cell counts c give back the table (c @ _CELL_MAP) / (c @ _CELL_WEIGHTS).
+_CELL_MAP = np.zeros((_N_CELLS, 4, 4))
+for _c, ((_a1, _a2), (_s1, _s2)) in enumerate((k, o) for k in SETTINGS for o in OUTCOMES):
+    _CELL_MAP[_c, [0, _a1, 0, _a1], [0, 0, _a2, _a2]] = 1, _s1, _s2, _s1 * _s2
+_CELL_MAP = _CELL_MAP.reshape(_N_CELLS, 16)
+_CELL_WEIGHTS = np.abs(_CELL_MAP)
+_SETTING_ENTRIES = np.array([4 * a1 + a2 for a1, a2 in SETTINGS])  # each setting's own entry
 
 
-def _setting_probs(state: BipartiteState) -> np.ndarray:
-    """(9, 4) joint outcome probabilities, rows in SETTINGS order.
-
-    P(s1, s2) = (1 + s1 <sigma_a1> + s2 <sigma_a2> + s1 s2 <sigma_a1 sigma_a2>) / 4.
-    The coincidence model has one detector pair, so the state is one pair.
-    """
-    if state.density.shape != (4, 4):
-        raise ValueError(f"the sampler models one pair, got a {state.density.shape} state")
-    t = pauli_coefficients(state.density)  # exact_correlations' entries; (0, 0) is not read
-    m1 = t[_A1, 0][:, None]
-    m2 = t[0, _A2][:, None]
-    c12 = t[_A1, _A2][:, None]
-    p = 0.25 * (1.0 + _S1 * m1 + _S2 * m2 + (_S1 * _S2) * c12)
+def _cell_probs(table: CorrelationTable) -> np.ndarray:
+    """(9, 4) outcome probabilities of a one-pair table, rows in SETTINGS order."""
+    if table.entries.shape != (4, 4):
+        raise ValueError(f"the sampler models one pair, got a {table.entries.shape} table")
+    p = (_CELL_MAP @ table.entries.reshape(16) / 4).reshape(len(SETTINGS), len(OUTCOMES))
     if p.min() < _PROB_CLIP:
         raise ValueError(f"outcome probability {p.min()!r} is negative beyond clipping tolerance")
     p = np.maximum(p, 0.0)
@@ -284,7 +274,7 @@ def joint_probs(state: BipartiteState, setting: MeasurementSetting) -> dict[tupl
     a1, a2 = setting
     if a1 not in AXES or a2 not in AXES:
         raise ValueError(f"setting axes must be in 1..3, got {setting!r}")
-    row = _setting_probs(state)[SETTINGS.index((a1, a2))]
+    row = _cell_probs(exact_correlations(state))[SETTINGS.index((a1, a2))]
     return {o: float(p) for o, p in zip(OUTCOMES, row)}
 
 
@@ -486,7 +476,7 @@ def _sample(state: BipartiteState, plan: ExperimentPlan) -> tuple[np.ndarray, np
     """
     eta = plan.eta
     # each row is Generator.choice's cdf of that setting's probabilities
-    cdfs = _setting_probs(state).cumsum(axis=1)
+    cdfs = _cell_probs(exact_correlations(state)).cumsum(axis=1)
     cdfs /= cdfs[:, -1:]
     codes = np.empty(plan.total, dtype=np.uint8)
     reached = []
@@ -548,7 +538,7 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
 
     Marginal entries pool every event that measured the given axis on the
     given beam, regardless of the partner axis.  Flattened counts c give the
-    flattened table ``(c @ _TABLE_NUM) / (c @ _TABLE_DEN)``: sums of whole
+    flattened table ``(c @ _CELL_MAP) / (c @ _CELL_WEIGHTS)``: sums of whole
     counts, exact in float64, divided once.  A (B, 9, 4) stack of count
     tables gives a batch of B tables.
     """
@@ -562,11 +552,11 @@ def table_from_counts(counts: np.ndarray) -> CorrelationTable:
     if (counts < 0).any():
         raise ValueError("counts must be at least 0")
     c = counts.reshape(-1, _N_CELLS).astype(float)
-    den = c @ _TABLE_DEN
+    den = c @ _CELL_WEIGHTS
     empty = (den[:, _SETTING_ENTRIES] == 0).any(axis=0)
     if empty.any():
         raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(empty)])
-    return CorrelationTable(entries=((c @ _TABLE_NUM) / den).reshape(counts.shape[:-2] + (4, 4)))
+    return CorrelationTable(entries=((c @ _CELL_MAP) / den).reshape(counts.shape[:-2] + (4, 4)))
 
 
 def correlations_from_events(events: np.ndarray) -> CorrelationTable:

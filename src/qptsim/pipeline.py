@@ -265,6 +265,13 @@ def parse_config(doc: dict) -> PipelineConfig:
     label = _name_field("label", doc.get("label", "run"))
     if len(f"x{label}x".splitlines()) > 1:  # the header's label line stays one line
         raise ConfigError(f"label: {shown(label)} contains a line break")
+    names, written = {}, {}  # every output's name; the outputs the run writes, by path
+    for key, ext in (("events", "csv"), ("result", "txt"), ("plotdata", "csv")):
+        names[key] = _name_field(f"outputs.{key}", outputs.get(key, f"{label}_{key}.{ext}"))
+        path = os.path.normpath(names[key])
+        if plan is not None or key != "events":  # an exact run writes no event log
+            if (other := written.setdefault(path, key)) != key:
+                raise ConfigError(f"outputs.{other} and outputs.{key} both name {shown(path)}")
     return PipelineConfig(
         label=label,
         input_state=probe,
@@ -273,11 +280,9 @@ def parse_config(doc: dict) -> PipelineConfig:
         estimator=estimator,
         plan=plan,
         bootstrap=bootstrap,
-        out_events=_name_field("outputs.events", outputs.get("events", f"{label}_events.csv")),
-        out_result=_name_field("outputs.result", outputs.get("result", f"{label}_result.txt")),
-        out_plotdata=_name_field(
-            "outputs.plotdata", outputs.get("plotdata", f"{label}_plotdata.csv")
-        ),
+        out_events=names["events"],
+        out_result=names["result"],
+        out_plotdata=names["plotdata"],
     )
 
 

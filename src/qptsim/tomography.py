@@ -318,8 +318,8 @@ def reconstruct_choi(
     rho = density_from_correlations(t_out)
     if rho.shape[-1] != d * d:
         raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
-    eye, inv = np.eye(d), np.linalg.inv  # full rank is checked above, by singular values
-    choi = tensor(eye, inv(psi.T)) @ rho @ tensor(eye, inv(psi.conj()))
+    eye, inv = np.eye(d), psi_in.coeffs_inverse  # full rank is checked above
+    choi = tensor(eye, inv.T) @ rho @ tensor(eye, inv.conj())
     choi = 0.5 * (choi + dagger(choi))
     tr = np.trace(choi, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):
@@ -374,13 +374,18 @@ def bootstrap_errors(
 
     The estimator is called on all B resamples at once: it takes a
     CorrelationTable with a leading batch axis of B rows and returns an
-    array of shape (B, ...), one estimate per row, such as
-    ``lambda t: reconstruct_unitary(t, psi_in, ref).matrix`` with an
-    explicit reference.  Every resample is kept: where the estimator
-    degenerates on any row it raises DegenerateReferenceError, a DataError,
-    and the bootstrap is refused, since replacing resamples would condition
-    them and bias the error bars.  ``n_resamples`` and ``seed`` that
-    BootstrapPlan refuses raise its PlanError, a ValueError.
+    array of shape (B, ...), one estimate per row, in the gauge of the point
+    estimate.  The determinant gauge fixes a unitary up to a sign that flips
+    where det U crosses the negative axis, as a half-wave plate's does; so for
+    ``u = reconstruct_unitary(table, psi_in, ref).matrix``, with an explicit
+    reference, the estimator keeps each row's sign nearest ``u``:
+    ``lambda t: (m := reconstruct_unitary(t, psi_in, ref).matrix) * np.where(
+    np.einsum("ij,bij->b", u.conj(), m).real < 0, -1, 1)[:, None, None]``.
+    Every resample is kept: where the estimator degenerates on any row it
+    raises DegenerateReferenceError, a DataError, and the bootstrap is
+    refused, since replacing resamples would condition them and bias the
+    error bars.  ``n_resamples`` and ``seed`` that BootstrapPlan refuses
+    raise its PlanError, a ValueError.
     """
     return _bootstrap_counts(events_to_counts(events), estimator, BootstrapPlan(n_resamples, seed))
 

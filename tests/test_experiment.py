@@ -31,6 +31,8 @@ from qptsim import (
 import qptsim.experiment
 from qptsim.errors import DataError, shown, shown_path
 from qptsim.experiment import (
+    _CELL_MAP,
+    _CELL_WEIGHTS,
     _CHUNK_LINES,
     _JUMP_COST,
     _LINE_BYTES,
@@ -40,11 +42,11 @@ from qptsim.experiment import (
     AXIS_LETTERS,
     OUTCOMES,
     SETTINGS,
+    _cell_probs,
     _invert_cdf,
     _jumped_uniforms,
     _parse_header,
     _sample,
-    _setting_probs,
     _stream_jumps,
     events_to_counts,
     table_from_counts,
@@ -201,6 +203,59 @@ def test_plan_allocation_must_sum():
         ExperimentPlan(total=10, allocation={MeasurementSetting(1, 1): 5}, seed=0)
 
 
+def random_one_pair_states(seed, n):
+    """n seeded one-pair states, alternately pure and mixed (of rank 2 to 4)."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for k in range(n):
+        if k % 2 == 0:
+            psi = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            states.append(BipartiteState.from_coeffs(psi / np.linalg.norm(psi)))
+        else:
+            a = rng.normal(size=(4, 2 + k % 3)) + 1j * rng.normal(size=(4, 2 + k % 3))
+            rho = a @ a.conj().T
+            states.append(BipartiteState.from_density(rho / np.trace(rho).real))
+    return states
+
+
+def born_probs(state):
+    """Independent oracle: Tr[rho (P1 x P2)] with P = (I + s sigma_a) / 2."""
+    proj = lambda a, s: (np.eye(2) + s * pauli(a)) / 2
+    return np.array([
+        [np.trace(state.density @ tensor(proj(a1, s1), proj(a2, s2))).real for s1, s2 in OUTCOMES]
+        for a1, a2 in SETTINGS
+    ])
+
+
+def test_sampler_probabilities_are_the_cell_map_of_the_exact_table():
+    # the probabilities the sampler and joint_probs read are the map applied
+    # to the exact table, over 4, and the Born rule of the state's detectors
+    for state in random_one_pair_states(2201, 200):
+        probs = _cell_probs(exact_correlations(state))
+        mapped = (_CELL_MAP @ brute_force_table(state).reshape(16) / 4).reshape(9, 4)
+        assert np.allclose(probs, mapped, rtol=0, atol=1e-15)
+        assert np.allclose(probs, born_probs(state), rtol=0, atol=1e-12)
+        for k, setting in enumerate(SETTINGS):
+            assert list(joint_probs(state, setting).values()) == probs[k].tolist()
+    two_pairs = pairs(TRIPLET, TRIPLET)
+    with pytest.raises(ValueError, match="one pair"):
+        _cell_probs(exact_correlations(two_pairs))
+    with pytest.raises(ValueError, match="one pair"):
+        run_experiment(two_pairs, ExperimentPlan.uniform(9, seed=0))
+
+
+def test_cell_map_reduces_expected_frequencies_to_the_exact_table():
+    # the estimator inverts the sampler's model: the expected cell frequencies
+    # of any allocation reduce through the map's numerator and denominator
+    # to the exact table
+    rng = np.random.default_rng(2202)
+    for state in random_one_pair_states(2203, 200):
+        weights = rng.uniform(0.1, 1.0, size=(9, 1))
+        freqs = (weights * _cell_probs(exact_correlations(state))).reshape(36)
+        table = (freqs @ _CELL_MAP) / (freqs @ _CELL_WEIGHTS)
+        assert np.allclose(table.reshape(4, 4), brute_force_table(state), rtol=0, atol=1e-12)
+
+
 def test_triplet_zz_forbidden_outcomes_never_occur():
     alloc = {s: 0 for s in SETTINGS}
     alloc[MeasurementSetting(3, 3)] = 1000
@@ -236,7 +291,7 @@ def test_loss_model_preserves_event_count():
 
 def three_call_lossy_loop(state, plan):
     """The lossy sampler as first written: per chunk one choice and two random calls."""
-    probs = _setting_probs(state)
+    probs = _cell_probs(exact_correlations(state))
     eta = plan.loss.eta
     codes = []
     for idx, setting in enumerate(SETTINGS):
@@ -285,7 +340,7 @@ def test_lossy_stream_digest_is_frozen():
 
 def choice_sampler(state, plan):
     """The lossless sampler as first written: one Generator.choice per setting."""
-    probs = _setting_probs(state)
+    probs = _cell_probs(exact_correlations(state))
     codes = []
     for idx, setting in enumerate(SETTINGS):
         n = plan.allocation.get(setting, 0)

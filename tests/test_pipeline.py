@@ -181,6 +181,33 @@ def test_label_with_a_line_break_is_a_config_error(tmp_path, capsys, brk):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.json"]
 
 
+@pytest.mark.parametrize(
+    "outputs, exact, clash",
+    [
+        ({"events": "same.csv", "result": "same.csv"}, False, ("events", "result")),
+        ({"result": "r.txt", "plotdata": "r.txt"}, False, ("result", "plotdata")),
+        ({"events": "p.csv", "plotdata": "p.csv"}, False, ("events", "plotdata")),
+        ({"result": "./r.txt", "plotdata": "r.txt"}, False, ("result", "plotdata")),
+        ({"events": "same.csv", "result": "same.csv"}, True, None),  # no event log is written
+    ],
+    ids=["events=result", "result=plotdata", "events=plotdata", "dot_slash", "exact"],
+)
+def test_outputs_that_name_one_file_are_a_config_error(tmp_path, capsys, outputs, exact, clash):
+    # one output would overwrite another: the event log would hold the result
+    # document, or the result document only the element table
+    plan = {"exact": True} if exact else {"total": 900, "seed": 1}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config(plan=plan, outputs=outputs)))
+    code = main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)])
+    if clash is None:
+        assert code == 0
+        return
+    assert code == 2
+    err = one_line_error(capsys)
+    assert err.startswith(f"config error: outputs.{clash[0]} and outputs.{clash[1]} both name ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
 def test_complex_entry_refusal_names_its_field():
     # a complex entry that is not an [re, im] pair is refused under its field's name
     kraus = {"type": "kraus", "ops": [[[[1, 0], 0], [[0, 0], [1, 0]]]]}
@@ -529,6 +556,32 @@ def test_unitary_result_document(tmp_path):
     )
     parts = zip(errors.real.ravel().tolist(), errors.imag.ravel().tolist())
     assert [row[3] for row in table] == [f"{x:.12g}" for pair in parts for x in pair]
+
+
+def test_sign_aligned_bootstrap_recipe_reproduces_the_half_wave_plate_errors(tmp_path):
+    # the recipe in bootstrap_errors' docstring, run through the public API on
+    # the pipeline's event log, gives the document's error column string for
+    # string; without the sign step the imaginary parts read errors near 0.6-0.8
+    doc = json.loads(resources.files("qptsim").joinpath("presets", "fig3.json").read_text())
+    doc["device"]["plates"] = [{"phi_over_pi": 1.0, "theta_over_pi": 0.1}]
+    doc["label"] = "hwp"
+    del doc["outputs"]
+    cfg = parse_config(doc)
+    _, _, rows = read_result(run_pipeline(cfg, tmp_path)["result"])
+    events, _ = read_event_log(tmp_path / cfg.out_events)
+    psi_in, table = cfg.input_state, correlations_from_events(events)
+    ref = select_reference(table)
+    u = reconstruct_unitary(table, psi_in, ref).matrix
+    plain = lambda t: reconstruct_unitary(t, psi_in, ref).matrix
+    aligned = lambda t: (m := reconstruct_unitary(t, psi_in, ref).matrix) * np.where(
+        np.einsum("ij,bij->b", u.conj(), m).real < 0, -1, 1)[:, None, None]
+    column = []
+    for estimator in (aligned, plain):
+        errors = bootstrap_errors(events, estimator, cfg.bootstrap.resamples, cfg.bootstrap.seed)
+        parts = zip(errors.real.ravel().tolist(), errors.imag.ravel().tolist())
+        column.append([f"{x:.12g}" for pair in parts for x in pair])
+    assert [row[3] for row in rows] == column[0]
+    assert max(float(e) for e in column[0][1::2]) < 0.05 < min(float(e) for e in column[1][1::2])
 
 
 def test_half_wave_plate_error_bars_match_the_spread_across_seeds(tmp_path):
