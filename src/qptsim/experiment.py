@@ -26,8 +26,8 @@ line ``# total=<N> seed=<seed> eta=<eta>`` followed by one line per
 coincidence, ``axis1,axis2,s1,s2`` with axes as letters x|y|z and signs as
 +1|-1; these 36 spellings are the only ones read back.  The writer renders
 the lines two at a time from a table of all 1,296 two-line strings; the
-reader reads the file once, in chunks, with a text-mode read's grammar, and
-decodes a chunk that re-encodes through that table as one byte array.
+reader reads the file once, in text mode, in chunks completed to a line end,
+and decodes a chunk that re-encodes through that table as one byte array.
 """
 
 from __future__ import annotations
@@ -624,40 +624,23 @@ def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> No
 def read_event_log(path) -> tuple[np.ndarray, dict]:
     """Parse an event log into cell codes and its header, reading the file once.
 
-    Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` and are ``str.strip``-ped, as in a
-    text-mode read; blank lines are skipped.  Every failure is a DataError naming
-    the file: an unreadable path, a non-ASCII byte (first, when its chunk of about
-    _CHUNK_LINES lines also holds a malformed line), or a malformed line, by number."""
+    The file is read in text mode: lines end at ``\\r\\n``, ``\\r`` or ``\\n`` and
+    are ``str.strip``-ped; blank lines are skipped.  Every failure is a DataError
+    naming the file: an unreadable path, a non-ASCII byte (first, when its chunk of
+    about _CHUNK_LINES lines also holds a malformed line), or a malformed line, by number."""
     buf = np.empty(_CHUNK_LINES * _LINE_BYTES.shape[1], dtype=np.uint8)
-    chunks, header, lineno, rest, held = [], None, 1, [], b""
+    chunks, lineno = [np.empty(0, dtype=np.uint8)], 1
     try:
-        with open(path, "rb") as fh:
-            # the header line and a chunk, so that the writer's lines fill every later read
-            data = fh.readline(buf.size) + fh.read(buf.size)
-            while True:
-                if not data.isascii():
-                    bad = next(b for b in data if b > 0x7F)
-                    raise DataError(f"{shown_path(path)}: non-ASCII byte 0x{bad:02x} in event log")
-                block = held + data
-                held = b"\r" if data and block.endswith(b"\r") else b""  # may be half a \r\n
-                if b"\r" in block:
-                    block = block[: len(block) - len(held)].replace(b"\r\n", b"\n")
-                    block = block.replace(b"\r", b"\n")
-                if not data:
-                    block += b"\n"  # ends a last line that has no line end; a blank line is skipped
-                rest.append(block)  # after the pieces of a line that earlier reads began
-                if end := block.rfind(b"\n") + 1:
-                    block = b"".join(rest)  # once per line end; no copy for a lone piece
-                    end += len(block) - len(rest[-1])
-                    rest, start = [block[end:]] if end < len(block) else [], 0
-                    if header is None:
-                        start = block.index(b"\n") + 1
-                        header = _parse_header(path, block[:start].decode("ascii"))
-                    codes, lineno = _line_codes(path, memoryview(block)[start:end], lineno, buf)
-                    chunks.append(codes)
-                if not data:
-                    break
-                data = fh.read(buf.size)
+        with open(path, encoding="ascii", newline=None) as fh:
+            header = _parse_header(path, fh.readline())
+            while text := fh.read(buf.size):  # the writer's lines fill every read
+                if not text.endswith("\n"):
+                    text += fh.readline()  # to the end of the line the read cut
+                codes, lineno = _line_codes(path, text.encode("ascii"), lineno, buf)
+                chunks.append(codes)
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise DataError(f"{shown_path(path)}: non-ASCII byte 0x{bad:02x} in event log") from None
     except OSError as exc:
         reason = exc.strerror or exc
         raise DataError(f"{shown_path(path)}: cannot read event log: {reason}") from None
@@ -685,13 +668,13 @@ def _parse_header(path, line: str) -> dict:
         raise DataError(f"{shown_path(path)}: line 1: malformed header ({exc})") from None
 
 
-def _line_codes(path, text: memoryview, lineno: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
-    """The codes of ``text``, ASCII lines ended by ``\\n`` that follow line ``lineno``,
-    and the number of its last line.  Lines that re-encode to themselves through
-    the writer's renderer are decoded as one byte array; others one at a time."""
+def _line_codes(path, text: bytes, lineno: int, buf: np.ndarray) -> tuple[np.ndarray, int]:
+    """The codes of ``text``, ASCII lines ended by ``\\n`` (a file's last perhaps not)
+    after line ``lineno``, and the number of its last line.  Lines the writer's
+    renderer reproduces are decoded as one byte array; others one at a time."""
     width = _LINE_BYTES.shape[1]
     lines = np.frombuffer(text, dtype=np.uint8)
-    # text longer than buf (after a long line, or a first read with no \n) goes line by line
+    # text longer than buf (a read completed to the end of its last line) goes line by line
     if lines.size % width == 0 and lines.size <= buf.size:
         rows = lines.reshape(-1, width)
         a1, a2, s1, s2 = (_BYTE_DIGITS.take(rows[:, col]) for col in (0, 2, 4, 7))
@@ -699,7 +682,7 @@ def _line_codes(path, text: memoryview, lineno: int, buf: np.ndarray) -> tuple[n
         if np.array_equal(_render_lines(codes, buf), lines):
             return codes, lineno + codes.size
     codes = bytearray()
-    for lineno, line in enumerate(bytes(text).splitlines(), start=lineno + 1):
+    for lineno, line in enumerate(text.splitlines(), start=lineno + 1):
         if line := line.strip(_SPACE):
             if (code := _LINE_CODES.get(line)) is None:
                 raise DataError(

@@ -77,6 +77,11 @@ _SECTION_KEYS = {
     "bootstrap": ("resamples", "seed"),
     "outputs": ("events", "result", "plotdata"),
 }
+# Accepted keys of a device of each type, beside "type".
+_DEVICE_KEYS = {
+    "waveplates": ("plates",), "identity": (), "depolarizing": ("p",),
+    "amplitude_damping": ("gamma",), "kraus": ("ops",), "cnot": (), "swap": (),
+}
 
 
 @dataclass(frozen=True)
@@ -107,23 +112,21 @@ def _complex_entry(v) -> complex:
 
 
 def _parse_state(field: str, spec) -> BipartiteState:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{field}: expected an object with 'bell' or 'coeffs'")
+    _check_keys(field, spec, ("bell", "coeffs"))
+    if len(spec) != 1:
+        raise ConfigError(f"{field}: needs exactly one of 'bell' and 'coeffs'")
     if "bell" in spec:
         try:
             return bell_state(spec["bell"])
         except ValueError as exc:
             raise ConfigError(f"{field}.bell: {exc}") from None
-    if "coeffs" in spec:
-        rows = spec["coeffs"]
-        try:
-            m = np.array([[_complex_entry(v) for v in row] for row in rows])
-            if m.shape != (2, 2):
-                raise ValueError(f"coefficient matrix must be 2x2, got {m.shape}")
-            return BipartiteState.from_coeffs(m)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"{field}.coeffs: {exc}") from None
-    raise ConfigError(f"{field}: needs either 'bell' or 'coeffs'")
+    try:
+        m = np.array([[_complex_entry(v) for v in row] for row in spec["coeffs"]])
+        if m.shape != (2, 2):
+            raise ValueError(f"coefficient matrix must be 2x2, got {m.shape}")
+        return BipartiteState.from_coeffs(m)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{field}.coeffs: {exc}") from None
 
 
 def _parse_device(spec) -> QuantumChannel:
@@ -131,8 +134,16 @@ def _parse_device(spec) -> QuantumChannel:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("device: expected an object with a 'type' field")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in _DEVICE_KEYS:
+        raise ConfigError(
+            f"device.type: unknown type {shown(kind)}; expected waveplates, identity, "
+            f"depolarizing, amplitude_damping, kraus, cnot or swap"
+        )
+    _check_keys("device", spec, ("type", *_DEVICE_KEYS[kind]))
     try:
         if kind == "waveplates":
+            for i, plate in enumerate(spec["plates"]):
+                _check_keys(f"device.plates[{i}]", plate, ("phi_over_pi", "theta_over_pi"))
             return compile_device(DeviceSpec.from_config(spec["plates"]))
         if kind == "identity":
             return identity_channel()
@@ -149,14 +160,9 @@ def _parse_device(spec) -> QuantumChannel:
                 if op.shape != (2, 2):
                     raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
             return QuantumChannel.from_kraus(ops)
-        if kind in TWO_QUBIT_DEVICES:
-            return unitary_channel(TWO_QUBIT_DEVICES[kind])
+        return unitary_channel(TWO_QUBIT_DEVICES[kind])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"device ({kind}): {exc}") from None
-    raise ConfigError(
-        f"device.type: unknown type {shown(kind)}; expected waveplates, identity, "
-        f"depolarizing, amplitude_damping, kraus, cnot or swap"
-    )
 
 
 def _checked(section: str, make):
@@ -189,6 +195,8 @@ def _parse_plan(spec: dict) -> Optional[ExperimentPlan]:
 
 
 def _check_keys(where: str, doc: dict, allowed) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(
@@ -199,15 +207,14 @@ def _check_keys(where: str, doc: dict, allowed) -> None:
 
 def _section(doc: dict, name: str) -> dict:
     sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: expected an object")
     _check_keys(name, sec, _SECTION_KEYS[name])
     return sec
 
 
-def _name_field(where: str, v) -> str:
+def _name_field(where: str, text) -> str:
     """A config string that names output files and is written into UTF-8 documents."""
-    text = str(v)
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}: expected a string, got {shown(text)}")
     if "\0" in text:
         raise ConfigError(f"{where}: {shown(text)} contains a NUL character")
     try:
@@ -269,6 +276,8 @@ def parse_config(doc: dict) -> PipelineConfig:
     for key, ext in (("events", "csv"), ("result", "txt"), ("plotdata", "csv")):
         names[key] = _name_field(f"outputs.{key}", outputs.get(key, f"{label}_{key}.{ext}"))
         path = os.path.normpath(names[key])
+        if os.path.basename(path) in ("", ".", "..") or names[key][-1:] in (os.sep, os.altsep):
+            raise ConfigError(f"outputs.{key}: {shown(names[key])} does not name a file")
         if plan is not None or key != "events":  # an exact run writes no event log
             if (other := written.setdefault(path, key)) != key:
                 raise ConfigError(f"outputs.{other} and outputs.{key} both name {shown(path)}")

@@ -921,11 +921,15 @@ def test_event_log_reader_matches_line_parser(tmp_path, case):
     assert_same_read(read_or_error(path), expected)
 
 
-def test_event_log_reader_works_in_bounded_chunks(tmp_path):
-    # 1e6 events are a 10 MB log and 1 MB of codes; the log may not be held whole
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_event_log_reader_works_in_bounded_chunks(tmp_path, line_end):
+    # 1e6 events are a 10 MB log and 1 MB of codes; the log may not be held
+    # whole, whichever line end it uses
     codes = np.random.default_rng(5).integers(0, len(_LINE_BYTES), size=1_000_000, dtype=np.uint8)
     path = tmp_path / "events.csv"
     write_event_log(path, codes, seed=5)
+    if line_end != b"\n":
+        path.write_bytes(path.read_bytes().replace(b"\n", line_end))
     tracemalloc.start()
     try:
         back, header = read_event_log(path)

@@ -208,6 +208,90 @@ def test_outputs_that_name_one_file_are_a_config_error(tmp_path, capsys, outputs
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
+def refused_before_sampling(tmp_path, capsys, config):
+    """The one-line config error of ``config`` run through the CLI, which
+    exits 2 before it writes any output; None if the run succeeds."""
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config(**{"plan": {"total": 900, "seed": 1}, **config})))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+    if code == 0:
+        return None
+    assert code == 2
+    err = one_line_error(capsys)
+    assert len(err.encode("utf-8")) <= 200 and not out.exists()
+    return err
+
+
+@pytest.mark.parametrize(
+    "config, refused",
+    [
+        ({"outputs": {"events": ""}}, "outputs.events: '' does not name a file"),
+        ({"outputs": {"events": 5}}, "outputs.events: expected a string, got 5"),
+        ({"outputs": {"result": "."}}, "outputs.result: '.' does not name a file"),
+        ({"outputs": {"result": "sub/"}}, "outputs.result: 'sub/' does not name a file"),
+        ({"outputs": {"plotdata": "sub/.."}}, "outputs.plotdata: 'sub/..' does not name a file"),
+        ({"label": None}, "label: expected a string, got None"),
+        ({"outputs": {"result": "sub/r.txt"}}, None),
+    ],
+    ids=["empty", "number", "dot", "trailing_slash", "dot_dot", "null_label", "subdirectory"],
+)
+def test_output_names_must_name_files(tmp_path, capsys, config, refused):
+    # an empty name is the --out directory itself, and a number is no name
+    err = refused_before_sampling(tmp_path, capsys, config)
+    if refused is None:
+        assert err is None and (tmp_path / "out" / "sub" / "r.txt").is_file()
+    else:
+        assert err == f"config error: {refused}\n"
+
+
+SINGLE_PLATE = {"phi_over_pi": 0.45, "theta_over_pi": -0.138}
+
+
+@pytest.mark.parametrize(
+    "config, refused",
+    [
+        (
+            {"input_state": {"bell": 1, "visibility": 0.5}},
+            "input_state: unknown key(s) 'visibility'; expected some of bell, coeffs",
+        ),
+        (
+            {"input_state": {"bell": 1, "coeffs": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+            "input_state: needs exactly one of 'bell' and 'coeffs'",
+        ),
+        ({"input_state": {}}, "input_state: needs exactly one of 'bell' and 'coeffs'"),
+        (
+            {"input_state_b": {"bell": 1, "visibility": 0.5}},
+            "input_state_b: unknown key(s) 'visibility'; expected some of bell, coeffs",
+        ),
+        (
+            {"device": {"type": "depolarizing", "p": 0.3, "gamma": 0.5}},
+            "device: unknown key(s) 'gamma'; expected some of type, p",
+        ),
+        (
+            {"device": {"type": "waveplates", "plates": [{**SINGLE_PLATE, "phi_over_p": 0.4}]}},
+            "device.plates[0]: unknown key(s) 'phi_over_p'; expected some of phi_over_pi, "
+            "theta_over_pi",
+        ),
+        (
+            {"device": {"type": "waveplates", "plates": [SINGLE_PLATE, [0.45, -0.138]]}},
+            "device.plates[1]: expected an object",
+        ),
+        (
+            {"device": {"type": "identity", "p": 0.3}},
+            "device: unknown key(s) 'p'; expected some of type",
+        ),
+    ],
+    ids=[
+        "visibility", "bell_and_coeffs", "neither", "second_pair", "device", "plate",
+        "plate_not_object", "identity",
+    ],
+)
+def test_unknown_nested_keys_are_a_config_error(tmp_path, capsys, config, refused):
+    # a key the run would not read is refused, not ignored
+    assert refused_before_sampling(tmp_path, capsys, config) == f"config error: {refused}\n"
+
+
 def test_complex_entry_refusal_names_its_field():
     # a complex entry that is not an [re, im] pair is refused under its field's name
     kraus = {"type": "kraus", "ops": [[[[1, 0], 0], [[0, 0], [1, 0]]]]}
