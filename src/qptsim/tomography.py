@@ -27,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
-    _PAULI_STACK,
     BipartiteState,
     dagger,
     pairs,
@@ -119,48 +118,23 @@ def _check_reference(reference) -> tuple[int, int]:
     return ref
 
 
-def _column_terms(ref: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The (16, 4) map T -> rho[:, ref], T_ij times sigma_i[a, n0] sigma_j[b, m0] / 4
-    in element (a, b), as (4, 8) entry indices and weights: each element's
-    real and imaginary part, interleaved, sums at most four entries times
-    +-1/4, by j then i as sigma_.[:, n0]^T T sigma_.[:, m0] does; an empty
-    slot adds +0.0 from entry (0, 0)."""
-    coeff = np.einsum("ia,jb->abji", *(_PAULI_STACK[:, :, n] for n in ref)) / 4.0
-    parts = np.stack([coeff.real, coeff.imag], axis=2).reshape(8, 16)
-    rows, weights = np.zeros((4, 8), dtype=int), np.zeros((4, 8))
-    for k, part in enumerate(parts):
-        nz = np.flatnonzero(part)
-        rows[: nz.size, k], weights[: nz.size, k] = nz % 4 * 4 + nz // 4, part[nz]
-    return rows, weights
-
-
-_COLUMN_TERMS = {ref: _column_terms(ref) for ref in _REF_LABEL}
+def _one_pair_density(table: CorrelationTable) -> np.ndarray:
+    shape = table.entries.shape
+    if shape[-2:] != (4, 4) or len(shape) != 2 + table.batched:
+        raise ValueError(f"the state estimators read one pair, got a {shape} table")
+    return density_from_correlations(table)
 
 
 def _reference_column(table: CorrelationTable, ref: tuple[int, int]):
     """Column rho[:, ref] of the output density matrix as a 2x2 array, and
     its diagonal element clipped to [0, 1], the population of ``ref``; one
-    of each per row of a batch, each summed element-wise from the table as
-    ``_column_terms(ref)`` lists, so batch rows and single tables agree bit
-    for bit.  The state estimators read one pair; a wider table is a ValueError."""
-    shape = table.entries.shape
-    if shape[-2:] != (4, 4) or len(shape) != 2 + table.batched:
-        raise ValueError(f"the state estimators read one pair, got a {shape} table")
-    rows, weights = _COLUMN_TERMS[ref]
-    terms = np.ascontiguousarray(table.entries.reshape(-1, 16).T)[rows] * weights[..., None]
-    parts = (terms[0] + terms[1]) + (terms[2] + terms[3])
-    col = np.ascontiguousarray(parts.T).view(complex).reshape(shape[:-2] + (2, 2))
+    of each per row of a batch.  Both are a slice of
+    ``density_from_correlations``, whose ``pauli_expand`` sums every row's
+    terms alike, so batch rows and single tables agree bit for bit.  The
+    state estimators read one pair; a wider table is a ValueError."""
+    rho = _one_pair_density(table)
+    col = rho[..., :, 2 * ref[0] + ref[1]].reshape(rho.shape[:-2] + (2, 2))
     return col, np.minimum(np.maximum(col[(..., *ref)].real, 0.0), 1.0)
-
-
-def _checked_column(table: CorrelationTable, ref: tuple[int, int]):
-    col, p = _reference_column(table, ref)
-    if low := np.count_nonzero(p < P_FLOOR):
-        raise DegenerateReferenceError(
-            f"reference element {_REF_LABEL[ref]} has population below the floor "
-            f"{P_FLOOR:.1e} in {low} of {p.size} tables"
-        )
-    return col, p
 
 
 def select_reference(table: CorrelationTable) -> tuple[int, int]:
@@ -173,7 +147,8 @@ def select_reference(table: CorrelationTable) -> tuple[int, int]:
     """
     if table.batched:
         raise ValueError("a batch of tables needs an explicit reference pair")
-    return next(r for r in REFERENCE_ORDER if _reference_column(table, r)[1] >= _REFERENCE_MIN)
+    pops = _one_pair_density(table).diagonal().real
+    return next(r for r in REFERENCE_ORDER if pops[2 * r[0] + r[1]] >= _REFERENCE_MIN)
 
 
 def reconstruct_state(
@@ -189,7 +164,12 @@ def reconstruct_state(
     norm is reported as a consistency diagnostic.
     """
     ref = select_reference(table) if reference is None else _check_reference(reference)
-    col, p = _checked_column(table, ref)
+    col, p = _reference_column(table, ref)
+    if low := np.count_nonzero(p < P_FLOOR):
+        raise DegenerateReferenceError(
+            f"reference element {_REF_LABEL[ref]} has population below the floor "
+            f"{P_FLOOR:.1e} in {low} of {p.size} tables"
+        )
     # psi[ref] = sqrt(p) > 0, since Pauli diagonals are real: the gauge needs no rotation
     psi = col / np.sqrt(p)[..., None, None]
     diagnostics = {}

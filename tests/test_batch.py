@@ -32,6 +32,7 @@ from qptsim import (
     unitary_channel,
 )
 from qptsim.experiment import SETTINGS, events_to_counts, table_from_counts
+from qptsim.tomography import REFERENCE_ORDER, _reference_column
 
 TRIPLET = bell_state(1)
 PROBE = BipartiteState.from_coeffs(np.diag([np.cos(0.4), np.sin(0.4)]))
@@ -40,16 +41,21 @@ U = np.array(
 )
 
 
-def loop_bootstrap(events, estimator, n_resamples, seed):
-    """Reference: one table and one estimator call per resample."""
+def resample_counts(events, n_resamples, seed):
+    """The (B, 9, 4) counts the bootstrap draws from these events."""
     counts = events_to_counts(events)
     totals = counts.sum(axis=1)
     probs = counts / totals[:, None]
     rng = np.random.default_rng([seed])
-    draws = np.stack(
+    return np.stack(
         [rng.multinomial(totals[k], probs[k], size=n_resamples) for k in range(len(SETTINGS))],
         axis=1,
     )
+
+
+def loop_bootstrap(events, estimator, n_resamples, seed):
+    """Reference: one table and one estimator call per resample."""
+    draws = resample_counts(events, n_resamples, seed)
     stack = np.stack([np.asarray(estimator(table_from_counts(sample))) for sample in draws])
     return stack.real.std(axis=0, ddof=1), stack.imag.std(axis=0, ddof=1)
 
@@ -105,6 +111,26 @@ def test_bootstrap_rejects_estimator_without_one_row_per_resample():
     ref = select_reference(table)
     with pytest.raises(ValueError, match="one estimate per resample"):
         bootstrap_errors(events, lambda t: reconstruct_state(t, ref).matrix[0], 100)
+
+
+@pytest.mark.parametrize("bell", range(4))
+def test_batch_rows_equal_single_calls_on_tables_with_empty_cells(bell):
+    # a Bell probe through the identity forbids outcomes, so every resample has
+    # empty cells, and its column sums hit exact zeros
+    probe = bell_state(bell)
+    events, table = sampled(identity_channel(), probe, 8000, 20 + bell)
+    draws = resample_counts(events, 1000, bell)
+    assert np.all(np.any(draws == 0, axis=(1, 2)))
+    ref = select_reference(table)
+    batch = table_from_counts(draws)
+    states = reconstruct_state(batch, ref).matrix
+    unitaries = reconstruct_unitary(batch, probe, ref).matrix
+    for k, counts in enumerate(draws):
+        t = table_from_counts(counts)
+        assert states[k].tobytes() == reconstruct_state(t, ref).matrix.tobytes()
+        assert unitaries[k].tobytes() == reconstruct_unitary(t, probe, ref).matrix.tobytes()
+        pops = [_reference_column(t, r)[1] for r in REFERENCE_ORDER]
+        assert select_reference(t) == next(r for r, p in zip(REFERENCE_ORDER, pops) if p >= 1 / 8)
 
 
 def test_table_from_counts_batch_equals_single_calls():

@@ -67,6 +67,21 @@ def test_estimate_p_rejects_bad_reference():
         reconstruct_state(exact_correlations(TRIPLET), reference=(0, 2))
 
 
+def test_state_estimators_read_one_pair():
+    two_pair = exact_correlations(pairs(TRIPLET, TRIPLET))
+    batch = CorrelationTable(entries=np.stack([two_pair.entries] * 2))
+    calls = (
+        (select_reference, two_pair),
+        (reconstruct_state, two_pair),
+        (lambda t: reconstruct_state(t, (0, 1)), two_pair),
+        (lambda t: reconstruct_unitary(t, TRIPLET, (0, 1)), two_pair),
+        (lambda t: reconstruct_state(t, (0, 1)), batch),
+    )
+    for call, table in calls:
+        with pytest.raises(ValueError, match=r"read one pair, got a \(.*4, 4, 4, 4\) table"):
+            call(table)
+
+
 def test_state_estimate_is_reference_column_of_density():
     # rho[:, r] = Psi Psi_r^* for a pure output, so the estimate is that
     # column over sqrt(rho[r, r]) and its reported p is the clipped diagonal
