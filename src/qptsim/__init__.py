@@ -13,7 +13,6 @@ from .algebra import (
     bell_state,
     dagger,
     double_ket,
-    mat_close,
     pairs,
     pauli,
     permute_qubits,

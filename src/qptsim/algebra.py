@@ -130,14 +130,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
-def mat_close(a: np.ndarray, b: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
-    """Element-wise equality within an explicit absolute tolerance."""
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b)) <= tol)
-
-
 def double_ket(m: np.ndarray) -> np.ndarray:
     """Vector of |M>> = sum_nm M_nm |nm> (row-major flatten)."""
     return np.asarray(m, dtype=complex).reshape(-1)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import _check_real, dagger, pauli
+from .algebra import _check_real, dagger, pauli, pauli_coefficients
 from .channels import QuantumChannel
 
 TWO_PI = 2.0 * np.pi
@@ -90,12 +90,7 @@ def waveplate_bloch(p: WavePlate) -> np.ndarray:
     module docstring); the result is orthogonal with det +1.
     """
     w = waveplate_jones(p)
-    wd = dagger(w)
-    r = np.empty((3, 3))
-    for a in range(3):
-        for b in range(3):
-            r[a, b] = 0.5 * np.trace(pauli(a + 1) @ w @ pauli(b + 1) @ wd).real
-    return r
+    return np.stack([pauli_coefficients(w @ pauli(b) @ dagger(w))[1:] / 2 for b in (1, 2, 3)], 1)
 
 
 def compile_device(d: DeviceSpec) -> QuantumChannel:

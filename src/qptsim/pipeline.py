@@ -103,12 +103,17 @@ class PipelineConfig:
     out_plotdata: str
 
 
-def _complex_entry(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ValueError(f"complex entries must be [re, im] pairs, got {shown(v)}")
-    for part in v:
-        _check_real("the parts of a complex entry", part)
-    return complex(float(v[0]), float(v[1]))
+def _matrix(rows, what: str) -> np.ndarray:
+    """The 2x2 complex matrix ``what`` of a config, written as rows of [re, im] pairs."""
+    for v in (v for row in rows for v in row):
+        if not (isinstance(v, (list, tuple)) and len(v) == 2):
+            raise ValueError(f"complex entries must be [re, im] pairs, got {shown(v)}")
+        for part in v:
+            _check_real("the parts of a complex entry", part)
+    m = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
+    if m.shape != (2, 2):
+        raise ValueError(f"{what} must be 2x2, got {m.shape}")
+    return m
 
 
 def _parse_state(field: str, spec) -> BipartiteState:
@@ -121,10 +126,7 @@ def _parse_state(field: str, spec) -> BipartiteState:
         except ValueError as exc:
             raise ConfigError(f"{field}.bell: {exc}") from None
     try:
-        m = np.array([[_complex_entry(v) for v in row] for row in spec["coeffs"]])
-        if m.shape != (2, 2):
-            raise ValueError(f"coefficient matrix must be 2x2, got {m.shape}")
-        return BipartiteState.from_coeffs(m)
+        return BipartiteState.from_coeffs(_matrix(spec["coeffs"], "coefficient matrix"))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{field}.coeffs: {exc}") from None
 
@@ -135,10 +137,8 @@ def _parse_device(spec) -> QuantumChannel:
         raise ConfigError("device: expected an object with a 'type' field")
     kind = spec["type"]
     if not isinstance(kind, str) or kind not in _DEVICE_KEYS:
-        raise ConfigError(
-            f"device.type: unknown type {shown(kind)}; expected waveplates, identity, "
-            f"depolarizing, amplitude_damping, kraus, cnot or swap"
-        )
+        expected = ", ".join(_DEVICE_KEYS)
+        raise ConfigError(f"device.type: unknown type {shown(kind)}; expected one of {expected}")
     _check_keys("device", spec, ("type", *_DEVICE_KEYS[kind]))
     try:
         if kind == "waveplates":
@@ -152,14 +152,7 @@ def _parse_device(spec) -> QuantumChannel:
         if kind == "amplitude_damping":
             return amplitude_damping(spec["gamma"])
         if kind == "kraus":
-            ops = [
-                np.array([[_complex_entry(v) for v in row] for row in op])
-                for op in spec["ops"]
-            ]
-            for op in ops:
-                if op.shape != (2, 2):
-                    raise ValueError(f"Kraus operators must be 2x2, got {op.shape}")
-            return QuantumChannel.from_kraus(ops)
+            return QuantumChannel.from_kraus([_matrix(op, "Kraus operators") for op in spec["ops"]])
         return unitary_channel(TWO_QUBIT_DEVICES[kind])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"device ({kind}): {exc}") from None
@@ -408,7 +401,9 @@ def _format_result(cfg: PipelineConfig, result, truth, errors) -> tuple[str, str
     if truth is not None:
         name, merit = _MERIT[result.kind]
         header[name] = merit(m, truth)
-    lines += [f"{k}: {v:.12g}" if isinstance(v, float) else f"{k}: {v}" for k, v in header.items()]
+    for k, v in header.items():  # a float, a string or a tuple of floats
+        v = v if isinstance(v, tuple) else (v,)
+        lines.append(f"{k}: " + ", ".join(f"{x:.12g}" if isinstance(x, float) else x for x in v))
     if truth is not None:
         # The global phase is unmeasurable; rotate the theory values into the
         # estimate's gauge so the columns compare element by element.

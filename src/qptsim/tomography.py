@@ -101,8 +101,8 @@ class ReconstructionResult:
     device_choi (d^2 x d^2 for an n-qubit device, d = 2^n, trace normalized
     to the deterministic-channel convention).  From a batch of B tables the
     matrix has shape (B, ...) and diagnostics is empty.  Diagnostics, Python
-    floats and strings, describe the estimate of a single table and read
-    nothing but the data.
+    floats, strings and one tuple of floats (the Choi eigenvalues), describe
+    the estimate of a single table and read nothing but the data.
     """
 
     kind: str
@@ -309,7 +309,7 @@ def reconstruct_choi(
     if not t_out.batched:
         eigs = np.linalg.eigvalsh(choi)
         diagnostics = dict(
-            condition_number=cond, choi_eigenvalues=", ".join(f"{v:.12g}" for v in eigs),
+            condition_number=cond, choi_eigenvalues=tuple(eigs.tolist()),
             min_eigenvalue=float(eigs[0]), negativity=float(np.abs(eigs[eigs < 0.0]).sum()),
             occurrence_scale="unrecoverable from coincidence-normalized data",
         )

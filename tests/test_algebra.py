@@ -8,13 +8,14 @@ from qptsim import (
     bell_state,
     dagger,
     double_ket,
-    mat_close,
     pairs,
     pauli,
     permute_qubits,
     tensor,
 )
 from qptsim.algebra import _PAULI_STACK, pauli_coefficients, pauli_expand
+
+from matrix_checks import mat_close
 
 RT2 = np.sqrt(2.0)
 
@@ -133,6 +134,7 @@ def test_mat_close_tolerance():
     assert not mat_close(a, a + 1e-11)
     assert mat_close(a, a + 1e-7, tol=1e-6)
     assert not mat_close(a, np.eye(3))
+    assert not mat_close(a, a * np.nan, tol=np.inf)
 
 
 def test_double_ket_roundtrip():

@@ -14,7 +14,6 @@ from qptsim import (
     depolarizing,
     double_ket,
     identity_channel,
-    mat_close,
     pairs,
     pauli,
     propagate,
@@ -22,6 +21,8 @@ from qptsim import (
     unitary_channel,
 )
 from qptsim.algebra import BipartiteState, permute_qubits
+
+from matrix_checks import mat_close
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 

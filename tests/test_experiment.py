@@ -743,6 +743,33 @@ def test_event_log_written_to_a_pipe():
             os.close(w)
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_write_file_to_a_pipe_sends_the_header_and_chunks_in_order():
+    # a pipe cannot seek, so the first byte goes first, not last over a newline;
+    # each chunk is written before the next refills the buffer they share
+    buf = bytearray(b"x,z,+1,-1\n")
+
+    def chunks():
+        yield buf
+        buf[:] = b"y,y,-1,-1\n"
+        yield buf
+
+    r, w = os.pipe()
+    try:
+        write_file(f"/dev/fd/{w}", b"# total=2 seed=0 eta=1.0\n", chunks())
+        os.close(w)
+        w = None
+        assert os.read(r, 1) == b"#"
+        received = b""
+        while data := os.read(r, 1 << 12):
+            received += data
+        assert received == b" total=2 seed=0 eta=1.0\nx,z,+1,-1\ny,y,-1,-1\n"
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+
+
 def test_event_log_malformed_line(tmp_path):
     # only the 36 documented spellings are read; an unsigned 1 is not +1
     path = tmp_path / "events.csv"

@@ -9,11 +9,12 @@ from qptsim import (
     compile_device,
     dagger,
     fidelity_unitary,
-    mat_close,
     pauli,
     waveplate_bloch,
     waveplate_jones,
 )
+
+from matrix_checks import mat_close
 
 # Fig. 3 device (retardation 0.45 pi, orientation -0.138 pi), frozen from the
 # independent axis-angle form e^{i phi/2}(cos(phi/2) I - i sin(phi/2) n.sigma).
@@ -34,6 +35,7 @@ STACK_MATRIX = np.array(
 
 
 def bloch_of_unitary(u):
+    # one trace per entry, R_ab = Re Tr[sigma_a U sigma_b U^dag] / 2: the oracle of waveplate_bloch
     r = np.empty((3, 3))
     for a in range(3):
         for b in range(3):
@@ -98,6 +100,13 @@ def test_bloch_so3_random():
         r = waveplate_bloch(p)
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(r) - 1.0) < 1e-12
+
+
+def test_bloch_matches_the_nine_trace_formula():
+    # waveplate_bloch reads the Pauli transform; the entry-by-entry traces must agree with it
+    for p in random_plates(200, 59):
+        r = waveplate_bloch(p)
+        assert np.max(np.abs(r - bloch_of_unitary(waveplate_jones(p)))) <= 1e-14
 
 
 def test_printed_rotation_entry_regression():

@@ -292,6 +292,25 @@ def test_unknown_nested_keys_are_a_config_error(tmp_path, capsys, config, refuse
     assert refused_before_sampling(tmp_path, capsys, config) == f"config error: {refused}\n"
 
 
+@pytest.mark.parametrize(
+    "config, refused",
+    [
+        (
+            {"input_state": {"coeffs": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]]]}},
+            "input_state.coeffs: coefficient matrix must be 2x2, got (3, 2)",
+        ),
+        (
+            {"device": {"type": "kraus", "ops": [[[[1, 0], [0, 0], [0, 0]]] * 3]}},
+            "device (kraus): Kraus operators must be 2x2, got (3, 3)",
+        ),
+    ],
+    ids=["probe_3x2", "kraus_3x3"],
+)
+def test_matrix_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, config, refused):
+    # the probe and each Kraus operator are read by one parser, which names its matrix
+    assert refused_before_sampling(tmp_path, capsys, config) == f"config error: {refused}\n"
+
+
 def test_complex_entry_refusal_names_its_field():
     # a complex entry that is not an [re, im] pair is refused under its field's name
     kraus = {"type": "kraus", "ops": [[[[1, 0], 0], [[0, 0], [1, 0]]]]}
@@ -564,6 +583,26 @@ def test_unitary_estimator_warns_on_nonunitary_device():
     doc = base_config(device={"type": "depolarizing", "p": 0.2})
     with pytest.warns(RuntimeWarning):
         parse_config(doc)
+
+
+NONUNITARY_WARNING = (
+    "unitary estimator configured for a non-unitary device; "
+    "the reconstruction will report a large unitarity deviation"
+)
+
+
+def test_cli_prints_a_config_warning_as_one_line(tmp_path, capsys):
+    # the warnings module would add the warning's source file and line; the
+    # CLI prints the message alone, and only for a config it accepts
+    cfg_path = tmp_path / "c.json"
+    depolarizing = {"type": "depolarizing", "p": 0.2}
+    for plan in ({"exact": True}, {"total": 900, "seed": 1}):
+        cfg_path.write_text(json.dumps(base_config(device=depolarizing, plan=plan)))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == f"warning: {NONUNITARY_WARNING}\n"
+    cfg_path.write_text(json.dumps(base_config(device=depolarizing, label="a\nb")))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert one_line_error(capsys).startswith("config error: label: ")
 
 
 def test_allocation_accepted():

@@ -24,7 +24,6 @@ from qptsim import (
     faithfulness_check,
     fidelity_unitary,
     identity_channel,
-    mat_close,
     pairs,
     pauli,
     propagate,
@@ -38,6 +37,8 @@ from qptsim import (
 )
 from qptsim.algebra import _PAULI_STACK, dagger, pauli_coefficients, permute_qubits
 from qptsim.tomography import P_FLOOR, _reference_column
+
+from matrix_checks import mat_close
 
 TRIPLET = bell_state(1)
 RT2 = np.sqrt(2.0)
@@ -291,6 +292,15 @@ def test_reconstruct_choi_depolarizing():
     res = reconstruct_choi(exact_correlations(out), TRIPLET)
     assert np.allclose(np.linalg.eigvalsh(res.matrix), [0.15, 0.15, 0.15, 1.55], atol=1e-9)
     assert distance_choi(res.matrix, ch.choi) < 1e-9
+
+
+def test_choi_eigenvalues_are_a_tuple_of_floats():
+    # the estimator reports numbers; the result document renders them
+    res = reconstruct_choi(exact_correlations(propagate(depolarizing(0.3), TRIPLET)), TRIPLET)
+    eigs = res.diagnostics["choi_eigenvalues"]
+    assert type(eigs) is tuple and all(type(v) is float for v in eigs)
+    assert eigs == tuple(np.linalg.eigvalsh(res.matrix).tolist())
+    assert eigs[0] == res.diagnostics["min_eigenvalue"]
 
 
 def test_choi_unitary_consistent_with_unitary_estimator():
