@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 configuration error, 3 data error.  A reader that
-closes stdout early (``| head -1``) is no error: the progress lines it misses
-are dropped, every file is still written and the exit code is unchanged.
+closes stdout early (``| head -1``), or an unwritable stdout (``> /dev/full``),
+is no error: the progress lines that cannot be written are dropped, every file
+is still written and the exit code is unchanged.
 With stderr closed (``2>&-``) or unwritable, the error line is dropped and
 the exit code is still 2 or 3.  A config's warnings are ``warning:`` lines.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import re
 import sys
 import warnings
@@ -20,6 +20,7 @@ import warnings
 from .errors import ConfigError, DataError, PlanError
 from .pipeline import (
     PRESETS,
+    _say,
     load_config,
     load_preset,
     run_pipeline,
@@ -78,21 +79,13 @@ def _seed(text: str):
     return int(sign + digits) if len(digits) <= 640 else int(sign + "1") * 10 ** (len(digits) - 1)
 
 
-def _complain(line: str) -> None:
-    if sys.stderr is not None:  # None when fd 2 was closed at start; print would use stdout
-        try:
-            print(line, file=sys.stderr, flush=True)
-        except OSError:  # drop the line, pointed at the null device so exit flushes nothing
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:  # shown if the config is accepted
             cfg = load_preset(args.preset) if args.preset else load_config(args.config)
         for w in caught:
-            _complain(f"warning: {w.message}")
+            _say(f"warning: {w.message}", err=True)
         if args.seed is not None:
             if cfg.plan is None:
                 raise ConfigError("--seed: an exact-statistics config has no plan seed")
@@ -104,7 +97,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](cfg, out_dir=args.out)
     except (ConfigError, DataError) as exc:
         kind, code = ("config", 2) if isinstance(exc, ConfigError) else ("data", 3)
-        _complain(f"{kind} error: {exc}")
+        _say(f"{kind} error: {exc}", err=True)
         return code
     return 0
 

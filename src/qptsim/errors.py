@@ -27,7 +27,10 @@ def shown(v) -> str:
     if isinstance(v, int) and not -(10**24) < v < 10**24:
         digits = int(abs(v).bit_length() * 0.30102999566398120)  # log10(2); low by at most one
         return f"a{' negative' if v < 0 else ''} {digits + (abs(v) >= 10**digits)}-digit integer"
-    text = repr(v)
+    try:
+        text = repr(v)
+    except RecursionError:  # a list from a config nested nearly as deep as JSON reads
+        text = f"a {type(v).__name__} nested too deeply to show"
     return text if len(text) <= 60 else f"{text[:50]}... ({len(text)} characters)"
 
 

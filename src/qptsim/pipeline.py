@@ -299,7 +299,7 @@ def load_config(path) -> PipelineConfig:
     except json.JSONDecodeError as exc:
         where = f"{shown_path(path)}: invalid JSON at line {exc.lineno}"
         raise ConfigError(f"{where}: {exc.msg}") from None
-    except ValueError as exc:  # an integer over Python's digit limit for int()
+    except (ValueError, RecursionError) as exc:  # over int()'s digit limit, or nested too deep
         raise ConfigError(f"{shown_path(path)}: unreadable JSON: {exc}") from None
     return parse_config(doc)
 
@@ -326,12 +326,15 @@ def _write_output(path: Path, write) -> None:
         raise ConfigError(f"cannot write {shown_path(path)}: {exc.strerror or exc}") from None
 
 
-def _say(line: str) -> None:
-    """Print a progress line; once stdout's reader has gone, drop it and the rest."""
-    try:
-        print(line, flush=True)
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+def _say(line: str, err: bool = False) -> None:
+    """Print a line to stdout, or stderr with ``err``, unless that stream was closed at
+    start; once a write fails, point its fd at the null device and drop the rest."""
+    stream = sys.stderr if err else sys.stdout
+    if stream is not None:
+        try:
+            print(line, file=stream, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:

@@ -10,8 +10,8 @@ matrix is that column divided by sqrt(p) with p = rho[r, r] the
 population of the reference pair; the global phase, which is
 unmeasurable, comes out with the reference element real positive.  A
 unitary device is recovered as U = M Psi_in^{-1} from the reconstructed
-output coefficients M, and a general channel by undoing the probe state
-on the untouched arms of the full output density matrix.
+output coefficients M, and a channel from its Pauli transfer matrix R =
+T_out T_in^{-1}, since the probe's table T_in goes to T_out = R T_in.
 
 Estimators see only the data: a table and, for a device, the probe.  They
 report raw linear inversion, with no renormalization and no positivity
@@ -33,7 +33,6 @@ from .algebra import (
     pauli_coefficients,
     pauli_expand,
     permute_qubits,
-    tensor,
 )
 from .channels import propagate, unitary_channel
 from .errors import (
@@ -283,24 +282,25 @@ def reconstruct_choi(
 ) -> ReconstructionResult:
     """Choi matrix of a general (possibly non-unitary) device.
 
-    Stage 1 reconstructs the output density matrix rho with
-    ``density_from_correlations``; stage 2 undoes the probe on the
-    untouched arms, C = (I x (Psi^T)^{-1}) rho (I x (Psi^*)^{-1}), and
-    rescales to trace d.  An n-qubit device is probed by n pairs, so the
-    probe is ``pairs(...)`` of them and the table has shape (4,)*2n; a batch
-    of tables gives one Choi matrix per row.  Coincidence-normalized data
-    cannot recover the occurrence probability of a trace-decreasing device,
-    so that scale is reported as unknown.
+    Grouped as 4^n x 4^n matrices (device arms | untouched arms), the output
+    and probe tables of n pairs obey T_out = R T_in, with R the device's
+    Pauli transfer matrix; so R = T_out T_in^{-1}, and the Choi matrix, sum
+    R_ik sigma_i x sigma_k^T / d, is R's Pauli expansion transposed on the
+    untouched arms, rescaled to trace d.  An n-qubit device is probed by n
+    pairs, ``pairs(...)`` of them; a batch of tables gives one Choi matrix
+    per row.  Coincidence-normalized data cannot recover the occurrence
+    probability of a trace-decreasing device, so that scale is reported as
+    unknown.
     """
     cond = _require_faithful(psi_in)
-    psi = psi_in.coeffs
-    d = len(psi)
-    rho = density_from_correlations(t_out)
-    if rho.shape[-1] != d * d:
-        raise ValueError(f"a {t_out.entries.shape} table does not match a {psi.shape} probe")
-    eye, inv = np.eye(d), psi_in.coeffs_inverse  # full rank is checked above
-    choi = tensor(eye, inv.T) @ rho @ tensor(eye, inv.conj())
-    choi = 0.5 * (choi + dagger(choi))
+    d, entries, lead = len(psi_in.coeffs), t_out.entries, t_out.entries.shape[: t_out.batched]
+    if 4 ** (entries.ndim - len(lead)) != d**4:
+        raise ValueError(f"a {entries.shape} table does not match a {psi_in.coeffs.shape} probe")
+    t_in = pauli_coefficients(psi_in.density).reshape(d * d, d * d)
+    r = entries.reshape(lead + t_in.shape) @ np.linalg.inv(t_in)
+    # a real R expands Hermitian bit for bit, and so does its partial transpose
+    choi = pauli_expand(r.reshape(entries.shape), batched=t_out.batched) / d
+    choi = choi.reshape(lead + (d,) * 4).swapaxes(-3, -1).reshape(lead + t_in.shape)
     tr = np.trace(choi, axis1=-2, axis2=-1).real
     if np.any(tr <= 0.0):
         raise DataError(f"reconstructed Choi matrix has non-positive trace {float(tr.min())!r}")

@@ -21,7 +21,7 @@ from qptsim import (
     select_reference,
 )
 from qptsim.cli import main
-from qptsim.errors import ConfigError, DataError, PlanError
+from qptsim.errors import ConfigError, DataError, PlanError, shown
 from qptsim.experiment import (
     MAX_SEED,
     MAX_TOTAL,
@@ -983,6 +983,20 @@ def test_closed_stdout_still_writes_every_file(tmp_path):
         assert (piped / name).read_bytes() == (direct / name).read_bytes()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_stdout_still_writes_every_file(tmp_path):
+    # every progress line fails with ENOSPC: they are dropped, with no
+    # traceback, and the run writes the same files with exit code 0
+    full, direct = tmp_path / "full", tmp_path / "direct"
+    cmd, env = cli_command("pipeline", "--preset", "fig3", "--out", str(full))
+    with open("/dev/full", "w") as sink:
+        proc = subprocess.run(cmd, stdout=sink, stderr=subprocess.PIPE, env=env)
+    assert proc.returncode == 0 and proc.stderr == b""
+    run_pipeline(load_preset("fig3"), direct)
+    for name in ("fig3_events.csv", "fig3_result.txt", "fig3_plotdata.csv"):
+        assert (full / name).read_bytes() == (direct / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "close",
     [
@@ -1094,18 +1108,28 @@ def test_one_propagation_per_run(tmp_path, monkeypatch, doc):
     assert calls == [1]
 
 
-# sha256 of the preset event logs; the first eight digits are in ROADMAP.md
-PRESET_EVENT_LOGS = {
-    "fig3": "aeddf6565d32b118c39f92e5ef41be7d3ffd0dcad7b3803d3c3ed19380afa8ca",
-    "fig4": "82358201d0e317d4876b8046e9d6cdf6975845ce08fd871a58f3713cdd2bc4b0",
+# sha256 of every file `qptsim pipeline --preset <p>` writes; the first eight
+# digits are ROADMAP.md's golden table.  A change that moves one on purpose
+# edits it here and says why in CHANGES.md.
+PRESET_OUTPUTS = {
+    "cnot_plotdata.csv": "d0926bf6dacf467e23328a083e37d2723be707d66e995ed1fa50b1b43f6a7a35",
+    "cnot_result.txt": "8735537fb0a59c975e9d819537724d92d304c36adcbbeda687897b737d54cd89",
+    "depol_plotdata.csv": "799793773bf7688b567833d7a450ece5bf5e45deb6e5c93ba84bbb46ddaa7730",
+    "depol_result.txt": "1ca5f6bde76eead38ee78c51575fcd02416483f24b1b12350c02078f17ae54d6",
+    "fig3_events.csv": "aeddf6565d32b118c39f92e5ef41be7d3ffd0dcad7b3803d3c3ed19380afa8ca",
+    "fig3_plotdata.csv": "d8d222f63a3ce4ea8f105ee5db2a99f2ab50b3ad127d772f04ca4d17c50ac2f1",
+    "fig3_result.txt": "66bdf44e60f2700a8e0898f6817aff63a648f39a0054fcc3f5e6ced680e78938",
+    "fig4_events.csv": "82358201d0e317d4876b8046e9d6cdf6975845ce08fd871a58f3713cdd2bc4b0",
+    "fig4_plotdata.csv": "2b5e283af6545008aeb1d0a86d32f946ad515527723da111bf7927d032150e95",
+    "fig4_result.txt": "f012f73aa3b9ab6cc7e9d39d21f897aa30fdb01fddd49c1d8924a244b0896eb7",
 }
 
 
-@pytest.mark.parametrize("preset", sorted(PRESET_EVENT_LOGS))
-def test_preset_event_logs_keep_their_bytes(tmp_path, preset):
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_outputs_keep_their_bytes(tmp_path, preset):
     assert main(["pipeline", "--preset", preset, "--out", str(tmp_path)]) == 0
-    digest = hashlib.sha256((tmp_path / f"{preset}_events.csv").read_bytes()).hexdigest()
-    assert digest == PRESET_EVENT_LOGS[preset]
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == {k: v for k, v in PRESET_OUTPUTS.items() if k.startswith(preset + "_")}
 
 
 def test_simulate_then_reconstruct_roundtrip_never_errors(tmp_path):
@@ -1148,6 +1172,19 @@ def test_load_config_errors(tmp_path):
         huge.write_text('{"bootstrap": {"seed": ' + "1" * (limit + 1) + "}}")
         with pytest.raises(ConfigError, match="unreadable JSON"):
             load_config(huge)
+
+
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys):
+    # deeper than the JSON reader recurses, or deep enough that showing it would
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["pipeline", "--config", str(deep), "--out", str(tmp_path)]) == 2
+    err = one_line_error(capsys)
+    assert err.startswith("config error: ") and len(err.encode()) <= 200
+    nested = []
+    for _ in range(100_000):
+        nested = [nested]
+    assert shown(nested) == "a list nested too deeply to show"
 
 
 def test_cli_pipeline_and_exit_codes(tmp_path, capsys):

@@ -11,6 +11,7 @@ from qptsim import (
     CorrelationTable,
     DegenerateReferenceError,
     ExperimentPlan,
+    QuantumChannel,
     UnfaithfulInputError,
     bell_state,
     bootstrap_errors,
@@ -50,9 +51,9 @@ def mixed_table():
     return CorrelationTable(entries=t)
 
 
-def random_full_rank_state(rng, min_sv=0.2):
+def random_full_rank_state(rng, min_sv=0.2, d=2):
     while True:
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         g /= np.linalg.norm(g)
         if np.linalg.svd(g, compute_uv=False)[-1] > min_sv:
             return BipartiteState.from_coeffs(g)
@@ -545,3 +546,40 @@ def test_choi_core_three_pairs_random_unitary():
     res = reconstruct_choi(table, pairs(*probes))
     assert distance_choi(res.matrix, unitary_channel(u8).choi) < 1e-9
     assert np.linalg.eigvalsh(res.matrix)[-1] == pytest.approx(8.0, abs=1e-9)
+
+
+def random_kraus_channel(rng, d, rank=3):
+    """A channel of ``rank`` Kraus operators, the blocks of a random d*rank x d isometry."""
+    g = rng.normal(size=(d * rank, d)) + 1j * rng.normal(size=(d * rank, d))
+    return QuantumChannel.from_kraus(list(np.linalg.qr(g)[0].reshape(rank, d, d)))
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_choi_of_random_kraus_channels_through_random_probes(n_pairs):
+    # T_out = R T_in holds for any channel and any faithful probe, so exact
+    # tables give the channel's Choi matrix to round-off
+    rng = np.random.default_rng(120 + n_pairs)
+    d = 2**n_pairs
+    for _ in range(20):
+        ch, probe = random_kraus_channel(rng, d), random_full_rank_state(rng, 0.2 / d, d)
+        assert not ch.is_unitary
+        res = reconstruct_choi(exact_correlations(propagate(ch, probe)), probe)
+        assert np.max(np.abs(res.matrix - ch.choi)) < 1e-12
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2])
+def test_choi_batch_rows_equal_single_calls_and_are_hermitian_bit_for_bit(n_pairs):
+    # noisy tables near a random channel's: the rows of one batched call are
+    # the single calls' bytes, and no estimate needs a symmetrizing step
+    rng = np.random.default_rng(130 + n_pairs)
+    d = 2**n_pairs
+    probe = random_full_rank_state(rng, 0.2 / d, d)
+    exact = exact_correlations(propagate(random_kraus_channel(rng, d), probe)).entries
+    noisy = np.clip(exact + rng.uniform(-0.05, 0.05, size=(6,) + exact.shape), -1.0, 1.0)
+    noisy[(slice(None),) + (0,) * exact.ndim] = 1.0
+    batch = reconstruct_choi(CorrelationTable(entries=noisy), probe).matrix
+    assert batch.shape == (6, d * d, d * d)
+    for row, entries in zip(batch, noisy):
+        single = reconstruct_choi(CorrelationTable(entries=entries), probe).matrix
+        assert single.tobytes() == row.tobytes()
+        assert np.array_equal(single, dagger(single))
