@@ -15,7 +15,6 @@ from .algebra import (
     double_ket,
     pairs,
     pauli,
-    permute_qubits,
     tensor,
 )
 from .channels import (

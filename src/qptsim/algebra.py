@@ -135,20 +135,6 @@ def double_ket(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1)
 
 
-def permute_qubits(m: np.ndarray, perm) -> np.ndarray:
-    """Reorder the tensor factors of an n-qubit operator.
-
-    ``perm[k]`` is the old slot of the qubit that lands in slot k of the
-    result, applied to row and column indices alike.
-    """
-    m = np.asarray(m)
-    n = len(perm)
-    if m.shape != (2**n, 2**n):
-        raise ValueError(f"operator shape {m.shape} does not match {n} qubits")
-    axes = list(perm) + [n + p for p in perm]
-    return m.reshape([2] * (2 * n)).transpose(axes).reshape(2**n, 2**n)
-
-
 def is_density_matrix(rho: np.ndarray) -> bool:
     """Hermitian, unit trace, eigenvalues >= -PSD_SLACK."""
     rho = np.asarray(rho)

@@ -32,7 +32,6 @@ from .algebra import (
     pairs,
     pauli_coefficients,
     pauli_expand,
-    permute_qubits,
 )
 from .channels import propagate, unitary_channel
 from .errors import (
@@ -207,8 +206,6 @@ def _require_faithful(psi_in: BipartiteState) -> float:
 
 
 _GAUGE_DET = "global phase fixed: determinant rotated real positive"
-_GAUGE_MAX = "global phase fixed: largest element rotated real positive"
-_GAUGE_MIXED = f"{_GAUGE_DET}; where |det| <= 1e-8, largest element rotated real positive"
 
 
 def reconstruct_unitary(
@@ -220,9 +217,9 @@ def reconstruct_unitary(
 
     The output coefficients M estimate U Psi up to a phase, so U = M
     Psi^{-1}.  The phase is fixed by rotating det(U) onto the positive real
-    axis (principal branch), or, where |det U| <= 1e-8, the largest element;
-    a batch chooses per row.  Unitarity of the result is reported as a
-    diagnostic, never enforced.
+    axis (principal branch), in every row of a batch; a U with det U = 0 is
+    left unrotated.  Unitarity of the result is reported as a diagnostic,
+    never enforced.
     """
     cond = _require_faithful(psi_in)
     if psi_in.coeffs.shape != (2, 2):
@@ -238,30 +235,17 @@ def reconstruct_unitary(
     swap = size[:, 1] > size[:, 0]
     (p, q), (r, s) = np.where(swap[:, None, None], u[:, ::-1], u).transpose(1, 2, 0)
     d = np.where(swap, -p, p) * (s - r / np.where(p == 0.0, 1.0, p) * q)
-    by_det = np.abs(d) > 1e-8
-    phase = np.exp(-0.5j * np.angle(d))
-    gauge = _GAUGE_DET
-    if not by_det.all():
-        flat = u.reshape(-1, 4)
-        big = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=-1)]
-        big_phase = np.where(np.abs(big) > 0.0, np.exp(-1j * np.angle(big)), 1.0)
-        phase = np.where(by_det, phase, big_phase)
-        gauge = _GAUGE_MAX if not by_det.any() else _GAUGE_MIXED
-    u = u * phase[:, None, None]
+    # adding 0.0 turns a signed zero into +0, whose angle is 0
+    u = u * np.exp(-0.5j * np.angle(d + 0.0))[:, None, None]
     diagnostics = {}
     if not t_out.batched:
-        # ||U^dag U - I|| of the one row: columns' squared norms less 1, twice their squared overlap
-        sq = u.real**2 + u.imag**2
-        norms = sq[:, 0] + sq[:, 1] - 1.0
-        overlap = u[:, 0, 0].conj() * u[:, 0, 1] + u[:, 1, 0].conj() * u[:, 1, 1]
-        overlap_sq = overlap.real**2 + overlap.imag**2
-        deviation = np.sqrt(norms[:, 0] ** 2 + norms[:, 1] ** 2 + 2.0 * overlap_sq)
         diagnostics = dict(
             p=state.diagnostics["p"], reference=state.diagnostics["reference"],
-            condition_number=cond, unitarity_deviation=float(deviation[0]),
+            condition_number=cond,
+            unitarity_deviation=float(np.linalg.norm(dagger(u[0]) @ u[0] - np.eye(2))),
         )
     u = u.reshape(state.matrix.shape)
-    return ReconstructionResult("device_unitary", u, gauge, diagnostics)
+    return ReconstructionResult("device_unitary", u, _GAUGE_DET, diagnostics)
 
 
 def density_from_correlations(table: CorrelationTable) -> np.ndarray:
@@ -419,7 +403,7 @@ def two_pair_output_state(
     in register order."""
     out = propagate(unitary_channel(u4), pairs(psi_a, psi_b))
     # (dev A, dev B, anc A, anc B) -> register order swaps the middle qubits
-    return permute_qubits(out.density, (0, 2, 1, 3))
+    return out.density.reshape((2,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
 
 
 def correlations_4party(rho: np.ndarray) -> np.ndarray:

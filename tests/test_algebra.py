@@ -10,12 +10,11 @@ from qptsim import (
     double_ket,
     pairs,
     pauli,
-    permute_qubits,
     tensor,
 )
 from qptsim.algebra import _PAULI_STACK, pauli_coefficients, pauli_expand
 
-from matrix_checks import mat_close
+from matrix_checks import mat_close, permute_qubits
 
 RT2 = np.sqrt(2.0)
 

@@ -206,15 +206,15 @@ def test_degenerate_batch_counts_its_rows():
         reconstruct_state(exact_correlations(bell_state(0)), (0, 1))
 
 
-def test_unitary_gauge_is_chosen_per_row():
-    # full damping leaves a rank-one output column, so |det U| = 0 and that
-    # row falls back to the largest-element gauge
+def test_unitary_gauge_is_the_determinant_in_every_row():
+    # full damping leaves a rank-one output column, so det U = 0 and that row
+    # is left unrotated; live or dead, a batch row has its single call's bytes
     dead = exact_correlations(propagate(amplitude_damping(1.0), TRIPLET))
     live = exact_correlations(propagate(unitary_channel(U), TRIPLET))
     batch = CorrelationTable(entries=np.stack([live.entries, dead.entries]))
     res = reconstruct_unitary(batch, TRIPLET, (0, 1))
     singles = [reconstruct_unitary(t, TRIPLET, (0, 1)) for t in (live, dead)]
-    assert [s.gauge.split(": ")[1].split()[0] for s in singles] == ["determinant", "largest"]
-    assert "determinant" in res.gauge and "largest element" in res.gauge
+    for r in (res, *singles):
+        assert r.gauge == "global phase fixed: determinant rotated real positive"
     for row, single in zip(res.matrix, singles):
         assert row.tobytes() == single.matrix.tobytes()

@@ -20,9 +20,9 @@ from qptsim import (
     tensor,
     unitary_channel,
 )
-from qptsim.algebra import BipartiteState, permute_qubits
+from qptsim.algebra import BipartiteState
 
-from matrix_checks import mat_close
+from matrix_checks import mat_close, permute_qubits
 
 KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 

@@ -605,6 +605,18 @@ def test_cli_prints_a_config_warning_as_one_line(tmp_path, capsys):
     assert one_line_error(capsys).startswith("config error: label: ")
 
 
+def test_exact_full_damping_under_unitary_keeps_the_determinant_gauge(tmp_path, capsys):
+    # det U = 0, so the one gauge leaves U = diag(1, 0) unrotated and says so
+    doc = base_config(device={"type": "amplitude_damping", "gamma": 1.0}, plan={"exact": True})
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == f"warning: {NONUNITARY_WARNING}\n"
+    head, _, table = read_result(tmp_path / "t_result.txt")
+    assert head["gauge"] == "global phase fixed: determinant rotated real positive"
+    assert [float(row[2]) for row in table] == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
 def test_allocation_accepted():
     alloc = {a + b: 0 for a in "xyz" for b in "xyz"}
     alloc["zz"] = 100

@@ -36,10 +36,10 @@ from qptsim import (
     two_pair_output_state,
     unitary_channel,
 )
-from qptsim.algebra import _PAULI_STACK, dagger, pauli_coefficients, permute_qubits
+from qptsim.algebra import _PAULI_STACK, dagger, pauli_coefficients
 from qptsim.tomography import P_FLOOR, _reference_column
 
-from matrix_checks import mat_close
+from matrix_checks import mat_close, permute_qubits
 
 TRIPLET = bell_state(1)
 RT2 = np.sqrt(2.0)
@@ -247,6 +247,23 @@ def test_reconstruct_unitary_gauge_invariance():
     a = reconstruct_unitary(table1, TRIPLET).matrix
     b = reconstruct_unitary(table2, TRIPLET).matrix
     assert mat_close(a, b, tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kraus, bell, ref",
+    [([[0, 0], [0, 1]], 3, (1, 1)), ([[0.5, -0.5], [-0.5, 0.5]], 0, (0, 1))],
+    ids=["onto_1", "onto_minus"],
+)
+def test_reconstruct_unitary_leaves_a_zero_determinant_unrotated(kraus, bell, ref):
+    # a projector has det U = 0, here computed as a signed zero, whose angle
+    # (pi) would rotate U by -i; U = M Psi^-1 must come out as it is
+    probe = bell_state(bell)
+    device = QuantumChannel.from_kraus([np.array(kraus, dtype=complex)])
+    table = exact_correlations(propagate(device, probe))
+    unrotated = reconstruct_state(table, ref).matrix @ probe.coeffs_inverse
+    res = reconstruct_unitary(table, probe, ref)
+    assert np.linalg.det(res.matrix) == 0.0
+    assert mat_close(res.matrix, unrotated, tol=1e-12)
 
 
 def test_reconstruct_unitary_rejects_unfaithful_probe():
