@@ -56,9 +56,9 @@ REFERENCE_ORDER = ((0, 1), (1, 0), (1, 1), (0, 0))
 _REFERENCE_MIN = 1 / 8
 P_FLOOR = 1e-6
 MIN_RESAMPLES = 100
-# Bounds a bootstrap's memory: the (B, 9, 4) int64 resampled counts take 29 MB
-# at B = 1e5, and fig3 with that many resamples took 1.1 s and 147 MB peak RSS
-# through the CLI (1.9 s and 184 MB with the Choi estimator) on a 2-core host.
+# Bounds a bootstrap's memory: the (9, B, 4) int64 resampled counts take 29 MB
+# at B = 1e5, and fig3 with that many resamples took 0.4-0.8 s and 172-185 MB
+# peak RSS through the CLI under each estimator on a 2-core host.
 MAX_RESAMPLES = 10**5
 
 
@@ -364,24 +364,20 @@ def _bootstrap_counts(
     if np.any(totals == 0):
         raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(totals == 0)])
     probs = counts / totals[:, None]
-    rng = np.random.default_rng([plan.seed])
-    draws = np.stack(
-        [rng.multinomial(totals[k], probs[k], size=plan.resamples) for k in range(len(SETTINGS))],
-        axis=1,
+    # size (9, B) consumes the stream setting by setting, the order the goldens pin
+    draws = np.random.default_rng([plan.seed]).multinomial(
+        totals[:, None], probs[:, None], size=(len(SETTINGS), plan.resamples)
     )
     try:
-        stack = np.asarray(estimator(table_from_counts(draws)))
+        stack = np.asarray(estimator(table_from_counts(draws.swapaxes(0, 1))))
     except DegenerateReferenceError as exc:
         raise DegenerateReferenceError(f"bootstrap refused: {exc}") from None
     if stack.shape[:1] != (plan.resamples,):
         raise ValueError(
             f"estimator must return one estimate per resample, got shape {stack.shape}"
         )
-    return BootstrapErrors(
-        real=stack.real.std(axis=0, ddof=1),
-        imag=stack.imag.std(axis=0, ddof=1),
-        n_resamples=plan.resamples,
-    )
+    real, imag = np.std([stack.real, stack.imag], axis=1, ddof=1)
+    return BootstrapErrors(real=real, imag=imag, n_resamples=plan.resamples)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,13 @@ from qptsim import (
     unitary_channel,
 )
 from qptsim.experiment import SETTINGS, events_to_counts, table_from_counts
-from qptsim.tomography import REFERENCE_ORDER, _reference_column
+from qptsim.tomography import (
+    MIN_RESAMPLES,
+    REFERENCE_ORDER,
+    BootstrapPlan,
+    _bootstrap_counts,
+    _reference_column,
+)
 
 TRIPLET = bell_state(1)
 PROBE = BipartiteState.from_coeffs(np.diag([np.cos(0.4), np.sin(0.4)]))
@@ -41,9 +47,9 @@ U = np.array(
 )
 
 
-def resample_counts(events, n_resamples, seed):
-    """The (B, 9, 4) counts the bootstrap draws from these events."""
-    counts = events_to_counts(events)
+def resample_counts(counts, n_resamples, seed):
+    """The (B, 9, 4) counts the bootstrap draws from a (9, 4) count table, as
+    first written: one Generator.multinomial call per setting."""
     totals = counts.sum(axis=1)
     probs = counts / totals[:, None]
     rng = np.random.default_rng([seed])
@@ -55,7 +61,7 @@ def resample_counts(events, n_resamples, seed):
 
 def loop_bootstrap(events, estimator, n_resamples, seed):
     """Reference: one table and one estimator call per resample."""
-    draws = resample_counts(events, n_resamples, seed)
+    draws = resample_counts(events_to_counts(events), n_resamples, seed)
     stack = np.stack([np.asarray(estimator(table_from_counts(sample))) for sample in draws])
     return stack.real.std(axis=0, ddof=1), stack.imag.std(axis=0, ddof=1)
 
@@ -84,6 +90,33 @@ def test_batched_bootstrap_equals_per_resample_loop(case):
     real, imag = loop_bootstrap(events, est, 150, 3 + case)
     assert errs.real.tobytes() == real.tobytes(), name
     assert errs.imag.tobytes() == imag.tobytes(), name
+
+
+@pytest.mark.parametrize("n_resamples", [MIN_RESAMPLES, 1000])
+@pytest.mark.parametrize("case", range(4))
+def test_one_call_draw_matches_nine_per_setting_calls(case, n_resamples):
+    # random count tables with a zero-probability outcome in every setting, and
+    # in odd cases a setting of one event; the estimator must see the table of
+    # the per-setting draws, and the spreads must be those of its estimates
+    rng = np.random.default_rng(500 + case)
+    counts = rng.integers(1, 40, size=(len(SETTINGS), 4))
+    counts[np.arange(len(SETTINGS)), rng.integers(4, size=len(SETTINGS))] = 0
+    if case % 2:
+        counts[case] = 0
+        counts[case, rng.integers(4)] = 1
+    seed = int(rng.integers(2**63))
+    seen = []
+
+    def estimator(t):
+        seen.append(t.entries)
+        return np.exp(1j * t.entries)
+
+    errs = _bootstrap_counts(counts, estimator, BootstrapPlan(n_resamples, seed))
+    table = table_from_counts(resample_counts(counts, n_resamples, seed)).entries
+    assert len(seen) == 1 and seen[0].tobytes() == table.tobytes()
+    stack = np.exp(1j * table)
+    assert errs.real.tobytes() == stack.real.std(axis=0, ddof=1).tobytes()
+    assert errs.imag.tobytes() == stack.imag.std(axis=0, ddof=1).tobytes()
 
 
 def test_batched_bootstrap_refuses_a_degenerate_row():
@@ -119,7 +152,7 @@ def test_batch_rows_equal_single_calls_on_tables_with_empty_cells(bell):
     # empty cells, and its column sums hit exact zeros
     probe = bell_state(bell)
     events, table = sampled(identity_channel(), probe, 8000, 20 + bell)
-    draws = resample_counts(events, 1000, bell)
+    draws = resample_counts(events_to_counts(events), 1000, bell)
     assert np.all(np.any(draws == 0, axis=(1, 2)))
     ref = select_reference(table)
     batch = table_from_counts(draws)

@@ -1144,6 +1144,32 @@ def test_preset_outputs_keep_their_bytes(tmp_path, preset):
     assert written == {k: v for k, v in PRESET_OUTPUTS.items() if k.startswith(preset + "_")}
 
 
+# sha256 of the result document of sampled base_config runs whose error
+# columns PRESET_OUTPUTS does not cover: the other two estimators, and a
+# half-wave plate, whose resamples the pipeline aligns in sign
+SAMPLED_RESULTS = {
+    "state_only": (
+        {"estimator": "state_only"},
+        "2c2a201de269cafa34a45537a208beab119889aeaff883e9c7bcd99e2a2be315",
+    ),
+    "choi": (
+        {"estimator": "choi"},
+        "0d4843974ce2e9d8d1244d10a01e4eedc39e743bd76b7d2e27c7f06527bdc2a4",
+    ),
+    "hwp": (
+        {"device": {"type": "waveplates", "plates": [{"phi_over_pi": 1.0, "theta_over_pi": 0.1}]}},
+        "8d369c08eccf4c8f4f6243e095c8aaac9eedc7baf8ced976c8b75e67203605e2",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SAMPLED_RESULTS))
+def test_sampled_results_keep_their_bytes(tmp_path, run):
+    overrides, digest = SAMPLED_RESULTS[run]
+    path = run_pipeline(parse_config(base_config(**overrides)), tmp_path)["result"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_then_reconstruct_roundtrip_never_errors(tmp_path):
     # any quorum-complete plan must reconstruct without errors
     for seed in (1, 2, 3):
