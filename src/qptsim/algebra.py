@@ -25,9 +25,6 @@ from .errors import shown
 EQUALITY_TOL = 1e-12
 PSD_SLACK = 1e-10
 
-# Smallest singular value of a coefficient matrix still considered full-rank.
-FULL_RANK_MIN_SV = 1e-7
-
 
 def _check_real(what: str, v) -> None:
     """Refuse ``v`` with ValueError unless it is a real number; numpy reals
@@ -194,18 +191,6 @@ class BipartiteState:
         sv = np.linalg.svd(self.coeffs, compute_uv=False)
         sv.setflags(write=False)
         return sv
-
-    @cached_property
-    def coeffs_inverse(self) -> np.ndarray:
-        """Inverse of the coefficient matrix of a faithful probe, taken once."""
-        if not self.full_rank:
-            raise ValueError("only a full-rank pure state has an inverse coefficient matrix")
-        return _frozen(np.linalg.inv(self.coeffs))
-
-    @property
-    def full_rank(self) -> bool:
-        """Whether the coefficient matrix is invertible (faithful probe)."""
-        return bool(self.singular_values[-1] > FULL_RANK_MIN_SV)
 
 
 def pairs(*states: BipartiteState) -> BipartiteState:

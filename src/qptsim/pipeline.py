@@ -57,6 +57,7 @@ from .tomography import (
     _bootstrap_counts,
     _state_overlap,
     distance_choi,
+    faithfulness_check,
     fidelity_unitary,
     reconstruct_choi,
     reconstruct_state,
@@ -244,7 +245,7 @@ def parse_config(doc: dict) -> PipelineConfig:
         output = propagate(channel, probe)
     except NullEventError as exc:
         raise ConfigError(f"device: the channel annihilates the input state ({exc})") from None
-    if estimator != "state_only" and not probe.full_rank:  # the pairs' product, for two qubits
+    if estimator != "state_only" and not faithfulness_check(probe).full_rank:  # the pairs' product
         names = "input_state and input_state_b" if two_qubit else "input_state"
         raise ConfigError(f"{names}: the {estimator} estimator needs a faithful (full-rank) probe")
 
@@ -358,6 +359,9 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
     return _simulate(cfg, out_dir)[0]
 
 
+_TABLE_HEADER = "element,part,estimate,error,theory"
+
+
 @functools.cache
 def _table_template(kind: str, n: int, has_errors: bool, has_truth: bool) -> str:
     """The element table of an n x n matrix as one %-template: the column header
@@ -369,7 +373,7 @@ def _table_template(kind: str, n: int, has_errors: bool, has_truth: bool) -> str
     cells = ",".join(("%.12g", "%.12g" if has_errors else "", "%.12g" if has_truth else ""))
     heads = (name.format(r, c) for r in range(n) for c in range(n))
     rows = "".join(f"{head},{part},{cells}\n" for head in heads for part in ("re", "im"))
-    return "element,part,estimate,error,theory\n" + rows
+    return _TABLE_HEADER + "\n" + rows
 
 
 # The figure of merit that compares each kind of estimate with its truth, last in the header.
@@ -429,6 +433,10 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
     table = exact_correlations(out) if counts is None else table_from_counts(counts)
 
     if cfg.estimator == "state_only":
+        purity = float(np.sum(table.entries**2)) / 4.0  # Tr rho^2 of one pair
+        if purity < 0.9:
+            _say(f"warning: the output is mixed (table purity {purity:.3g}); "
+                 "state_only estimates a pure state", err=True)
         truth = out.coeffs if out.pure else None
         ref = select_reference(table)
         result = reconstruct_state(table, ref)
@@ -502,7 +510,7 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
     except ValueError:
         raise DataError(f"{shown_path(result_path)}: no element table found") from None
     table = lines[start:]
-    if not table or table[0] != "element,part,estimate,error,theory":
+    if not table or table[0] != _TABLE_HEADER:
         raise DataError(f"{shown_path(result_path)}: malformed element table header")
     return _plotdata(cfg, out_dir, "\n".join(table) + "\n")
 

@@ -185,11 +185,15 @@ def _state_overlap(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.sum(a.conj() * b)) / (na * nb))
 
 
+# Smallest singular value of a coefficient matrix still considered full-rank.
+FULL_RANK_MIN_SV = 1e-7
+
+
 def faithfulness_check(psi: BipartiteState):
     """Full-rank flag and condition number of a pure probe state."""
     sv = psi.singular_values
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    return FaithfulnessReport(full_rank=psi.full_rank, condition_number=cond)
+    return FaithfulnessReport(full_rank=bool(sv[-1] > FULL_RANK_MIN_SV), condition_number=cond)
 
 
 @dataclass(frozen=True)
@@ -227,14 +231,9 @@ def reconstruct_unitary(
     state = reconstruct_state(t_out, reference)
     # U = M Psi^{-1} and det U in closed form on a (B, 2, 2) stack, one row for
     # a single table, so no step falls to scalar arithmetic
-    m, inv = state.matrix.reshape(-1, 2, 2), psi_in.coeffs_inverse
+    m, inv = state.matrix.reshape(-1, 2, 2), np.linalg.inv(psi_in.coeffs)
     u = m[:, :, :1] * inv[0] + m[:, :, 1:] * inv[1]
-    # det U by one pivoted elimination step, the pivot the larger |re| + |im|
-    # of column 0, as an LU factorization takes it (a zero column gives 0)
-    size = np.abs(u[:, :, 0].real) + np.abs(u[:, :, 0].imag)
-    swap = size[:, 1] > size[:, 0]
-    (p, q), (r, s) = np.where(swap[:, None, None], u[:, ::-1], u).transpose(1, 2, 0)
-    d = np.where(swap, -p, p) * (s - r / np.where(p == 0.0, 1.0, p) * q)
+    d = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     # adding 0.0 turns a signed zero into +0, whose angle is 0
     u = u * np.exp(-0.5j * np.angle(d + 0.0))[:, None, None]
     diagnostics = {}

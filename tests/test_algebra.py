@@ -8,6 +8,7 @@ from qptsim import (
     bell_state,
     dagger,
     double_ket,
+    faithfulness_check,
     pairs,
     pauli,
     tensor,
@@ -65,7 +66,7 @@ def test_bell_states(j, vec):
     assert psi.pure
     assert np.allclose(double_ket(psi.coeffs), vec, atol=1e-15)
     assert abs(abs(np.linalg.det(psi.coeffs)) - 0.5) < 1e-15
-    assert psi.full_rank
+    assert faithfulness_check(psi).full_rank
 
 
 def test_double_ket_identity_bruteforce():
@@ -116,17 +117,6 @@ def test_tensor_is_np_kron_bit_for_bit():
             assert same_bits(tensor(a, b), np.kron(a, b))
 
 
-def test_coeffs_inverse_of_a_faithful_pure_state_only():
-    probe = BipartiteState.from_coeffs(np.array([[0.6, 0.2j], [0.0, 0.6]]) / np.sqrt(0.76))
-    inv = probe.coeffs_inverse
-    assert inv is probe.coeffs_inverse and not inv.flags.writeable
-    assert mat_close(inv @ probe.coeffs, np.eye(2))
-    with pytest.raises(ValueError, match="full-rank"):
-        BipartiteState.from_coeffs(np.diag([1.0, 0.0])).coeffs_inverse
-    with pytest.raises(ValueError, match="pure states"):
-        BipartiteState.from_density(np.eye(4) / 4).coeffs_inverse
-
-
 def test_mat_close_tolerance():
     a = np.eye(2)
     assert mat_close(a, a + 1e-13)
@@ -174,9 +164,9 @@ def test_mixed_state_validation():
 
 def test_full_rank_flag():
     product = BipartiteState.from_coeffs(np.diag([1.0, 0.0]))
-    assert not product.full_rank
+    assert not faithfulness_check(product).full_rank
     with pytest.raises(ValueError):
-        BipartiteState.from_density(np.eye(4) / 4).full_rank
+        faithfulness_check(BipartiteState.from_density(np.eye(4) / 4))
 
 
 def kron_basis_coefficients(op, k):

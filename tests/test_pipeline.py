@@ -617,6 +617,28 @@ def test_exact_full_damping_under_unitary_keeps_the_determinant_gauge(tmp_path, 
     assert [float(row[2]) for row in table] == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
+MIXED = dict(input_state={"bell": 0}, device={"type": "depolarizing", "p": 1.0})
+
+
+@pytest.mark.parametrize(
+    "overrides, warnings",
+    [
+        # bell 0 through full depolarization leaves I/4, whose table purity is 1/4
+        (dict(MIXED, plan={"exact": True}), 1),
+        (dict(MIXED, plan={"total": 8000, "seed": 1}), 1),
+        ({}, 0),
+    ],
+    ids=["mixed_exact", "mixed_sampled", "fig3"],
+)
+def test_state_only_warns_once_on_a_mixed_output(tmp_path, capsys, overrides, warnings):
+    doc = dict(preset_doc("fig3"), estimator="state_only", **overrides)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == warnings and all(line.startswith("warning: ") for line in err)
+
+
 def test_allocation_accepted():
     alloc = {a + b: 0 for a in "xyz" for b in "xyz"}
     alloc["zz"] = 100
