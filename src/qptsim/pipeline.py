@@ -54,8 +54,8 @@ from .tomography import (
     CNOT,
     SWAP,
     BootstrapPlan,
-    _bootstrap_counts,
     _state_overlap,
+    bootstrap_errors,
     distance_choi,
     faithfulness_check,
     fidelity_unitary,
@@ -338,7 +338,7 @@ def _say(line: str, err: bool = False) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
-def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
+def run_simulate(cfg: PipelineConfig, out_dir=".") -> tuple[Path, np.ndarray]:
     """Draw coincidence events and write the event log; returns its path and
     the events' (9, 4) counts table, which the sampler counted as it drew them."""
     plan = cfg.plan
@@ -352,11 +352,6 @@ def _simulate(cfg: PipelineConfig, out_dir) -> tuple[Path, np.ndarray]:
         _say(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
     _say(f"wrote {codes.size} events to {path}")
     return path, counts
-
-
-def run_simulate(cfg: PipelineConfig, out_dir=".") -> Path:
-    """Draw coincidence events and write the event log."""
-    return _simulate(cfg, out_dir)[0]
 
 
 _TABLE_HEADER = "element,part,estimate,error,theory"
@@ -425,12 +420,27 @@ def _format_result(cfg: PipelineConfig, result, truth, errors) -> tuple[str, str
     return "\n".join(lines) + "\n\n", template % tuple(values)
 
 
-def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
-    """Estimate the configured quantity from the (9, 4) counts table (None
-    for exact statistics) and write the result document; returns its path
-    and element table.  The bootstrap resamples the same counts."""
-    psi_in, out = cfg.input_state, cfg.output_state
-    table = exact_correlations(out) if counts is None else table_from_counts(counts)
+def run_reconstruct(
+    cfg: PipelineConfig, out_dir=".", counts: Optional[np.ndarray] = None
+) -> tuple[Path, str]:
+    """Estimate the configured quantity and write the result document; returns
+    its path and element table.  A sampled run's (9, 4) ``counts`` table is read
+    from the event log unless it is given, and the bootstrap resamples it."""
+    psi_in, out, plan = cfg.input_state, cfg.output_state, cfg.plan
+    if plan is not None and counts is None:
+        events_path = _resolve(out_dir, cfg.out_events)
+        if not events_path.exists():
+            raise DataError(f"no event log {shown_path(events_path)}; run simulate first")
+        events, header = read_event_log(events_path)
+        # the result document reports the config's values; the log must share them
+        for field, value in (("total", plan.total), ("seed", plan.seed), ("eta", plan.eta)):
+            if header[field] != value:
+                raise DataError(
+                    f"{shown_path(events_path)}: header {field}={header[field]!r} does not match "
+                    f"the config's {field} {value!r}"
+                )
+        counts = events_to_counts(events)
+    table = exact_correlations(out) if plan is None else table_from_counts(counts)
 
     if cfg.estimator == "state_only":
         purity = float(np.sum(table.entries**2)) / 4.0  # Tr rho^2 of one pair
@@ -457,7 +467,8 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
         result = reconstruct_choi(table, psi_in)
         estimate = lambda t: reconstruct_choi(t, psi_in).matrix
 
-    errors = None if counts is None else _bootstrap_counts(counts, estimate, cfg.bootstrap)
+    boot = cfg.bootstrap
+    errors = None if plan is None else bootstrap_errors(counts, estimate, boot.resamples, boot.seed)
     head, elements = _format_result(cfg, result, truth, errors)
     path = _resolve(out_dir, cfg.out_result)
     _write_output(path, lambda p: write_file(p, (head + elements).encode("utf-8")))
@@ -465,54 +476,32 @@ def _reconstruct(cfg: PipelineConfig, out_dir, counts) -> tuple[Path, str]:
     return path, elements
 
 
-def run_reconstruct(cfg: PipelineConfig, out_dir=".") -> Path:
-    """Estimate the configured quantity and write the result document."""
-    counts, plan = None, cfg.plan
-    if plan is not None:
-        events_path = _resolve(out_dir, cfg.out_events)
-        if not events_path.exists():
-            raise DataError(f"no event log {shown_path(events_path)}; run simulate first")
-        events, header = read_event_log(events_path)
-        # the result document reports the config's values; the log must share them
-        for field, value in (("total", plan.total), ("seed", plan.seed), ("eta", plan.eta)):
-            if header[field] != value:
-                raise DataError(
-                    f"{shown_path(events_path)}: header {field}={header[field]!r} does not match "
-                    f"the config's {field} {value!r}"
-                )
-        counts = events_to_counts(events)
-    return _reconstruct(cfg, out_dir, counts)[0]
-
-
-def _plotdata(cfg: PipelineConfig, out_dir, table: str) -> Path:
-    """Write an element table, column header first, as the plot data."""
+def run_plotdata(cfg: PipelineConfig, out_dir=".", table: Optional[str] = None) -> Path:
+    """Write an element table, column header first, as the plot data; without
+    ``table``, the one cut from the result document."""
+    if table is None:
+        result_path = _resolve(out_dir, cfg.out_result)
+        if not result_path.exists():
+            raise DataError(f"no result document {shown_path(result_path)}; run reconstruct first")
+        try:
+            text = result_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            name = shown_path(result_path)
+            raise DataError(f"{name}: cannot read result document: {reason}") from None
+        lines = text.splitlines()
+        try:
+            start = lines.index("") + 1
+        except ValueError:
+            raise DataError(f"{shown_path(result_path)}: no element table found") from None
+        if lines[start : start + 1] != [_TABLE_HEADER]:
+            raise DataError(f"{shown_path(result_path)}: malformed element table header")
+        table = "\n".join(lines[start:]) + "\n"
     path = _resolve(out_dir, cfg.out_plotdata)
     _write_output(path, lambda p: write_file(p, table.encode("utf-8")))
     rows = table.count("\n") - 1  # after the column header
     _say(f"wrote {rows} plot rows to {path}")
     return path
-
-
-def run_plotdata(cfg: PipelineConfig, out_dir=".") -> Path:
-    """Extract the element table of a result document as a standalone CSV."""
-    result_path = _resolve(out_dir, cfg.out_result)
-    if not result_path.exists():
-        raise DataError(f"no result document {shown_path(result_path)}; run reconstruct first")
-    try:
-        text = result_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        name = shown_path(result_path)
-        raise DataError(f"{name}: cannot read result document: {reason}") from None
-    lines = text.splitlines()
-    try:
-        start = lines.index("") + 1
-    except ValueError:
-        raise DataError(f"{shown_path(result_path)}: no element table found") from None
-    table = lines[start:]
-    if not table or table[0] != _TABLE_HEADER:
-        raise DataError(f"{shown_path(result_path)}: malformed element table header")
-    return _plotdata(cfg, out_dir, "\n".join(table) + "\n")
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir=".") -> dict[str, Path]:
@@ -523,10 +512,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir=".") -> dict[str, Path]:
     reconstruct rendered.  Every file is still written, with the bytes the
     standalone commands write from each other's files.
     """
-    paths = {}
-    counts = None
+    paths, counts = {}, None
     if cfg.plan is not None:
-        paths["events"], counts = _simulate(cfg, out_dir)
-    paths["result"], table = _reconstruct(cfg, out_dir, counts)
-    paths["plotdata"] = _plotdata(cfg, out_dir, table)
+        paths["events"], counts = run_simulate(cfg, out_dir)
+    paths["result"], table = run_reconstruct(cfg, out_dir, counts)
+    paths["plotdata"] = run_plotdata(cfg, out_dir, table)
     return paths

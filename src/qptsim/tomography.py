@@ -37,7 +37,6 @@ from .channels import propagate, unitary_channel
 from .errors import (
     DataError,
     DegenerateReferenceError,
-    IncompleteQuorumError,
     PlanError,
     UnfaithfulInputError,
     shown,
@@ -329,11 +328,14 @@ def bootstrap_errors(
 ) -> BootstrapErrors:
     """Nonparametric bootstrap error bars for any table-based estimator.
 
-    Events are resampled with replacement within each setting (the
-    per-setting outcome counts are the sufficient statistic, so resampling
-    draws multinomial counts), the estimator re-runs with its own gauge
-    fix, and the element-wise standard deviations of real and imaginary
-    parts are reported separately.
+    ``events`` is a run's 1-D array of cell codes or its (9, 4) counts table,
+    ``events_to_counts(events)``; both give the same bytes.  Events are
+    resampled with replacement within each setting (the per-setting outcome
+    counts are the sufficient statistic, so resampling draws multinomial
+    counts), the estimator re-runs with its own gauge fix, and the
+    element-wise standard deviations of real and imaginary parts are
+    reported separately.  A counts table that ``table_from_counts`` refuses
+    raises its error.
 
     The estimator is called on all B resamples at once: it takes a
     CorrelationTable with a leading batch axis of B rows and returns an
@@ -350,18 +352,12 @@ def bootstrap_errors(
     error bars.  ``n_resamples`` and ``seed`` that BootstrapPlan refuses
     raise its PlanError, a ValueError.
     """
-    return _bootstrap_counts(events_to_counts(events), estimator, BootstrapPlan(n_resamples, seed))
-
-
-def _bootstrap_counts(
-    counts: np.ndarray,
-    estimator: Callable[[CorrelationTable], np.ndarray],
-    plan: BootstrapPlan,
-) -> BootstrapErrors:
-    """``bootstrap_errors`` of the events whose (9, 4) count table is ``counts``."""
+    counts = np.asarray(events)
+    if counts.ndim != 2:  # cell codes, which events_to_counts checks
+        counts = events_to_counts(counts)
+    plan = BootstrapPlan(n_resamples, seed)
+    table_from_counts(counts)  # refuses counts that are not a (9, 4) table of a whole quorum
     totals = counts.sum(axis=1)
-    if np.any(totals == 0):
-        raise IncompleteQuorumError([SETTINGS[k] for k in np.flatnonzero(totals == 0)])
     probs = counts / totals[:, None]
     # size (9, B) consumes the stream setting by setting, the order the goldens pin
     draws = np.random.default_rng([plan.seed]).multinomial(

@@ -35,8 +35,6 @@ from qptsim.experiment import SETTINGS, events_to_counts, table_from_counts
 from qptsim.tomography import (
     MIN_RESAMPLES,
     REFERENCE_ORDER,
-    BootstrapPlan,
-    _bootstrap_counts,
     _reference_column,
 )
 
@@ -111,12 +109,40 @@ def test_one_call_draw_matches_nine_per_setting_calls(case, n_resamples):
         seen.append(t.entries)
         return np.exp(1j * t.entries)
 
-    errs = _bootstrap_counts(counts, estimator, BootstrapPlan(n_resamples, seed))
+    errs = bootstrap_errors(counts, estimator, n_resamples, seed)
     table = table_from_counts(resample_counts(counts, n_resamples, seed)).entries
     assert len(seen) == 1 and seen[0].tobytes() == table.tobytes()
     stack = np.exp(1j * table)
     assert errs.real.tobytes() == stack.real.std(axis=0, ddof=1).tobytes()
     assert errs.imag.tobytes() == stack.imag.std(axis=0, ddof=1).tobytes()
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_bootstrap_of_the_counts_table_equals_that_of_the_codes(case):
+    # the (9, 4) counts are the sufficient statistic: the same draws, the same bytes
+    name, events, est = estimators()[case]
+    of_codes = bootstrap_errors(events, est, 150, 3 + case)
+    of_counts = bootstrap_errors(events_to_counts(events), est, 150, 3 + case)
+    assert of_counts.real.tobytes() == of_codes.real.tobytes(), name
+    assert of_counts.imag.tobytes() == of_codes.imag.tobytes(), name
+    assert of_counts.n_resamples == 150
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda c: c.astype(float), lambda c: -c, lambda c: c[:, :3]],
+    ids=["float", "negative", "9x3"],
+)
+def test_bootstrap_refuses_a_counts_table_with_the_message_of_table_from_counts(spoil):
+    events, _ = sampled(unitary_channel(U), PROBE, 900, 4)
+    counts = spoil(events_to_counts(events))
+    with pytest.raises(ValueError) as expected:
+        table_from_counts(counts)
+    calls = []
+    with pytest.raises(ValueError) as err:
+        bootstrap_errors(counts, lambda t: calls.append(1) or t.entries, 100)
+    assert str(err.value) == str(expected.value)
+    assert calls == []
 
 
 def test_batched_bootstrap_refuses_a_degenerate_row():

@@ -648,7 +648,7 @@ def test_allocation_accepted():
 
 def test_simulate_writes_log(tmp_path):
     cfg = parse_config(base_config())
-    path = run_simulate(cfg, tmp_path)
+    path, _ = run_simulate(cfg, tmp_path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3001
     assert lines[0] == "# total=3000 seed=11 eta=1.0"
@@ -691,7 +691,7 @@ def test_reconstruct_rejects_a_log_of_another_config(tmp_path, capsys, field, pl
 def test_unitary_result_document(tmp_path):
     cfg = parse_config(base_config())
     run_simulate(cfg, tmp_path)
-    path = run_reconstruct(cfg, tmp_path)
+    path, _ = run_reconstruct(cfg, tmp_path)
     head, header_row, table = read_result(path)
     assert head["kind"] == "device_unitary"
     assert head["estimator"] == "unitary"
@@ -773,7 +773,7 @@ def test_half_wave_plate_error_bars_match_the_spread_across_seeds(tmp_path):
 def test_theory_column_matches_estimate_gauge(tmp_path):
     cfg = parse_config(base_config(plan={"total": 20000, "seed": 4, "eta": 1.0}))
     run_simulate(cfg, tmp_path)
-    _, _, table = read_result(run_reconstruct(cfg, tmp_path))
+    _, _, table = read_result(run_reconstruct(cfg, tmp_path)[0])
     for row in table:
         assert abs(float(row[2]) - float(row[4])) < 0.1
 
@@ -781,7 +781,7 @@ def test_theory_column_matches_estimate_gauge(tmp_path):
 def test_state_only_result(tmp_path):
     cfg = parse_config(base_config(estimator="state_only"))
     run_simulate(cfg, tmp_path)
-    _, _, table = read_result(run_reconstruct(cfg, tmp_path))
+    _, _, table = read_result(run_reconstruct(cfg, tmp_path)[0])
     assert [row[0] for row in table[::2]] == ["Psi00", "Psi01", "Psi10", "Psi11"]
 
 
@@ -932,7 +932,7 @@ def test_format_result_matches_the_per_row_formatter(monkeypatch, kind, n, has_e
 def test_choi_result_has_32_rows(tmp_path):
     cfg = parse_config(base_config(estimator="choi"))
     run_simulate(cfg, tmp_path)
-    path = run_reconstruct(cfg, tmp_path)
+    path, _ = run_reconstruct(cfg, tmp_path)
     _, _, table = read_result(path)
     assert len(table) == 32
     assert table[0][0] == "C00" and table[-1][0] == "C33"
@@ -1126,6 +1126,44 @@ def test_events_counted_once_per_staged_reconstruct_never_in_pipeline(tmp_path, 
     assert calls == [1]
 
 
+def small_fig3():
+    doc = preset_doc("fig3")
+    doc["plan"]["total"] = 900
+    doc["bootstrap"]["resamples"] = 100
+    return parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "make_cfg, called",
+    [
+        (small_fig3, ["run_simulate", "run_reconstruct", "bootstrap_errors", "run_plotdata"]),
+        (lambda: load_preset("depol"), ["run_reconstruct", "run_plotdata"]),
+    ],
+    ids=["fig3", "depol"],
+)
+def test_pipeline_calls_each_stage_and_the_bootstrap_by_its_public_name(
+    tmp_path, monkeypatch, make_cfg, called
+):
+    # a wrapper set on the module's public names, as a tracer sets one, sees
+    # every stage and the bootstrap once, and the wrapped run writes the same bytes
+    cfg = make_cfg()
+    plain = run_pipeline(cfg, tmp_path / "plain")
+    calls = []
+    for name in ("run_simulate", "run_reconstruct", "run_plotdata", "bootstrap_errors"):
+        fn = getattr(qptsim.pipeline, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(qptsim.pipeline, name, counted)
+    wrapped = run_pipeline(cfg, tmp_path / "wrapped")
+    assert calls == called
+    assert plain.keys() == wrapped.keys()
+    for key, path in plain.items():
+        assert wrapped[key].read_bytes() == path.read_bytes(), key
+
+
 @pytest.mark.parametrize(
     "doc",
     [preset_doc("depol"), STATE_ONLY_EXACT, preset_doc("fig3")],
@@ -1203,7 +1241,7 @@ def test_simulate_then_reconstruct_roundtrip_never_errors(tmp_path):
 
 def test_eta_recorded_and_same_length(tmp_path):
     cfg = parse_config(base_config(plan={"total": 1000, "seed": 3, "eta": 0.42}))
-    path = run_simulate(cfg, tmp_path)
+    path, _ = run_simulate(cfg, tmp_path)
     lines = path.read_text().splitlines()
     assert len(lines) == 1001
     assert "eta=0.42" in lines[0]
