@@ -35,7 +35,7 @@ VARIANTS = {
     "lossy": {"plan.eta": 0.42},
     "outcome_jumped": {"plan.eta": 0.1},
     "jumped": {"plan.eta": 0.05},
-    "odd_total": {"plan.total": 8001},  # the last event is rendered alone
+    "odd_total": {"plan.total": 8001},  # an odd number of lines
     "phi_plus": {"input_state": {"bell": 0}, "device": _IDENTITY},  # |01>, |10> empty
     "state_only": {"estimator": "state_only"},
     # state_only through the identity, one probe per reference pair

@@ -24,10 +24,11 @@ while it inverts the uniforms; for codes from elsewhere the table is
 Event log format (the ingestion boundary for offline analysis): a header
 line ``# total=<N> seed=<seed> eta=<eta>`` followed by one line per
 coincidence, ``axis1,axis2,s1,s2`` with axes as letters x|y|z and signs as
-+1|-1; these 36 spellings are the only ones read back.  The writer renders
-the lines two at a time from a table of all 1,296 two-line strings; the
-reader reads the file once, in text mode, in chunks completed to a line end,
-and decodes a chunk that re-encodes through that table as one byte array.
++1|-1; these 36 spellings are the only ones read back.  Every line ends in
+``1\n``, so the writer renders a line as its first 8 bytes, one uint64 word,
+into a buffer pre-filled with lines; the reader reads the file once, in text
+mode, in chunks completed to a line end, and decodes a chunk that re-renders
+to the same bytes as one byte array.
 """
 
 from __future__ import annotations
@@ -70,12 +71,10 @@ _SPACE = bytes(c for c in range(128) if chr(c).isspace())  # the ASCII bytes str
 # The same lines as a (36, 10) byte table, one row per cell code.
 _LINE_BYTES = np.frombuffer("".join(_LINES).encode("ascii"), dtype=np.uint8)
 _LINE_BYTES = _LINE_BYTES.reshape(_N_CELLS, -1)
-# Every two consecutive lines as one 20-byte item, indexed by 36*a + b for
-# codes a then b: one gather renders two lines.
-_PAIR_LINES = np.frombuffer(
-    "".join(a + b for a in _LINES for b in _LINES).encode("ascii"),
-    dtype=f"V{2 * _LINE_BYTES.shape[1]}",
-)
+# The first 8 bytes of each line as one native uint64 word; the last two, "1\n",
+# are the same in every line.  A line of a byte buffer is one _LINE_RECORD.
+_LINE_HEADS = _LINE_BYTES[:, :8].copy().view(np.uint64).ravel()
+_LINE_RECORD = np.dtype(dict(names=["head"], formats=[np.uint64], itemsize=_LINE_BYTES.shape[1]))
 # Digit of each byte a valid line holds at its axis and sign columns: x|y|z
 # -> 0|1|2 and +|- -> 0|1, so a line's code is 12*a1 + 4*a2 + 2*s1 + s2.
 # Every other byte maps to 0; the reader's re-encode check rejects it.
@@ -591,29 +590,29 @@ def write_file(path, first: bytes, rest: Iterable[bytes] = ()) -> None:
             fh.write(first[:1])
 
 
-def _render_lines(codes: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The event-log lines of ``codes``, rendered into the start of the byte
-    array ``buf`` and returned as that slice of it.
+def _line_buffer() -> np.ndarray:
+    """A byte buffer of _CHUNK_LINES event-log lines, to render into."""
+    return np.tile(_LINE_BYTES[0], _CHUNK_LINES)
 
-    Each pair of consecutive codes is one gather from ``_PAIR_LINES``; an
-    odd last code takes its own row of ``_LINE_BYTES``.  The writer and the
-    reader render a chunk at a time into one buffer they reuse.
+
+def _render_lines(codes: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The event-log lines of ``codes``, rendered into the start of ``buf``, a
+    ``_line_buffer()``, and returned as that slice of it.
+
+    Only each line's head word is written: the buffer already ends every line
+    in the two bytes all lines share.  The writer and the reader render a chunk
+    at a time into one buffer they reuse.
     """
-    even, width = codes.size & ~1, _LINE_BYTES.shape[1]
-    pair = np.multiply(codes[0:even:2], _N_CELLS, dtype=np.uint16)
-    pair += codes[1:even:2]
-    out = buf[: codes.size * width]
-    # mode="clip" gathers straight into out; "raise" would gather into a buffer first
-    _PAIR_LINES.take(pair, out=out[: even * width].view(_PAIR_LINES.dtype), mode="clip")
-    if even < codes.size:
-        out[even * width :] = _LINE_BYTES[codes[-1]]
+    out = buf[: codes.size * _LINE_BYTES.shape[1]]
+    # a contiguous take and one strided copy; a take straight into the field is slower
+    out.view(_LINE_RECORD)["head"] = _LINE_HEADS.take(codes, mode="clip")
     return out
 
 
 def write_event_log(path, events: np.ndarray, seed: int, eta: float = 1.0) -> None:
     codes = _cell_codes(events).astype(np.uint8, copy=False)  # checked to be 0..35
-    header = f"# total={codes.size} seed={seed} eta={eta!r}\n".encode("ascii")
-    buf = np.empty(_CHUNK_LINES * _LINE_BYTES.shape[1], dtype=np.uint8)
+    header = f"# total={codes.size} seed={int(seed)} eta={float(eta)!r}\n".encode("ascii")
+    buf = _line_buffer()
     # each chunk is written before the next is rendered over it
     body = (
         _render_lines(codes[a : a + _CHUNK_LINES], buf) for a in range(0, codes.size, _CHUNK_LINES)
@@ -628,7 +627,7 @@ def read_event_log(path) -> tuple[np.ndarray, dict]:
     are ``str.strip``-ped; blank lines are skipped.  Every failure is a DataError
     naming the file: an unreadable path, a non-ASCII byte (first, when its chunk of
     about _CHUNK_LINES lines also holds a malformed line), or a malformed line, by number."""
-    buf = np.empty(_CHUNK_LINES * _LINE_BYTES.shape[1], dtype=np.uint8)
+    buf = _line_buffer()
     chunks, lineno = [np.empty(0, dtype=np.uint8)], 1
     try:
         with open(path, encoding="ascii", newline=None) as fh:

@@ -45,7 +45,10 @@ from qptsim.experiment import (
     _cell_probs,
     _invert_cdf,
     _jumped_uniforms,
+    _line_buffer,
+    _line_codes,
     _parse_header,
+    _render_lines,
     _sample,
     _stream_jumps,
     events_to_counts,
@@ -664,6 +667,18 @@ def test_event_log_roundtrip(tmp_path):
     assert first == "# total=450 seed=9 eta=0.42"
 
 
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2**64 - 1)])
+def test_event_log_header_of_numpy_scalars_reads_back(tmp_path, seed):
+    # numpy 2 reprs a scalar as np.float64(0.42); the header holds the plain number
+    codes = np.arange(36, dtype=np.uint8)
+    path = tmp_path / "events.csv"
+    write_event_log(path, codes, seed=seed, eta=np.float64(0.42))
+    back, header = read_event_log(path)
+    assert np.array_equal(back, codes)
+    assert header == {"total": 36, "seed": int(seed), "eta": 0.42}
+    assert path.read_text().splitlines()[0] == f"# total=36 seed={int(seed)} eta=0.42"
+
+
 def test_event_log_matches_per_event_format(tmp_path):
     # reference: the log body written one f-string per event
     plan = ExperimentPlan.uniform(450, seed=12, loss=LossModel(eta=0.3))
@@ -699,14 +714,29 @@ def test_writer_and_counter_work_in_bounded_chunks(tmp_path):
     "n", [0, 1, 2, 7, 36, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1, 2 * _CHUNK_LINES + 3]
 )
 def test_event_log_lines_rendered_in_pairs(tmp_path, n):
-    # pairs of codes gathered two lines at a time, an odd code at the end of
-    # the log (or of a chunk) from its own line
+    # odd and even lengths, ending the log or a chunk: each line is rendered as
+    # its 8-byte head, and its last two bytes come from the pre-filled buffer
     codes = np.random.default_rng(n).integers(0, len(_LINES), size=n, dtype=np.uint8)
     expected = f"# total={n} seed=0 eta=1.0\n" + "".join(_LINES[c] for c in codes)
     path = tmp_path / "events.csv"
     for dtype in (np.uint8, np.int64):  # any integer array of cell codes
         write_event_log(path, codes.astype(dtype), seed=0)
         assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_line_buffer_reused_for_shorter_chunks():
+    # one buffer renders a full chunk holding all 36 codes, then 5 lines, then 1;
+    # each slice holds exactly its own lines, whatever the codes' dtype
+    full = np.random.default_rng(36).integers(0, len(_LINES), size=_CHUNK_LINES, dtype=np.uint8)
+    full[:36] = np.arange(36)[::-1]
+    chunks = [full, np.array([35, 0, 17, 3, 35], dtype=np.uint8), np.array([12], dtype=np.uint8)]
+    # the reader's codes, decoded by its fast path from the writer's bytes
+    decoded = [_line_codes("events.csv", _LINE_BYTES[c].tobytes(), 1, _line_buffer())[0]
+               for c in chunks]
+    for codes in (chunks, [c.astype(np.int64) for c in chunks], decoded):
+        buf = _line_buffer()
+        for c in codes:
+            assert _render_lines(c, buf).tobytes() == _LINE_BYTES[c].tobytes()
 
 
 def test_interrupted_rewrite_leaves_a_rejected_log(tmp_path):
@@ -890,7 +920,7 @@ READER_CASES = {
     **{f"valid-{n}": log_header(n) + log_body(n) for n in (0, 1, C - 1, C, C + 1, 3 * C + 7)},
     "bad-line-in-second-chunk": log_header(C + 6) + log_body(C) + b"x,q,+1,-1\n" + log_body(5),
     "unsigned-sign-in-second-chunk": log_header(C + 1) + log_body(C) + b"x,z,+1,-2\n",
-    # the writer renders lines in pairs; the bad line is the second of one
+    # the bad line is the second of a pair of lines, each rendered as its own head word
     "bad-second-line-of-a-pair": log_header(4) + log_body(1) + b"x,z,+1,+2\n" + log_body(2),
     "bad-second-line-of-a-chunk-end": (
         log_header(C + 1) + log_body(C - 1) + b"y,q,-1,+1\n" + log_body(1, seed=1)
@@ -946,6 +976,22 @@ def test_event_log_reader_matches_line_parser(tmp_path, case):
         assert isinstance(expected, str) and expected != expected_error
         expected = expected_error
     assert_same_read(read_or_error(path), expected)
+
+
+@pytest.mark.parametrize("line", [50, 99], ids=["middle", "last"])
+def test_event_log_reader_checks_every_byte_of_a_line(tmp_path, monkeypatch, line):
+    # a full chunk takes the reader's fast path, which decodes a line from 4 of
+    # its bytes and renders only its first 8: each byte of one line, swapped
+    # for each other byte below, reads as the text-mode reference reads it
+    monkeypatch.setattr(qptsim.experiment, "_CHUNK_LINES", 100)  # 10^3 logs, not 10^5
+    body = bytearray(log_body(100, seed=line))
+    path = tmp_path / "events.csv"
+    for pos in range(line * 10, line * 10 + 10):
+        for byte in set(b"xyz,+-12 q\r") - {body[pos]}:
+            bad = body.copy()
+            bad[pos] = byte
+            path.write_bytes(log_header(100) + bad)
+            assert_same_read(read_or_error(path), line_parser_reference(path))
 
 
 @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
