@@ -5,7 +5,8 @@ closes stdout early (``| head -1``), or an unwritable stdout (``> /dev/full``),
 is no error: the progress lines that cannot be written are dropped, every file
 is still written and the exit code is unchanged.
 With stderr closed (``2>&-``) or unwritable, the error line is dropped and
-the exit code is still 2 or 3.  A config's warnings are ``warning:`` lines.
+the exit code is still 2 or 3.  ``reconstruct`` flags a mixed output under a
+pure-state estimator in one ``warning:`` line on stderr, whatever Python's warning filter.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import dataclasses
 import functools
 import re
 import sys
-import warnings
 
 from .errors import ConfigError, DataError, PlanError
 from .pipeline import (
@@ -82,10 +82,7 @@ def _seed(text: str):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings(record=True) as caught:  # shown if the config is accepted
-            cfg = load_preset(args.preset) if args.preset else load_config(args.config)
-        for w in caught:
-            _say(f"warning: {w.message}", err=True)
+        cfg = load_preset(args.preset) if args.preset else load_config(args.config)
         if args.seed is not None:
             if cfg.plan is None:
                 raise ConfigError("--seed: an exact-statistics config has no plan seed")

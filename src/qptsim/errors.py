@@ -62,8 +62,8 @@ class IncompleteQuorumError(DataError):
 
     def __init__(self, missing):
         self.missing = sorted(missing)
-        pairs = ", ".join(f"({a},{b})" for a, b in self.missing)
-        super().__init__(f"incomplete quorum: no events for settings {pairs}")
+        names = ", ".join(map(str, self.missing))  # by axis letters, such as 'yz'
+        super().__init__(f"incomplete quorum: no events for settings {names}")
 
 
 class DegenerateReferenceError(DataError):

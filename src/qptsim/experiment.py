@@ -46,13 +46,18 @@ from .algebra import BipartiteState, pauli_coefficients
 from .errors import DataError, IncompleteQuorumError, PlanError, shown, shown_path
 
 
+AXES = (1, 2, 3)
+AXIS_LETTERS = {1: "x", 2: "y", 3: "z"}
+
+
 class MeasurementSetting(NamedTuple):
     axis1: int
     axis2: int
 
+    def __str__(self) -> str:
+        """The setting by its axis letters, such as 'xz'."""
+        return AXIS_LETTERS[self.axis1] + AXIS_LETTERS[self.axis2]
 
-AXES = (1, 2, 3)
-AXIS_LETTERS = {1: "x", 2: "y", 3: "z"}
 
 # Fixed enumeration order of the quorum settings and of the four joint
 # outcomes within a setting; samplers and allocators rely on it.
@@ -61,11 +66,7 @@ OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _N_CELLS = len(SETTINGS) * len(OUTCOMES)
 
 # Event-log line of each cell code; the tables below render it, _LINE_CODES inverts it.
-_LINES = tuple(
-    f"{AXIS_LETTERS[a1]},{AXIS_LETTERS[a2]},{s1:+d},{s2:+d}\n"
-    for a1, a2 in SETTINGS
-    for s1, s2 in OUTCOMES
-)
+_LINES = tuple(f"{','.join(str(s))},{s1:+d},{s2:+d}\n" for s in SETTINGS for s1, s2 in OUTCOMES)
 _LINE_CODES = {line.strip().encode("ascii"): c for c, line in enumerate(_LINES)}
 _SPACE = bytes(c for c in range(128) if chr(c).isspace())  # the ASCII bytes str.strip() strips
 # The same lines as a (36, 10) byte table, one row per cell code.
@@ -171,7 +172,7 @@ class ExperimentPlan:
         for s, n in alloc.items():
             if s not in SETTINGS:
                 raise PlanError(("allocation",), f"unknown setting {shown(s)}")
-            what = f"the count of setting {AXIS_LETTERS[s[0]]}{AXIS_LETTERS[s[1]]}"
+            what = f"the count of setting {s}"
             _check_integer("allocation", what, n)
             if n < 0:
                 raise PlanError(("allocation",), f"{what} must be at least 0, got {shown(n)}")

@@ -17,7 +17,7 @@ R in SO(3) by construction; a regression test records the disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class DeviceSpec:
     """
 
     plates: tuple[WavePlate, ...]
-    label: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "plates", tuple(self.plates))

@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -38,7 +37,6 @@ from .channels import (
 from .errors import ConfigError, DataError, NullEventError, PlanError, shown, shown_path
 from .experiment import (
     SETTINGS,
-    AXIS_LETTERS,
     ExperimentPlan,
     LossModel,
     _sample,
@@ -180,7 +178,7 @@ def _parse_plan(spec: dict) -> Optional[ExperimentPlan]:
         return None
     total, seed, alloc = spec.get("total", 0), spec.get("seed", 0), spec.get("allocation")
     if isinstance(alloc, dict):  # keys name settings by their axis letters, such as 'xz'
-        names = {AXIS_LETTERS[s.axis1] + AXIS_LETTERS[s.axis2]: s for s in SETTINGS}
+        names = {str(s): s for s in SETTINGS}
         alloc = {names.get(key, key): n for key, n in alloc.items()}
     loss = _checked("plan", lambda: LossModel(spec.get("eta", 1.0)))
     if "allocation" not in spec:
@@ -252,13 +250,6 @@ def parse_config(doc: dict) -> PipelineConfig:
     plan = _parse_plan(_section(doc, "plan"))
     if two_qubit and plan is not None:
         raise ConfigError("two-qubit devices support exact statistics only (plan.exact = true)")
-    if estimator == "unitary" and not channel.is_unitary:
-        warnings.warn(
-            "unitary estimator configured for a non-unitary device; "
-            "the reconstruction will report a large unitarity deviation",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     boot = _section(doc, "bootstrap")
     bootstrap = _checked("bootstrap", lambda: BootstrapPlan(**boot))
@@ -349,7 +340,7 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> tuple[Path, np.ndarray]:
     _write_output(path, lambda p: write_event_log(p, codes, seed=plan.seed, eta=plan.eta))
     for setting in SETTINGS:
         n = plan.allocation.get(setting, 0)
-        _say(f"{AXIS_LETTERS[setting.axis1]},{AXIS_LETTERS[setting.axis2]}: {n} events")
+        _say(f"{','.join(str(setting))}: {n} events")
     _say(f"wrote {codes.size} events to {path}")
     return path, counts
 
@@ -441,12 +432,12 @@ def run_reconstruct(
                 )
         counts = events_to_counts(events)
     table = exact_correlations(out) if plan is None else table_from_counts(counts)
+    # the pure-state estimators flag a mixed output; purity is Tr rho^2 of one pair
+    if cfg.estimator != "choi" and (purity := float(np.sum(table.entries**2)) / 4.0) < 0.9:
+        _say(f"warning: the output is mixed (table purity {purity:.3g}); "
+             f"{cfg.estimator} estimates a pure state", err=True)
 
     if cfg.estimator == "state_only":
-        purity = float(np.sum(table.entries**2)) / 4.0  # Tr rho^2 of one pair
-        if purity < 0.9:
-            _say(f"warning: the output is mixed (table purity {purity:.3g}); "
-                 "state_only estimates a pure state", err=True)
         truth = out.coeffs if out.pure else None
         ref = select_reference(table)
         result = reconstruct_state(table, ref)

@@ -46,8 +46,8 @@ from qptsim.experiment import SETTINGS, events_to_counts
 TRIPLET = bell_state(1)
 FIG3_PLATE = WavePlate(phi=0.45 * np.pi, theta=-0.138 * np.pi)
 FIG4_PLATE2 = WavePlate(phi=np.pi, theta=0.29 * np.pi)
-FIG3_DEVICE = DeviceSpec(plates=(FIG3_PLATE,), label="fig3")
-FIG4_DEVICE = DeviceSpec(plates=(FIG3_PLATE, FIG4_PLATE2), label="fig4")
+FIG3_DEVICE = DeviceSpec(plates=(FIG3_PLATE,))
+FIG4_DEVICE = DeviceSpec(plates=(FIG3_PLATE, FIG4_PLATE2))
 
 
 def check(name, ok, detail):

@@ -161,7 +161,7 @@ def test_compile_single_plate():
 
 
 def test_compile_order_and_stack():
-    dev = DeviceSpec(plates=(FIG3_PLATE, SECOND_PLATE), label="stack")
+    dev = DeviceSpec(plates=(FIG3_PLATE, SECOND_PLATE))
     u = compile_device(dev).unitary_matrix
     assert mat_close(u, STACK_MATRIX, tol=1e-14)
     # first-traversed plate is the rightmost factor

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -281,10 +282,11 @@ SINGLE_PLATE = {"phi_over_pi": 0.45, "theta_over_pi": -0.138}
             {"device": {"type": "identity", "p": 0.3}},
             "device: unknown key(s) 'p'; expected some of type",
         ),
+        ({"device": [1]}, "device: expected an object with a 'type' field"),
     ],
     ids=[
         "visibility", "bell_and_coeffs", "neither", "second_pair", "device", "plate",
-        "plate_not_object", "identity",
+        "plate_not_object", "identity", "device_not_object",
     ],
 )
 def test_unknown_nested_keys_are_a_config_error(tmp_path, capsys, config, refused):
@@ -308,6 +310,13 @@ def test_unknown_nested_keys_are_a_config_error(tmp_path, capsys, config, refuse
 )
 def test_matrix_of_the_wrong_shape_is_a_config_error(tmp_path, capsys, config, refused):
     # the probe and each Kraus operator are read by one parser, which names its matrix
+    assert refused_before_sampling(tmp_path, capsys, config) == f"config error: {refused}\n"
+
+
+def test_device_parameter_out_of_range_is_a_config_error(tmp_path, capsys):
+    # the channel's own range check, under the device type's name
+    config = {"device": {"type": "amplitude_damping", "gamma": 1.5}}
+    refused = "device (amplitude_damping): damping strength must be in [0, 1], got 1.5"
     assert refused_before_sampling(tmp_path, capsys, config) == f"config error: {refused}\n"
 
 
@@ -579,28 +588,34 @@ def test_parse_explicit_coeffs_and_kraus():
     assert np.allclose(cfg.input_state.coeffs, [[0, 1 / np.sqrt(2)], [1 / np.sqrt(2), 0]])
 
 
-def test_unitary_estimator_warns_on_nonunitary_device():
-    doc = base_config(device={"type": "depolarizing", "p": 0.2})
-    with pytest.warns(RuntimeWarning):
-        parse_config(doc)
+def mixed_warning(purity: str) -> str:
+    """The one stderr line of a unitary run on a mixed output."""
+    return f"warning: the output is mixed (table purity {purity}); unitary estimates a pure state\n"
 
 
-NONUNITARY_WARNING = (
-    "unitary estimator configured for a non-unitary device; "
-    "the reconstruction will report a large unitarity deviation"
-)
+# depolarizing 0.2 scales the probe's correlations by 0.8: table purity (1 + 3 * 0.8^2) / 4
+DEPOLARIZED = {"type": "depolarizing", "p": 0.2}
+
+
+def test_unitary_estimator_warns_on_nonunitary_device(tmp_path, capsys):
+    # the config is no warning; the run reads the mixed output's table and flags it once
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config(device=DEPOLARIZED, plan={"exact": True})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = load_config(cfg_path)
+    run_pipeline(cfg, tmp_path)
+    assert capsys.readouterr().err == mixed_warning("0.73")
 
 
 def test_cli_prints_a_config_warning_as_one_line(tmp_path, capsys):
-    # the warnings module would add the warning's source file and line; the
-    # CLI prints the message alone, and only for a config it accepts
+    # the purity warning is the message alone, and only for a config the CLI accepts
     cfg_path = tmp_path / "c.json"
-    depolarizing = {"type": "depolarizing", "p": 0.2}
-    for plan in ({"exact": True}, {"total": 900, "seed": 1}):
-        cfg_path.write_text(json.dumps(base_config(device=depolarizing, plan=plan)))
+    for plan, purity in (({"exact": True}, "0.73"), ({"total": 900, "seed": 1}, "0.679")):
+        cfg_path.write_text(json.dumps(base_config(device=DEPOLARIZED, plan=plan)))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().err == f"warning: {NONUNITARY_WARNING}\n"
-    cfg_path.write_text(json.dumps(base_config(device=depolarizing, label="a\nb")))
+        assert capsys.readouterr().err == mixed_warning(purity)
+    cfg_path.write_text(json.dumps(base_config(device=DEPOLARIZED, label="a\nb")))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert one_line_error(capsys).startswith("config error: label: ")
 
@@ -611,17 +626,53 @@ def test_exact_full_damping_under_unitary_keeps_the_determinant_gauge(tmp_path, 
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().err == f"warning: {NONUNITARY_WARNING}\n"
+    assert capsys.readouterr().err == mixed_warning("0.5")
     head, _, table = read_result(tmp_path / "t_result.txt")
     assert head["gauge"] == "global phase fixed: determinant rotated real positive"
     assert [float(row[2]) for row in table] == [1, 0, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("python_warnings", ["error", "ignore"])
+def test_mixed_output_warning_ignores_the_python_warning_filter(tmp_path, python_warnings):
+    # the warning is a line the run prints, not a Python warning: a filter that
+    # raises warnings ends in no traceback, and one that drops them drops nothing
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config(device=DEPOLARIZED, plan={"exact": True})))
+    cmd, env = cli_command("pipeline", "--config", str(cfg_path), "--out", str(tmp_path))
+    env["PYTHONWARNINGS"] = python_warnings
+    proc = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr.decode() == mixed_warning("0.73")
+
+
+def test_reconstruct_warns_on_the_mixed_log_it_reads(tmp_path, capsys):
+    # the warning follows the data the estimator reads, not the config's device:
+    # simulate estimates nothing and stays silent, and reconstruct under a
+    # wave-plate config flags the depolarized log once
+    plan = {"total": 8000, "seed": 4}
+    depolarized, plate = tmp_path / "depolarized.json", tmp_path / "plate.json"
+    device = {"type": "depolarizing", "p": 0.3}
+    depolarized.write_text(json.dumps(base_config(device=device, plan=plan)))
+    plate.write_text(json.dumps(base_config(plan=plan)))
+    assert main(["simulate", "--config", str(depolarized), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["reconstruct", "--config", str(plate), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == mixed_warning("0.627")  # depolarizing 0.3 gives 0.6175
+    assert main(["plotdata", "--config", str(plate), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_presets_print_no_warning(tmp_path, capsys, name):
+    assert main(["pipeline", "--preset", name, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 MIXED = dict(input_state={"bell": 0}, device={"type": "depolarizing", "p": 1.0})
 
 
 @pytest.mark.parametrize(
-    "overrides, warnings",
+    "overrides, n_lines",
     [
         # bell 0 through full depolarization leaves I/4, whose table purity is 1/4
         (dict(MIXED, plan={"exact": True}), 1),
@@ -630,13 +681,13 @@ MIXED = dict(input_state={"bell": 0}, device={"type": "depolarizing", "p": 1.0})
     ],
     ids=["mixed_exact", "mixed_sampled", "fig3"],
 )
-def test_state_only_warns_once_on_a_mixed_output(tmp_path, capsys, overrides, warnings):
+def test_state_only_warns_once_on_a_mixed_output(tmp_path, capsys, overrides, n_lines):
     doc = dict(preset_doc("fig3"), estimator="state_only", **overrides)
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(doc))
     assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == warnings and all(line.startswith("warning: ") for line in err)
+    assert len(err) == n_lines and all(line.startswith("warning: ") for line in err)
 
 
 def test_allocation_accepted():
@@ -796,7 +847,6 @@ CHOI_KEYS = (
 )
 
 
-@pytest.mark.filterwarnings("ignore:unitary estimator configured for a non-unitary device")
 @pytest.mark.parametrize(
     "overrides, diagnostics, merit",
     [
@@ -1101,6 +1151,30 @@ def test_pipeline_writes_the_bytes_of_the_staged_commands(tmp_path, make_cfg):
         assert (tmp_path / "pipeline" / name).read_bytes() == (staged / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "document, refused",
+    [
+        (None, "; run reconstruct first"),
+        ("kind: device_unitary\nlabel: t\n", ": no element table found"),
+        ("kind: device_unitary\n\nelement,part\nU00,re\n", ": malformed element table header"),
+    ],
+    ids=["missing", "no_blank_line", "wrong_header"],
+)
+def test_plotdata_refuses_a_result_document_without_its_table(tmp_path, capsys, document, refused):
+    # staged plotdata cuts the table out of the result document; without one it
+    # exits 3 with one line and writes no plot data
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    if document is not None:
+        (tmp_path / "t_result.txt").write_text(document)
+    assert main(["plotdata", "--config", str(cfg_path), "--out", str(tmp_path)]) == 3
+    err = one_line_error(capsys)
+    assert err.startswith("data error: ") and err.endswith(f"{refused}\n")
+    if document is None:
+        assert err.startswith("data error: no result document ")
+    assert not (tmp_path / "t_plotdata.csv").exists()
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_staged_plotdata_of_a_crlf_result_document_writes_the_pipeline_bytes(tmp_path, preset):
     # the pipeline writes the table it rendered; plotdata reads it back from any line ending
@@ -1264,6 +1338,10 @@ def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(bad)
     assert "line" in str(err.value)
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1]")
+    with pytest.raises(ConfigError, match=r"^config root must be a JSON object$"):
+        load_config(listed)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:  # an integer longer than int() reads is a config error, not a traceback
         huge = tmp_path / "huge.json"
