@@ -298,26 +298,15 @@ def _invert_cdf(cdf: np.ndarray, u: np.ndarray, out: np.ndarray, reached: list) 
 
 @functools.cache
 def _jump_table():
-    """Limbs of A_k and G_k for k = 1..3L, and A_3L and G_3L as ints.
-
-    Doubles k each round: A_(m+j) = A_m A_j and G_(m+j) = G_m + A_m G_j.
-    Built on the first jumped draw, not at import.
-    """
-    a_lo = np.array([_PCG64_MULT & _MASK64], dtype=np.uint64)
-    a_hi = np.array([_PCG64_MULT >> 64], dtype=np.uint64)
-    g_lo, g_hi = np.ones(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)
-    while a_lo.size < 3 * _LOSS_CHUNK:
-        m_lo, m_hi = a_lo[-1:], a_hi[-1:]
-        lo, hi = _mul128(a_lo, a_hi, m_lo, m_hi)
-        glo, ghi = _mul128(g_lo, g_hi, m_lo, m_hi)
-        glo += g_lo[-1]
-        ghi += g_hi[-1] + (glo < g_lo[-1])
-        a_lo, a_hi = np.concatenate([a_lo, lo]), np.concatenate([a_hi, hi])
-        g_lo, g_hi = np.concatenate([g_lo, glo]), np.concatenate([g_hi, ghi])
-    k = 3 * _LOSS_CHUNK
-    a_chunk = int(a_hi[k - 1]) << 64 | int(a_lo[k - 1])
-    g_chunk = int(g_hi[k - 1]) << 64 | int(g_lo[k - 1])
-    return (a_lo[:k], a_hi[:k]), (g_lo[:k], g_hi[:k]), (a_chunk, g_chunk)
+    """Limbs of A_k and G_k for k = 1..3L, and A_3L and G_3L as ints, by the steps
+    A <- A*M and G <- G*M + 1 mod 2**128 (M = _PCG64_MULT) from A_0 = 1 and G_0 = 0
+    in Python ints; run once per process, on the first jumped draw, not at import."""
+    a_lo, a_hi, g_lo, g_hi = (np.empty(3 * _LOSS_CHUNK, dtype=np.uint64) for _ in range(4))
+    a, g = 1, 0
+    for k in range(3 * _LOSS_CHUNK):
+        a, g = a * _PCG64_MULT & _MASK128, (g * _PCG64_MULT + 1) & _MASK128
+        a_lo[k], a_hi[k], g_lo[k], g_hi[k] = a & _MASK64, a >> 64, g & _MASK64, g >> 64
+    return (a_lo, a_hi), (g_lo, g_hi), (a, g)
 
 
 def _mul128(a_lo, a_hi, b_lo, b_hi) -> tuple[np.ndarray, np.ndarray]:

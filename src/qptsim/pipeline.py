@@ -257,15 +257,12 @@ def parse_config(doc: dict) -> PipelineConfig:
     label = _name_field("label", doc.get("label", "run"))
     if len(f"x{label}x".splitlines()) > 1:  # the header's label line stays one line
         raise ConfigError(f"label: {shown(label)} contains a line break")
-    names, written = {}, {}  # every output's name; the outputs the run writes, by path
+    names = {}
     for key, ext in (("events", "csv"), ("result", "txt"), ("plotdata", "csv")):
         names[key] = _name_field(f"outputs.{key}", outputs.get(key, f"{label}_{key}.{ext}"))
         path = os.path.normpath(names[key])
         if os.path.basename(path) in ("", ".", "..") or names[key][-1:] in (os.sep, os.altsep):
             raise ConfigError(f"outputs.{key}: {shown(names[key])} does not name a file")
-        if plan is not None or key != "events":  # an exact run writes no event log
-            if (other := written.setdefault(path, key)) != key:
-                raise ConfigError(f"outputs.{other} and outputs.{key} both name {shown(path)}")
     return PipelineConfig(
         label=label,
         input_state=probe,
@@ -303,9 +300,17 @@ def load_preset(name: str) -> PipelineConfig:
     return parse_config(json.loads(text))
 
 
-def _resolve(out_dir, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else Path(out_dir) / p
+def _output_paths(cfg: PipelineConfig, out_dir) -> dict[str, Path]:
+    """The files the run writes, by output key, each name joined to ``out_dir`` (an
+    absolute name stays as it is); an exact run writes no event log.  Two that name
+    one file once normalized are a config error, raised before anything is written."""
+    paths, seen = {}, {}
+    for key in ("events", "result", "plotdata")[cfg.plan is None :]:
+        paths[key] = Path(out_dir, getattr(cfg, f"out_{key}"))
+        path = os.path.abspath(paths[key])
+        if (other := seen.setdefault(path, key)) != key:
+            raise ConfigError(f"outputs.{other} and outputs.{key} both name {shown_path(path)}")
+    return paths
 
 
 def _write_output(path: Path, write) -> None:
@@ -335,8 +340,8 @@ def run_simulate(cfg: PipelineConfig, out_dir=".") -> tuple[Path, np.ndarray]:
     plan = cfg.plan
     if plan is None:
         raise ConfigError("exact-statistics configs have no event log to simulate")
+    path = _output_paths(cfg, out_dir)["events"]
     codes, counts = _sample(cfg.output_state, plan)
-    path = _resolve(out_dir, cfg.out_events)
     _write_output(path, lambda p: write_event_log(p, codes, seed=plan.seed, eta=plan.eta))
     for setting in SETTINGS:
         n = plan.allocation.get(setting, 0)
@@ -418,8 +423,9 @@ def run_reconstruct(
     its path and element table.  A sampled run's (9, 4) ``counts`` table is read
     from the event log unless it is given, and the bootstrap resamples it."""
     psi_in, out, plan = cfg.input_state, cfg.output_state, cfg.plan
+    paths = _output_paths(cfg, out_dir)
     if plan is not None and counts is None:
-        events_path = _resolve(out_dir, cfg.out_events)
+        events_path = paths["events"]
         if not events_path.exists():
             raise DataError(f"no event log {shown_path(events_path)}; run simulate first")
         events, header = read_event_log(events_path)
@@ -461,7 +467,7 @@ def run_reconstruct(
     boot = cfg.bootstrap
     errors = None if plan is None else bootstrap_errors(counts, estimate, boot.resamples, boot.seed)
     head, elements = _format_result(cfg, result, truth, errors)
-    path = _resolve(out_dir, cfg.out_result)
+    path = paths["result"]
     _write_output(path, lambda p: write_file(p, (head + elements).encode("utf-8")))
     _say(f"wrote {result.kind} result to {path}")
     return path, elements
@@ -470,8 +476,9 @@ def run_reconstruct(
 def run_plotdata(cfg: PipelineConfig, out_dir=".", table: Optional[str] = None) -> Path:
     """Write an element table, column header first, as the plot data; without
     ``table``, the one cut from the result document."""
+    paths = _output_paths(cfg, out_dir)
     if table is None:
-        result_path = _resolve(out_dir, cfg.out_result)
+        result_path = paths["result"]
         if not result_path.exists():
             raise DataError(f"no result document {shown_path(result_path)}; run reconstruct first")
         try:
@@ -488,7 +495,7 @@ def run_plotdata(cfg: PipelineConfig, out_dir=".", table: Optional[str] = None) 
         if lines[start : start + 1] != [_TABLE_HEADER]:
             raise DataError(f"{shown_path(result_path)}: malformed element table header")
         table = "\n".join(lines[start:]) + "\n"
-    path = _resolve(out_dir, cfg.out_plotdata)
+    path = paths["plotdata"]
     _write_output(path, lambda p: write_file(p, table.encode("utf-8")))
     rows = table.count("\n") - 1  # after the column header
     _say(f"wrote {rows} plot rows to {path}")

@@ -2,6 +2,8 @@
 
 import hashlib
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -472,6 +474,27 @@ def test_jumped_uniforms_match_generator(seed):
         rotations_of_zero += ((a_s + c) & mask128) >> 122 == 0
         carries += (a_s & mask64) + (c & mask64) > mask64
     assert rotations_of_zero > 0 and carries > 0
+
+
+# the table's size in a fresh interpreter after import, after lossless and eta 0.42 draws,
+# where every loss row is drawn, and after a draw at eta 0.1, which jumps the outcome row
+LAZY_TABLE = """
+import qptsim.experiment as e
+from qptsim import ExperimentPlan, LossModel, bell_state, run_experiment
+sizes = [e._jump_table.cache_info().currsize]
+for loss in (None, LossModel(0.42), LossModel(0.1)):
+    run_experiment(bell_state(1), ExperimentPlan.uniform(900, seed=1, loss=loss))
+    sizes.append(e._jump_table.cache_info().currsize)
+print(sizes)
+"""
+
+
+def test_jump_table_is_built_on_the_first_jumped_draw():
+    src = os.path.dirname(os.path.dirname(qptsim.experiment.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", LAZY_TABLE], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[0, 0, 0, 1]\n"
 
 
 def test_loss_model_validation():

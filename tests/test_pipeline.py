@@ -190,12 +190,18 @@ def test_label_with_a_line_break_is_a_config_error(tmp_path, capsys, brk):
         ({"events": "p.csv", "plotdata": "p.csv"}, False, ("events", "plotdata")),
         ({"result": "./r.txt", "plotdata": "r.txt"}, False, ("result", "plotdata")),
         ({"events": "same.csv", "result": "same.csv"}, True, None),  # no event log is written
+        # names that meet only once joined to --out: {out} is its path, {name} its last part
+        ({"events": "../{name}/same.csv", "result": "same.csv"}, False, ("events", "result")),
+        ({"events": "{out}/abs.csv", "result": "abs.csv"}, False, ("events", "result")),
+        ({"result": "r.txt", "plotdata": "../{name}/r.txt"}, False, ("result", "plotdata")),
     ],
-    ids=["events=result", "result=plotdata", "events=plotdata", "dot_slash", "exact"],
+    ids=["events=result", "result=plotdata", "events=plotdata", "dot_slash", "exact",
+         "through_parent", "absolute", "plotdata_through_parent"],
 )
 def test_outputs_that_name_one_file_are_a_config_error(tmp_path, capsys, outputs, exact, clash):
     # one output would overwrite another: the event log would hold the result
     # document, or the result document only the element table
+    outputs = {k: v.format(out=tmp_path, name=tmp_path.name) for k, v in outputs.items()}
     plan = {"exact": True} if exact else {"total": 900, "seed": 1}
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(base_config(plan=plan, outputs=outputs)))
